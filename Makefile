@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test vet fmt race verify fuzz bench bench-compare chaos smoke clean
+.PHONY: build test vet fmt race verify fuzz bench bench-compare chaos smoke perf-test clean
 
 build:
 	$(GO) build ./...
@@ -80,6 +80,14 @@ chaos:
 # render degrades to a 200 partial raster with X-KDV-Complete: false.
 smoke:
 	./scripts/smoke.sh
+
+# perf-test vets and tests the end-to-end serving benchmark (kdvperf/). It
+# is its own Go module, so ./... at the root never reaches it: its planted-
+# fault checker tests (flipped byte, wrong τ, mismatched disk tile), the
+# exact-count repeat test, and the spec test that keeps BENCHMARK.json in
+# step with the code run only here.
+perf-test:
+	cd kdvperf && $(GO) vet ./... && $(GO) test ./...
 
 clean:
 	$(GO) clean ./...

@@ -371,7 +371,8 @@ func BenchmarkAblationLeafSize(b *testing.B) {
 }
 
 // BenchmarkAblationWorkers: render parallelism (the paper's future-work
-// knob; default single-threaded).
+// knob). The library default is GOMAXPROCS workers; w1 is the paper's
+// single-threaded setting.
 func BenchmarkAblationWorkers(b *testing.B) {
 	coords, dim := getData(b, "crime", benchN)
 	for _, workers := range []int{1, 2, 4} {

@@ -1,6 +1,7 @@
 package quad_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -119,8 +120,9 @@ func TestQueryEdgeCases(t *testing.T) {
 }
 
 // TestQueryArgumentErrors pins the error contract of the query entry
-// points: mismatched query dimension, negative ε, and DensityBounds on
-// methods without a bound function.
+// points: mismatched query dimension, negative or NaN ε, windows that are
+// degenerate or not finite, and DensityBounds on methods without a bound
+// function.
 func TestQueryArgumentErrors(t *testing.T) {
 	pts, err := dataset.Generate("crime", 200, 1)
 	if err != nil {
@@ -133,8 +135,42 @@ func TestQueryArgumentErrors(t *testing.T) {
 	if _, err := k.Estimate([]float64{1, 2, 3}, 0.1); err == nil {
 		t.Error("Estimate accepted a 3-d query on a 2-d dataset")
 	}
-	if _, err := k.Estimate([]float64{1, 2}, -0.1); err == nil {
-		t.Error("Estimate accepted a negative ε")
+	res := quad.Resolution{W: 16, H: 16}
+	keep := func(quad.Snapshot) bool { return true }
+	for _, eps := range []float64{-0.1, math.NaN()} {
+		if _, err := k.Estimate([]float64{1, 2}, eps); err == nil {
+			t.Errorf("Estimate accepted ε=%g", eps)
+		}
+		if _, err := k.RenderEps(res, eps); err == nil {
+			t.Errorf("RenderEps accepted ε=%g", eps)
+		}
+		if _, err := k.RenderEpsSubInCtx(context.Background(), res, eps, quad.Window{}, quad.PixelRect{X0: 0, Y0: 0, X1: 8, Y1: 8}); err == nil {
+			t.Errorf("RenderEpsSubInCtx accepted ε=%g", eps)
+		}
+		if _, err := k.RenderProgressive(res, eps, 0, 0); err == nil {
+			t.Errorf("RenderProgressive accepted ε=%g", eps)
+		}
+		if _, err := k.RenderProgressiveStream(res, eps, 0, keep); err == nil {
+			t.Errorf("RenderProgressiveStream accepted ε=%g", eps)
+		}
+	}
+	for _, win := range []quad.Window{
+		{MinX: 1, MinY: 0, MaxX: 1, MaxY: 2},                              // zero width
+		{MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1},                     // NaN corner
+		{MinX: 0, MinY: 0, MaxX: 1, MaxY: math.NaN()},                     // NaN corner
+		{MinX: 0, MinY: 0, MaxX: math.Inf(1), MaxY: 1},                    // infinite corner
+		{MinX: math.Inf(-1), MinY: 0, MaxX: 1, MaxY: 1},                   // infinite corner
+		{MinX: -math.MaxFloat64, MinY: 0, MaxX: math.MaxFloat64, MaxY: 1}, // width overflows
+	} {
+		if _, err := k.RenderEpsIn(res, 0.05, win); err == nil {
+			t.Errorf("RenderEpsIn accepted window %+v", win)
+		}
+		if _, err := k.RenderTauIn(res, 0.001, win); err == nil {
+			t.Errorf("RenderTauIn accepted window %+v", win)
+		}
+		if _, err := k.RenderProgressiveIn(res, 0.05, 0, 0, win); err == nil {
+			t.Errorf("RenderProgressiveIn accepted window %+v", win)
+		}
 	}
 	if _, err := k.IsHot([]float64{1}, 0.5); err == nil {
 		t.Error("IsHot accepted a 1-d query on a 2-d dataset")

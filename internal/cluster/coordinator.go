@@ -637,6 +637,7 @@ func addStats(dst *quad.RenderStats, s quad.RenderStats) {
 	dst.Pixels += s.Pixels
 	dst.Tiles += s.Tiles
 	dst.TilesDecided += s.TilesDecided
+	dst.Workers += s.Workers
 	dst.SharedNodeEvals += s.SharedNodeEvals
 	dst.FrontierPromotions += s.FrontierPromotions
 	dst.Iterations += s.Iterations

@@ -108,12 +108,15 @@ func (c *Config) LoadDataset(name string) (*DS, error) {
 	return &DS{Name: name, Pts: pts, N: pts.Len()}, nil
 }
 
-// Build constructs a KDV over the dataset for a method and kernel.
+// Build constructs a KDV over the dataset for a method and kernel. Renders
+// run on one worker, the paper's single-threaded setting, so figure
+// timings stay comparable with the paper's whatever the host's core count.
 func (d *DS) Build(kern quad.Kernel, method quad.Method, eps float64) (*quad.KDV, error) {
 	return quad.New(d.Pts.Coords, d.Pts.Dim,
 		quad.WithKernel(kern),
 		quad.WithMethod(method),
 		quad.WithZOrderGuarantee(eps, 0.2),
+		quad.WithWorkers(1),
 	)
 }
 

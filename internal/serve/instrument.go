@@ -104,6 +104,9 @@ type slowQueryEntry struct {
 	Stats     *slowQueryStats `json:"stats,omitempty"`
 }
 
+// slowQueryStats is the render's RenderStats. SharedMs is CPU time of the
+// shared-frontier stage summed across the render's Workers goroutines, so
+// it can exceed RenderMs, which is wall time.
 type slowQueryStats struct {
 	Pixels        int     `json:"pixels"`
 	QueuePops     int     `json:"queue_pops"`
@@ -113,6 +116,7 @@ type slowQueryStats struct {
 	SharedEvals   int     `json:"shared_evals"`
 	TilesDecided  int     `json:"tiles_decided"`
 	Promotions    int     `json:"promotions"`
+	Workers       int     `json:"workers"`
 	RenderMs      float64 `json:"render_ms"`
 	SharedMs      float64 `json:"shared_ms"`
 }
@@ -145,6 +149,7 @@ func (s *Server) logSlowQuery(w http.ResponseWriter, r *http.Request, status int
 			SharedEvals:   st.SharedNodeEvals,
 			TilesDecided:  st.TilesDecided,
 			Promotions:    st.FrontierPromotions,
+			Workers:       st.Workers,
 			RenderMs:      float64(st.Elapsed) / float64(time.Millisecond),
 			SharedMs:      float64(st.SharedElapsed) / float64(time.Millisecond),
 		}

@@ -208,6 +208,7 @@ func setStatsHeaders(w http.ResponseWriter, st quad.RenderStats) {
 	h.Set("X-KDV-Stats-Shared-Evals", strconv.Itoa(st.SharedNodeEvals))
 	h.Set("X-KDV-Stats-Tiles-Decided", strconv.Itoa(st.TilesDecided))
 	h.Set("X-KDV-Stats-Promotions", strconv.Itoa(st.FrontierPromotions))
+	h.Set("X-KDV-Stats-Workers", strconv.Itoa(st.Workers))
 	h.Set("X-KDV-Stats-Render-Ms",
 		strconv.FormatFloat(float64(st.Elapsed)/float64(time.Millisecond), 'f', 3, 64))
 }

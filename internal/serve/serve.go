@@ -490,13 +490,14 @@ func (s *Server) parseParamsNamed(name string, q url.Values) (*renderParams, err
 			return nil, fmt.Errorf("bad res %q", v)
 		}
 	}
-	if res.W < 1 || res.H < 1 || res.W*res.H > maxPixels {
+	// Bound each side before multiplying, or W*H can wrap past the cap.
+	if res.W < 1 || res.H < 1 || res.W > maxPixels || res.H > maxPixels || res.W*res.H > maxPixels {
 		return nil, fmt.Errorf("resolution %dx%d out of range (max %d pixels)", res.W, res.H, maxPixels)
 	}
 	eps := 0.01
 	if v := q.Get("eps"); v != "" {
 		eps, err = strconv.ParseFloat(v, 64)
-		if err != nil || eps < 0 || eps > 1 {
+		if err != nil || !(eps >= 0 && eps <= 1) { // also rejects NaN
 			return nil, fmt.Errorf("bad eps %q (0..1)", v)
 		}
 	}
@@ -515,8 +516,8 @@ func (s *Server) parseParamsNamed(name string, q url.Values) (*renderParams, err
 			}
 		}
 		window = quad.Window{MinX: vals[0], MinY: vals[1], MaxX: vals[2], MaxY: vals[3]}
-		if window.MaxX <= window.MinX || window.MaxY <= window.MinY {
-			return nil, fmt.Errorf("degenerate bbox %q", v)
+		if err := window.Validate(); err != nil {
+			return nil, fmt.Errorf("bad bbox %q: %v", v, err)
 		}
 	}
 	return &renderParams{

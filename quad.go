@@ -46,6 +46,7 @@ package quad
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -205,9 +206,15 @@ func WithBandwidth(gamma, weight float64) Option {
 // WithLeafSize sets the kd-tree leaf capacity (default 30).
 func WithLeafSize(n int) Option { return func(c *config) { c.leafSize = n } }
 
-// WithWorkers sets the number of goroutines used by the Render* calls.
-// The default 1 matches the paper's single-threaded setting; higher values
-// are the paper's "parallel computation" future-work knob.
+// WithWorkers sets the number of goroutines a full-raster render spreads
+// its pixel tiles over (the paper's "parallel computation" future-work
+// knob). The default, also selected by 0 or negative, is
+// runtime.GOMAXPROCS(0) read at construction, so a render uses every core
+// the process may run on; WithWorkers(1) is the paper's single-threaded
+// setting. Rasters and RenderStats work counters are identical for every
+// worker count, because tiles are evaluated independently. Progressive
+// renders and the per-query calls (Estimate, IsHot) run on one goroutine
+// regardless.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithZOrderGuarantee dimensions the MethodZOrder sample for a target
@@ -333,7 +340,6 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 	cfg := config{
 		kern:       Gaussian,
 		method:     MethodQuadratic,
-		workers:    1,
 		zsampleEps: 0.01,
 		zdelta:     0.2,
 		seedWindow: 0.02,
@@ -342,7 +348,7 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 		o(&cfg)
 	}
 	if cfg.workers < 1 {
-		cfg.workers = 1
+		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	k := cfg.kern.internal()
 	if !k.Valid() {

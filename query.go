@@ -110,8 +110,8 @@ func (k *KDV) Estimate(q []float64, eps float64) (float64, error) {
 	if err := k.checkQuery(q); err != nil {
 		return 0, err
 	}
-	if eps < 0 {
-		return 0, fmt.Errorf("quad: negative relative error %g", eps)
+	if err := checkEps(eps); err != nil {
+		return 0, err
 	}
 	switch k.cfg.method {
 	case MethodExact:

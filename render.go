@@ -3,6 +3,7 @@ package quad
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -114,7 +115,16 @@ type Window struct {
 // IsZero reports whether the window is unset.
 func (w Window) IsZero() bool { return w == Window{} }
 
-func (w Window) validate() error {
+// Validate reports whether a non-zero window can be rendered: its corners
+// must be finite, and so must its extents, from which a pixel's data-space
+// size derives; its extents must be positive. Every windowed render entry
+// point calls it.
+func (w Window) Validate() error {
+	for _, v := range [...]float64{w.MinX, w.MinY, w.MaxX, w.MaxY, w.MaxX - w.MinX, w.MaxY - w.MinY} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("quad: non-finite window [%g,%g]x[%g,%g]", w.MinX, w.MaxX, w.MinY, w.MaxY)
+		}
+	}
 	if w.MaxX <= w.MinX || w.MaxY <= w.MinY {
 		return fmt.Errorf("quad: degenerate window [%g,%g]x[%g,%g]", w.MinX, w.MaxX, w.MinY, w.MaxY)
 	}
@@ -144,10 +154,19 @@ func (k *KDV) newGridIn(res Resolution, w Window) (*grid.Grid, error) {
 		}
 		return grid.ForDataset(res.internal(), k.pts, k.cfg.seedWindow)
 	}
-	if err := w.validate(); err != nil {
+	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	return grid.New(res.internal(), geomRect(w))
+}
+
+// checkEps rejects a relative error the εKDV guarantee does not cover:
+// negative values, and NaN, which every ordered comparison lets through.
+func checkEps(eps float64) error {
+	if !(eps >= 0) {
+		return fmt.Errorf("quad: relative error %g is not a number ≥ 0", eps)
+	}
+	return nil
 }
 
 // defaultTileSize is the default pixel tile edge for tile-shared rendering
@@ -259,6 +278,11 @@ type RenderStats struct {
 	// Tiles is the number of pixel tiles scheduled; TilesDecided counts the
 	// τKDV tiles classified whole by the shared phase (zero per-pixel work).
 	Tiles, TilesDecided int
+	// Workers is the number of goroutines that ran the render's tiles:
+	// min(WithWorkers, scheduled tiles), or 1 for a progressive render.
+	// Besides the timings, it is the only field that varies with the
+	// worker count.
+	Workers int
 	// SharedNodeEvals counts tile-uniform bound evaluations (shared phase
 	// and frontier promotions), amortized over each tile's pixels.
 	SharedNodeEvals int
@@ -279,7 +303,8 @@ type RenderStats struct {
 	// Elapsed is the render's wall-clock time (set by the *Stats render
 	// entry points). SharedElapsed is the time spent building tile/sub-tile
 	// frontiers, summed across workers — CPU time of the shared stage, not
-	// wall time (promotion work is counted in the per-pixel remainder).
+	// wall time; SharedElapsed/Workers estimates its wall share (promotion
+	// work is counted in the per-pixel remainder).
 	Elapsed, SharedElapsed time.Duration
 }
 
@@ -351,8 +376,9 @@ func (s *RenderStats) merge(o RenderStats) {
 // wall time at the RenderStats stage boundaries: a parent render span, a
 // shared_frontier child and a pixel_refinement child. SharedElapsed is CPU
 // time summed across workers, not wall time, so the shared_frontier child
-// is clamped to the wall window and carries the true CPU sum as cpu_ms.
-// Call after st.Elapsed has been set.
+// spans the per-worker mean SharedElapsed/Workers (clamped to the wall
+// window) and carries the CPU sum as cpu_ms and the worker count as
+// workers. Call after st.Elapsed has been set.
 func emitRenderSpans(ctx context.Context, name string, start time.Time, st RenderStats, err error) {
 	tr := trace.FromContext(ctx)
 	if tr == nil {
@@ -371,12 +397,16 @@ func emitRenderSpans(ctx context.Context, name string, start time.Time, st Rende
 		sp.SetAttrs(trace.Str("error", err.Error()))
 	}
 	shared := st.SharedElapsed
+	if st.Workers > 1 {
+		shared /= time.Duration(st.Workers)
+	}
 	if shared > st.Elapsed {
 		shared = st.Elapsed
 	}
 	mid := start.Add(shared)
 	tr.Add("shared_frontier", sp, start, mid,
 		trace.DurMs("cpu_ms", st.SharedElapsed),
+		trace.Int("workers", st.Workers),
 		trace.Int("shared_evals", st.SharedNodeEvals),
 		trace.Int("promotions", st.FrontierPromotions))
 	tr.Add("pixel_refinement", sp, mid, end,
@@ -417,9 +447,9 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 		sched = 2 * defaultTileSize
 	}
 	spans := tileSpans(g.Res, sched)
-	workers := k.cfg.workers
-	if workers > len(spans) {
-		workers = len(spans)
+	workers := min(k.cfg.workers, len(spans))
+	if pass.stats != nil {
+		pass.stats.Workers = workers
 	}
 	var (
 		cursor   atomic.Int64
@@ -876,8 +906,8 @@ func (k *KDV) RenderEpsStatsInCtx(ctx context.Context, res Resolution, eps float
 }
 
 func (k *KDV) renderEpsIn(ctx context.Context, res Resolution, eps float64, win Window, st *RenderStats, work *WorkMap) (*DensityMap, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("quad: negative relative error %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, err
 	}
 	g, err := k.newGridIn(res, win)
 	if err != nil {
@@ -1039,8 +1069,8 @@ func (k *KDV) RenderProgressiveIn(res Resolution, eps float64, budget time.Durat
 // RenderProgressiveInCtx is RenderProgressiveIn under a context (see
 // RenderProgressiveCtx).
 func (k *KDV) RenderProgressiveInCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int, win Window) (*ProgressiveResult, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("quad: negative relative error %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, err
 	}
 	g, err := k.newGridIn(res, win)
 	if err != nil {
@@ -1055,7 +1085,7 @@ func (k *KDV) RenderProgressiveInCtx(ctx context.Context, res Resolution, eps fl
 		return nil, err
 	}
 	defer ec.release(k)
-	var rst RenderStats
+	rst := RenderStats{Workers: 1}
 	warm := k.newProgWarm(g, ec.eng, eps, &rst)
 	if warm != nil {
 		order.GroupByTile(warm.size)
@@ -1128,8 +1158,8 @@ func (k *KDV) RenderProgressiveStream(res Resolution, eps float64, budget time.D
 // cancellation is polled between evaluations, stops the stream without a
 // final snapshot, and returns ctx.Err().
 func (k *KDV) RenderProgressiveStreamCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, emit func(Snapshot) bool) (*ProgressiveResult, error) {
-	if eps < 0 {
-		return nil, fmt.Errorf("quad: negative relative error %g", eps)
+	if err := checkEps(eps); err != nil {
+		return nil, err
 	}
 	if emit == nil {
 		return nil, fmt.Errorf("quad: nil snapshot callback (use RenderProgressive for non-streaming renders)")
@@ -1147,7 +1177,7 @@ func (k *KDV) RenderProgressiveStreamCtx(ctx context.Context, res Resolution, ep
 		return nil, err
 	}
 	defer ec.release(k)
-	var rst RenderStats
+	rst := RenderStats{Workers: 1}
 	warm := k.newProgWarm(g, ec.eng, eps, &rst)
 	if warm != nil {
 		order.GroupByTile(warm.size)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/quadkdv/quad/internal/trace"
 )
@@ -144,45 +145,66 @@ func TestWorkMapLayersAndPNG(t *testing.T) {
 
 // TestRenderStatsEmitsSpans checks that a stats render under a traced
 // context decomposes into the render-stage spans, and that an untraced
-// context emits nothing.
+// context emits nothing. With several workers, the shared_frontier child
+// spans the per-worker mean of the shared stage's CPU time, not the sum.
 func TestRenderStatsEmitsSpans(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
-	k, err := NewFromPoints(testCloud(rng, 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Resolution{W: 24, H: 18}
+	cloud := testCloud(rng, 300)
+	res := Resolution{W: 24, H: 18} // 2×2 tiles of 16 px
+	for _, workers := range []int{1, 4} {
+		k, err := NewFromPoints(cloud, WithWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New()
+		ctx := trace.NewContext(context.Background(), tr)
+		_, st, err := k.RenderEpsStatsInCtx(ctx, res, 0.05, Window{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != workers {
+			t.Errorf("workers=%d: Stats.Workers = %d", workers, st.Workers)
+		}
+		spans := tr.Spans()
+		byName := map[string]*trace.Span{}
+		for _, s := range spans {
+			byName[s.Name] = s
+		}
+		root := byName["render.eps"]
+		if root == nil {
+			t.Fatalf("workers=%d: no render.eps span; got %d spans", workers, len(spans))
+		}
+		for _, child := range []string{"shared_frontier", "pixel_refinement"} {
+			s := byName[child]
+			if s == nil {
+				t.Fatalf("workers=%d: missing %s span", workers, child)
+			}
+			if s.Parent != root.ID {
+				t.Errorf("workers=%d: %s span not parented on render.eps", workers, child)
+			}
+			if s.Start.Before(root.Start) || s.Finish.After(root.Finish) {
+				t.Errorf("workers=%d: %s span [%v, %v] outside parent [%v, %v]", workers, child, s.Start, s.Finish, root.Start, root.Finish)
+			}
+		}
+		shared := byName["shared_frontier"]
+		if want := min(st.SharedElapsed/time.Duration(workers), st.Elapsed); shared.Duration() != want {
+			t.Errorf("workers=%d: shared_frontier spans %v, want %v (CPU sum %v)", workers, shared.Duration(), want, st.SharedElapsed)
+		}
+		attrs := map[string]any{}
+		for _, a := range shared.Attrs() {
+			attrs[a.Key] = a.Value()
+		}
+		if attrs["workers"] != float64(workers) {
+			t.Errorf("workers=%d: shared_frontier workers attr = %v", workers, attrs["workers"])
+		}
+		if want := float64(st.SharedElapsed) / float64(time.Millisecond); attrs["cpu_ms"] != want {
+			t.Errorf("workers=%d: shared_frontier cpu_ms = %v, want the CPU sum %v", workers, attrs["cpu_ms"], want)
+		}
 
-	tr := trace.New()
-	ctx := trace.NewContext(context.Background(), tr)
-	if _, _, err := k.RenderEpsStatsInCtx(ctx, res, 0.05, Window{}); err != nil {
-		t.Fatal(err)
-	}
-	spans := tr.Spans()
-	byName := map[string]*trace.Span{}
-	for _, s := range spans {
-		byName[s.Name] = s
-	}
-	root := byName["render.eps"]
-	if root == nil {
-		t.Fatalf("no render.eps span; got %d spans", len(spans))
-	}
-	for _, child := range []string{"shared_frontier", "pixel_refinement"} {
-		s := byName[child]
-		if s == nil {
-			t.Fatalf("missing %s span", child)
+		// Untraced context: no spans, no panic.
+		if _, _, err := k.RenderEpsStatsInCtx(context.Background(), res, 0.05, Window{}); err != nil {
+			t.Fatal(err)
 		}
-		if s.Parent != root.ID {
-			t.Errorf("%s span not parented on render.eps", child)
-		}
-		if s.Start.Before(root.Start) || s.Finish.After(root.Finish) {
-			t.Errorf("%s span [%v, %v] outside parent [%v, %v]", child, s.Start, s.Finish, root.Start, root.Finish)
-		}
-	}
-
-	// Untraced context: no spans, no panic.
-	if _, _, err := k.RenderEpsStatsInCtx(context.Background(), res, 0.05, Window{}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -212,6 +234,9 @@ func TestProgressiveStatsAndLevelSpans(t *testing.T) {
 	}
 	if r.Stats.Elapsed != r.Elapsed {
 		t.Errorf("Stats.Elapsed = %v, want %v", r.Stats.Elapsed, r.Elapsed)
+	}
+	if r.Stats.Workers != 1 {
+		t.Errorf("Stats.Workers = %d, want 1: progressive renders run on one goroutine", r.Stats.Workers)
 	}
 
 	tr := trace.New()
