@@ -70,9 +70,12 @@ bench-compare:
 # chaos runs the cluster fault-injection suite under the race detector:
 # seeded fault transport + fake clock drive breaker trips/recovery, hedges
 # against hung workers, partial-merge degradation, and bit-identity of
-# k-of-n merges against the single-process oracle.
+# k-of-n merges against the single-process oracle. The workers are real
+# serve servers, so the serving layer's cluster and shard-route tests run
+# here too.
 chaos:
 	$(GO) test -race -count=1 ./internal/cluster/...
+	$(GO) test -race -count=1 -run 'Cluster|Shard' ./internal/serve/
 
 # smoke boots kdvserve, waits for /readyz, renders once, and asserts the
 # /metrics scrape saw the work — the end-to-end check of the telemetry path.

@@ -38,8 +38,12 @@
 // via log/slog.
 //
 // Scale-out: the same binary runs as a shard worker or a fan-out
-// coordinator. `kdvserve -worker -addr :8081` serves the internal
-// shard-render API; `kdvserve -workers host:8081,host:8082` makes /render a
+// coordinator. `kdvserve -worker -addr :8081` is the same server mounting
+// only the internal shard-render route, /healthz and /metrics, with no
+// warmup; -cache-size, -max-concurrent, -max-queue, -request-timeout,
+// -slow-query, -trace-log and -pprof-addr apply to it as to the public
+// server, so a worker answers 429 when full and stops a shard render at its
+// deadline. `kdvserve -workers host:8081,host:8082` makes /render a
 // coordinator that partitions each render across the workers by Z-order
 // data shard and merges the rasters additively, with per-worker circuit
 // breakers, jittered retries, and hedged requests against stragglers. When
@@ -51,7 +55,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -105,9 +108,6 @@ func run() int {
 	if *workerMode && *workers != "" {
 		logger.Error("-worker and -workers are mutually exclusive")
 		return 2
-	}
-	if *workerMode {
-		return runWorker(logger, *addr, *shutdownTimeout, *pprofAddr, *traceLog)
 	}
 
 	cfg := serve.Config{
@@ -171,9 +171,13 @@ func run() int {
 	}
 	s := serve.NewServerWith(cfg)
 	defer s.Close()
+	handler := s.Handler()
+	if *workerMode {
+		handler = s.ShardHandler()
+	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           s.Handler(),
+		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 
@@ -190,16 +194,19 @@ func run() int {
 	defer stop()
 
 	// Warm the default dataset in the background so /readyz flips green
-	// without waiting for the first probe to trigger it.
-	go func() {
-		if err := s.Warmup(context.Background()); err != nil {
-			logger.Error("warmup failed", "error", err)
-		}
-	}()
+	// without waiting for the first probe to trigger it. A worker has no
+	// /readyz and no default dataset: its coordinator names every build.
+	if !*workerMode {
+		go func() {
+			if err := s.Warmup(context.Background()); err != nil {
+				logger.Error("warmup failed", "error", err)
+			}
+		}()
+	}
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("listening", "addr", *addr, "default_n", s.DefaultN,
+	logger.Info("listening", "addr", *addr, "worker", *workerMode, "default_n", s.DefaultN,
 		"request_timeout", requestTimeout.String(), "audit_fraction", *auditFraction)
 
 	select {
@@ -223,67 +230,5 @@ func run() int {
 		return 1
 	}
 	logger.Info("drained, exiting cleanly")
-	return 0
-}
-
-// runWorker serves the internal shard-render API: the same binary, pointed
-// at by a coordinator's -workers list.
-func runWorker(logger *slog.Logger, addr string, shutdownTimeout time.Duration, pprofAddr, traceLog string) int {
-	wcfg := cluster.WorkerConfig{}
-	switch traceLog {
-	case "":
-	case "-":
-		wcfg.TraceLog = os.Stderr
-	default:
-		f, err := os.OpenFile(traceLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			logger.Error("trace log open failed", "path", traceLog, "error", err)
-			return 1
-		}
-		defer f.Close()
-		wcfg.TraceLog = f
-	}
-	w := cluster.NewWorker(wcfg)
-	telemetry.RegisterRuntimeMetrics(w.Registry())
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           w.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	if pprofAddr != "" {
-		bound, err := telemetry.StartDebug(pprofAddr, w.Registry())
-		if err != nil {
-			logger.Error("pprof listener failed", "error", err)
-			return 1
-		}
-		logger.Info("debug listener up", "addr", bound)
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("worker listening", "addr", addr, "path", cluster.ShardRenderPath)
-
-	select {
-	case err := <-errc:
-		logger.Error("listener failed", "error", err)
-		return 1
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("worker shutdown signal received, draining", "timeout", shutdownTimeout.String())
-	drainCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
-	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		logger.Error("drain incomplete", "error", err)
-		_ = srv.Close()
-		return 1
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Error("server error", "error", err)
-		return 1
-	}
-	logger.Info("worker drained, exiting cleanly")
 	return 0
 }

@@ -120,9 +120,9 @@ func TestQueryEdgeCases(t *testing.T) {
 }
 
 // TestQueryArgumentErrors pins the error contract of the query entry
-// points: mismatched query dimension, negative or NaN ε, windows that are
-// degenerate or not finite, and DensityBounds on methods without a bound
-// function.
+// points: mismatched query dimension, negative or NaN ε, NaN τ, windows
+// that are degenerate or not finite, and DensityBounds on methods without a
+// bound function.
 func TestQueryArgumentErrors(t *testing.T) {
 	pts, err := dataset.Generate("crime", 200, 1)
 	if err != nil {
@@ -174,6 +174,30 @@ func TestQueryArgumentErrors(t *testing.T) {
 	}
 	if _, err := k.IsHot([]float64{1}, 0.5); err == nil {
 		t.Error("IsHot accepted a 1-d query on a 2-d dataset")
+	}
+	nan := math.NaN()
+	if _, err := k.IsHot([]float64{1, 2}, nan); err == nil {
+		t.Error("IsHot accepted τ=NaN")
+	}
+	if _, err := k.IsHotCtx(context.Background(), []float64{1, 2}, nan); err == nil {
+		t.Error("IsHotCtx accepted τ=NaN")
+	}
+	if _, err := k.RenderTau(res, nan); err == nil {
+		t.Error("RenderTau accepted τ=NaN")
+	}
+	if _, _, err := k.RenderTauStatsInCtx(context.Background(), res, nan, quad.Window{}); err == nil {
+		t.Error("RenderTauStatsInCtx accepted τ=NaN")
+	}
+	if _, _, _, err := k.RenderTauWorkMap(res, nan); err == nil {
+		t.Error("RenderTauWorkMap accepted τ=NaN")
+	}
+	// ±Inf is a threshold every pixel is decided against without refinement.
+	for tau, want := range map[float64]float64{math.Inf(1): 0, math.Inf(-1): 1} {
+		if hm, err := k.RenderTau(res, tau); err != nil {
+			t.Errorf("RenderTau rejected τ=%g: %v", tau, err)
+		} else if got := hm.HotFraction(); got != want {
+			t.Errorf("RenderTau(τ=%g) hot fraction %g, want %g", tau, got, want)
+		}
 	}
 	if _, _, err := k.DensityBounds([]float64{1}); err == nil {
 		t.Error("DensityBounds accepted a 1-d query on a 2-d dataset")

@@ -1,4 +1,4 @@
-package cluster
+package cluster_test
 
 import (
 	"context"
@@ -13,14 +13,17 @@ import (
 	"time"
 
 	quad "github.com/quadkdv/quad"
+	. "github.com/quadkdv/quad/internal/cluster"
 	"github.com/quadkdv/quad/internal/cluster/faultinject"
 	"github.com/quadkdv/quad/internal/dataset"
+	"github.com/quadkdv/quad/internal/serve"
 	"github.com/quadkdv/quad/internal/telemetry"
 )
 
 // The chaos suite drives the coordinator's robustness machinery — breakers,
 // retries, hedges, partial merges — through the deterministic fault-injection
-// transport against real in-process workers.
+// transport against real in-process workers: serving-layer servers mounting
+// the shard route, exactly as kdvserve -worker runs them.
 
 // lockedClock is a race-safe manual clock for the coordinator's breakers.
 type lockedClock struct {
@@ -64,7 +67,9 @@ func newChaosRig(t *testing.T, workers int, mutate func(*CoordinatorConfig)) *ch
 	}
 	urls := make([]string, workers)
 	for i := 0; i < workers; i++ {
-		srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
+		w := serve.NewServerWith(serve.Config{})
+		t.Cleanup(func() { w.Close() })
+		srv := httptest.NewServer(w.ShardHandler())
 		t.Cleanup(srv.Close)
 		rig.servers = append(rig.servers, srv)
 		u, err := url.Parse(srv.URL)
@@ -85,12 +90,11 @@ func newChaosRig(t *testing.T, workers int, mutate func(*CoordinatorConfig)) *ch
 			Window: 8, FailureRate: 0.5, MinSamples: 2,
 			Cooldown: time.Minute, HalfOpenProbes: 1,
 		},
-		now: rig.clock.Now,
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	coord, err := NewCoordinator(cfg, rig.reg)
+	coord, err := NewCoordinator(WithClock(cfg, rig.clock.Now), rig.reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +204,8 @@ func TestChaosBreakerTripsThenRecovers(t *testing.T) {
 
 	// Open breaker: the render fails fast without touching the worker.
 	calls := rig.fi.Calls(rig.hosts[0])
-	if _, err := rig.coord.RenderEps(context.Background(), req); !errors.Is(err, errBreakerOpen) {
-		t.Fatalf("render through open breaker: err = %v, want errBreakerOpen", err)
+	if _, err := rig.coord.RenderEps(context.Background(), req); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("render through open breaker: err = %v, want ErrBreakerOpen", err)
 	}
 	if got := rig.fi.Calls(rig.hosts[0]); got != calls {
 		t.Fatalf("open breaker let %d requests through", got-calls)
@@ -244,10 +248,10 @@ func TestChaosHedgeBeatsHungWorker(t *testing.T) {
 	if !res.Complete {
 		t.Fatalf("hedged render incomplete: %d/%d", res.LiveShards, res.TotalShards)
 	}
-	if got := rig.coord.m.hedges.Value(); got == 0 {
+	if got := rig.coord.Hedges(); got == 0 {
 		t.Fatal("no hedge was launched against the hung worker")
 	}
-	if got := rig.coord.m.hedgeWins.Value(); got == 0 {
+	if got := rig.coord.HedgeWins(); got == 0 {
 		t.Fatal("the hedge never won against the hung worker")
 	}
 	// First-success-wins must not double-count: the merged raster is still
@@ -333,7 +337,7 @@ func TestChaosTransientErrorIsRetried(t *testing.T) {
 	if got := rig.fi.Calls(rig.hosts[0]); got != 3 {
 		t.Fatalf("worker saw %d calls, want 3 (two failures + success)", got)
 	}
-	if got := rig.coord.m.retries.Value(); got != 2 {
+	if got := rig.coord.Retries(); got != 2 {
 		t.Fatalf("kdv_cluster_retries_total = %d, want 2", got)
 	}
 }
@@ -422,36 +426,11 @@ func TestChaosAllWorkersDeadIsAnError(t *testing.T) {
 	if err == nil {
 		t.Fatal("render with zero live shards returned a raster")
 	}
-	var sf *errShardFailed
+	var sf *ErrShardFailed
 	if !errors.As(err, &sf) {
 		t.Fatalf("error %v does not identify the failing shard", err)
 	}
 	if !strings.Contains(err.Error(), "shard ") {
 		t.Fatalf("error %q does not name the shard", err)
-	}
-}
-
-func TestChaosWorkerRejectsBadShardSpec(t *testing.T) {
-	// The worker-side API must reject malformed shard specs rather than
-	// render garbage that would poison a merge.
-	srv := httptest.NewServer(NewWorker(WorkerConfig{}).Handler())
-	defer srv.Close()
-	for _, q := range []string{
-		"shard=2/2",  // index out of range
-		"shard=-1/2", // negative index
-		"shard=x/2",  // not a number
-		"shard=0/0",  // zero count
-		"",           // missing
-	} {
-		u := srv.URL + ShardRenderPath +
-			"?dataset=crime&n=100&seed=1&kernel=gaussian&method=quad&eps=0.05&res=8x8&" + q
-		resp, err := http.Get(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("shard spec %q: status %d, want 400", q, resp.StatusCode)
-		}
 	}
 }

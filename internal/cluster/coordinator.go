@@ -2,12 +2,9 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -288,7 +285,7 @@ func (c *Coordinator) RenderEps(ctx context.Context, req RenderRequest) (*Render
 		for i, v := range r.values {
 			merged.Values[i] += v
 		}
-		addStats(&merged.Stats, r.stats)
+		merged.Stats.Add(r.stats)
 		merged.Live = append(merged.Live, shard)
 		merged.LiveShards++
 	}
@@ -338,12 +335,7 @@ func (c *Coordinator) fetchShard(ctx context.Context, req RenderRequest, spec Sh
 	sp.SetAttrs(trace.Str("shard", spec.String()))
 	defer sp.End()
 
-	p := &shardRenderParams{
-		Dataset: req.Dataset, N: req.N, Seed: req.Seed,
-		Kernel: req.Kernel, Method: req.Method,
-		Eps: req.Eps, Res: req.Res, Window: req.Window, Shard: spec,
-	}
-	candidates := c.candidates(p)
+	candidates := c.candidates(req, spec)
 
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
@@ -354,7 +346,7 @@ func (c *Coordinator) fetchShard(ctx context.Context, req RenderRequest, spec Sh
 				return nil, lastErrOr(lastErr, err)
 			}
 		}
-		res, err := c.attempt(ctx, p, candidates, attempt)
+		res, err := c.attempt(ctx, req, spec, candidates, attempt)
 		if err == nil {
 			sp.SetAttrs(trace.Str("outcome", "ok"), trace.Int("attempts", attempt+1))
 			return res, nil
@@ -374,12 +366,13 @@ func (c *Coordinator) fetchShard(ctx context.Context, req RenderRequest, spec Sh
 // affinity) followed by the consistent-hash ring walk for the render key,
 // bounded by Replicas. The ring makes failover sticky per (shard, viewport)
 // key, so secondary builds concentrate instead of scattering.
-func (c *Coordinator) candidates(p *shardRenderParams) []int {
-	primary := p.Shard.Index % len(c.workers)
+func (c *Coordinator) candidates(req RenderRequest, spec ShardSpec) []int {
+	primary := spec.Index % len(c.workers)
 	if c.cfg.Replicas <= 1 {
 		return []int{primary}
 	}
-	key := p.cacheKey() + "/" + p.Res.String() + "/" + fmt.Sprintf("%v", p.Window)
+	key := fmt.Sprintf("%s/%d/%d/%s/%s/%s/%s/%v",
+		req.Dataset, req.N, req.Seed, req.Kernel, req.Method, spec, req.Res, req.Window)
 	out := []int{primary}
 	for _, w := range c.ring.walk(key, len(c.workers)) {
 		if len(out) >= c.cfg.Replicas {
@@ -398,7 +391,7 @@ func (c *Coordinator) candidates(p *shardRenderParams) []int {
 // same worker when only one is routable — a fresh connection still escapes
 // a stuck socket). First success wins and the loser is cancelled; losers
 // cancelled by the race are not recorded against their worker's breaker.
-func (c *Coordinator) attempt(ctx context.Context, p *shardRenderParams, candidates []int, attempt int) (*shardResult, error) {
+func (c *Coordinator) attempt(ctx context.Context, req RenderRequest, spec ShardSpec, candidates []int, attempt int) (*shardResult, error) {
 	primary, ok := c.pickWorker(candidates, attempt)
 	if !ok {
 		return nil, errBreakerOpen
@@ -417,7 +410,7 @@ func (c *Coordinator) attempt(ctx context.Context, p *shardRenderParams, candida
 	results := make(chan outcome, 2)
 	launch := func(worker int, hedged bool, rctx context.Context) {
 		start := time.Now()
-		res, err := c.doRequest(rctx, worker, p, hedged)
+		res, err := c.doRequest(rctx, worker, req, spec, hedged)
 		results <- outcome{res: res, err: err, worker: worker, hedged: hedged, dur: time.Since(start)}
 	}
 
@@ -559,24 +552,24 @@ func (c *Coordinator) recordOutcome(worker int, success bool) {
 
 // doRequest performs one shard-render HTTP call, propagating the W3C trace
 // context, and decodes the raster.
-func (c *Coordinator) doRequest(ctx context.Context, worker int, p *shardRenderParams, hedged bool) (*shardResult, error) {
+func (c *Coordinator) doRequest(ctx context.Context, worker int, req RenderRequest, spec ShardSpec, hedged bool) (*shardResult, error) {
 	sp, ctx := trace.StartSpan(ctx, "cluster.rpc")
 	sp.SetAttrs(
 		trace.Str("worker", c.cfg.Workers[worker]),
-		trace.Str("shard", p.Shard.String()),
+		trace.Str("shard", spec.String()),
 		trace.Str("hedged", fmt.Sprintf("%t", hedged)),
 	)
 	defer sp.End()
 
-	url := c.workers[worker] + ShardRenderPath + "?" + p.query()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	url := c.workers[worker] + ShardRenderPath + "?" + shardQuery(req, spec)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
 	if tr := trace.FromContext(ctx); tr != nil {
-		req.Header.Set(trace.Header, trace.FormatTraceparent(tr.ID(), sp.ID))
+		hreq.Header.Set(trace.Header, trace.FormatTraceparent(tr.ID(), sp.ID))
 	}
-	resp, err := c.cfg.Client.Do(req)
+	resp, err := c.cfg.Client.Do(hreq)
 	if err != nil {
 		sp.SetAttrs(trace.Str("outcome", "transport-error"))
 		return nil, err
@@ -591,63 +584,13 @@ func (c *Coordinator) doRequest(ctx context.Context, worker int, p *shardRenderP
 		return nil, fmt.Errorf("cluster: worker %s: %s: %s",
 			c.cfg.Workers[worker], resp.Status, strings.TrimSpace(string(body)))
 	}
-	want := 8 * p.Res.W * p.Res.H
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, int64(want)+1))
+	res, err := readShardRaster(resp, req.Res)
 	if err != nil {
-		sp.SetAttrs(trace.Str("outcome", "read-error"))
-		return nil, err
-	}
-	if len(buf) != want {
-		sp.SetAttrs(trace.Str("outcome", "short-raster"))
-		return nil, fmt.Errorf("cluster: worker %s: raster is %d bytes, want %d",
-			c.cfg.Workers[worker], len(buf), want)
-	}
-	res := &shardResult{values: make([]float64, p.Res.W*p.Res.H)}
-	for i := range res.values {
-		res.values[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	if res.windowMin, res.windowMax, err = parseWindowHeader(resp.Header.Get(headerWindow)); err != nil {
-		return nil, err
-	}
-	if v := resp.Header.Get(headerStats); v != "" {
-		if err := json.Unmarshal([]byte(v), &res.stats); err != nil {
-			return nil, fmt.Errorf("cluster: bad %s header: %w", headerStats, err)
-		}
+		sp.SetAttrs(trace.Str("outcome", "bad-raster"))
+		return nil, fmt.Errorf("cluster: worker %s: %w", c.cfg.Workers[worker], err)
 	}
 	sp.SetAttrs(trace.Str("outcome", "ok"))
 	return res, nil
-}
-
-func parseWindowHeader(v string) (mn, mx [2]float64, err error) {
-	var vals [4]float64
-	parts := strings.Split(v, ",")
-	if len(parts) != 4 {
-		return mn, mx, fmt.Errorf("cluster: bad %s header %q", headerWindow, v)
-	}
-	for i, s := range parts {
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &vals[i]); err != nil {
-			return mn, mx, fmt.Errorf("cluster: bad %s header %q", headerWindow, v)
-		}
-	}
-	return [2]float64{vals[0], vals[1]}, [2]float64{vals[2], vals[3]}, nil
-}
-
-// addStats folds one shard's render work into the aggregate.
-func addStats(dst *quad.RenderStats, s quad.RenderStats) {
-	dst.Pixels += s.Pixels
-	dst.Tiles += s.Tiles
-	dst.TilesDecided += s.TilesDecided
-	dst.Workers += s.Workers
-	dst.SharedNodeEvals += s.SharedNodeEvals
-	dst.FrontierPromotions += s.FrontierPromotions
-	dst.Iterations += s.Iterations
-	dst.NodesEvaluated += s.NodesEvaluated
-	dst.LeafScans += s.LeafScans
-	dst.PointsScanned += s.PointsScanned
-	for i := range dst.DepthPixels {
-		dst.DepthPixels[i] += s.DepthPixels[i]
-	}
-	dst.SharedElapsed += s.SharedElapsed
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {

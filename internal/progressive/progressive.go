@@ -179,26 +179,24 @@ type Result struct {
 }
 
 // timeCheckStride balances budget fidelity against clock overhead: the
-// wall-clock (and the context, in the Ctx variants) is consulted every
-// timeCheckStride evaluations.
+// wall-clock and the context are consulted every timeCheckStride
+// evaluations.
 const timeCheckStride = 8
 
 // Run executes the progressive evaluation with eval(px, py) producing each
 // pixel's density value. It stops when the wall-clock budget is exhausted
-// (budget ≤ 0 means unlimited) or maxPixels evaluations were made
-// (maxPixels ≤ 0 means all). The fill-down of region values happens as it
-// goes, so the returned raster is always spatially complete after the very
-// first evaluation.
-func Run(o *Order, eval func(px, py int) float64, budget time.Duration, maxPixels int) *Result {
-	res, _ := RunCtx(context.Background(), o, eval, budget, maxPixels)
-	return res
-}
-
-// RunCtx is Run under a context: cancellation is polled every
-// timeCheckStride evaluations and stops the run. The returned Result is
-// always valid — on cancellation it holds the spatially complete partial
-// raster accumulated so far, alongside the non-nil context error.
-func RunCtx(ctx context.Context, o *Order, eval func(px, py int) float64, budget time.Duration, maxPixels int) (*Result, error) {
+// (budget ≤ 0 means unlimited), maxPixels evaluations were made
+// (maxPixels ≤ 0 means all), or ctx is cancelled, which is polled every
+// timeCheckStride evaluations. The fill-down of region values happens as it
+// goes, so the raster is spatially complete after the very first
+// evaluation. emit, when non-nil, is invoked at every completed quad-tree
+// refinement level and once at the end; emit returning false stops the run
+// (the "user terminates the process at any time" interaction of paper
+// Section 6). The returned Result is always valid: on cancellation it holds
+// the partial raster accumulated so far, alongside the non-nil context
+// error, and no final snapshot is emitted. A lapsed budget wins over a
+// cancellation first seen at the same poll.
+func Run(ctx context.Context, o *Order, eval func(px, py int) float64, budget time.Duration, maxPixels int, emit func(Snapshot) bool) (*Result, error) {
 	start := time.Now()
 	vals := grid.NewValues(o.Res)
 	exact := make([]bool, o.Res.W*o.Res.H)
@@ -207,15 +205,34 @@ func RunCtx(ctx context.Context, o *Order, eval func(px, py int) float64, budget
 	if maxPixels > 0 && maxPixels < limit {
 		limit = maxPixels
 	}
+	level := 0
+	stopped := false
 	var ctxErr error
 	for i := 0; i < limit; i++ {
 		if i%timeCheckStride == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				break
-			}
+			// Budget first: a run whose budget has lapsed returns its partial
+			// result even if ctx ended since the last poll, so a budget set
+			// under a deadline is not lost to slow evaluations between polls.
 			if budget > 0 && time.Since(start) > budget {
 				break
 			}
+			if ctxErr = ctx.Err(); ctxErr != nil {
+				stopped = true
+				break
+			}
+		}
+		if o.Levels[i] > level {
+			// A new, finer level begins: the previous level is complete.
+			if emit != nil && !emit(Snapshot{
+				Values:    vals.Data,
+				Evaluated: res.Evaluated,
+				Level:     level,
+				Elapsed:   time.Since(start),
+			}) {
+				stopped = true
+				break
+			}
+			level = o.Levels[i]
 		}
 		px, py := o.Px[i], o.Py[i]
 		v := eval(px, py)
@@ -233,6 +250,15 @@ func RunCtx(ctx context.Context, o *Order, eval func(px, py int) float64, budget
 	}
 	res.Elapsed = time.Since(start)
 	res.Complete = res.Evaluated == o.Len()
+	if emit != nil && !stopped {
+		emit(Snapshot{
+			Values:    vals.Data,
+			Evaluated: res.Evaluated,
+			Level:     level,
+			Elapsed:   res.Elapsed,
+			Final:     true,
+		})
+	}
 	return res, ctxErr
 }
 

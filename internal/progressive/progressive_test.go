@@ -1,6 +1,7 @@
 package progressive
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -91,10 +92,10 @@ func TestRunCompletes(t *testing.T) {
 	res := grid.Resolution{W: 16, H: 12}
 	o, _ := BuildOrder(res)
 	evals := 0
-	r := Run(o, func(px, py int) float64 {
+	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		evals++
 		return float64(px + py)
-	}, 0, 0)
+	}, 0, 0, nil)
 	if !r.Complete || r.Evaluated != res.Pixels() || evals != res.Pixels() {
 		t.Fatalf("complete run: complete=%v evaluated=%d evals=%d", r.Complete, r.Evaluated, evals)
 	}
@@ -111,7 +112,7 @@ func TestRunCompletes(t *testing.T) {
 func TestRunPixelBudget(t *testing.T) {
 	res := grid.Resolution{W: 32, H: 32}
 	o, _ := BuildOrder(res)
-	r := Run(o, func(px, py int) float64 { return 1 }, 0, 10)
+	r, _ := Run(context.Background(), o, func(px, py int) float64 { return 1 }, 0, 10, nil)
 	if r.Evaluated != 10 {
 		t.Errorf("evaluated %d, want 10", r.Evaluated)
 	}
@@ -130,15 +131,36 @@ func TestRunPixelBudget(t *testing.T) {
 func TestRunTimeBudget(t *testing.T) {
 	res := grid.Resolution{W: 64, H: 64}
 	o, _ := BuildOrder(res)
-	r := Run(o, func(px, py int) float64 {
+	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		time.Sleep(200 * time.Microsecond)
 		return 0
-	}, 5*time.Millisecond, 0)
+	}, 5*time.Millisecond, 0, nil)
 	if r.Complete {
 		t.Error("run under a 5ms budget with 200µs evals should not complete 4096 pixels")
 	}
 	if r.Evaluated == 0 {
 		t.Error("no pixels evaluated")
+	}
+}
+
+// TestRunBudgetBeatsLaterCancel: when the budget has lapsed and ctx has
+// ended by the same poll, the run is a budget stop — the partial result and
+// no error — so a budget clamped under a deadline still answers when
+// evaluations between polls outlast the margin.
+func TestRunBudgetBeatsLaterCancel(t *testing.T) {
+	o, _ := BuildOrder(grid.Resolution{W: 32, H: 32})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r, err := Run(ctx, o, func(px, py int) float64 {
+		time.Sleep(time.Millisecond)
+		cancel()
+		return 1
+	}, 500*time.Microsecond, 0, nil)
+	if err != nil {
+		t.Fatalf("budget stop reported %v", err)
+	}
+	if r.Evaluated != timeCheckStride {
+		t.Errorf("evaluated %d, want one poll stride (%d)", r.Evaluated, timeCheckStride)
 	}
 }
 
@@ -153,7 +175,7 @@ func TestPartialApproximationImproves(t *testing.T) {
 		return x*x + y
 	}
 	errAt := func(budget int) float64 {
-		r := Run(o, field, 0, budget)
+		r, _ := Run(context.Background(), o, field, 0, budget, nil)
 		var sum float64
 		for py := 0; py < res.H; py++ {
 			for px := 0; px < res.W; px++ {

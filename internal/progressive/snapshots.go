@@ -1,11 +1,6 @@
 package progressive
 
-import (
-	"context"
-	"time"
-
-	"github.com/quadkdv/quad/internal/grid"
-)
+import "time"
 
 // Snapshot is a partial visualization state delivered to a streaming
 // consumer: the raster is spatially complete (coarse regions carry their
@@ -23,81 +18,4 @@ type Snapshot struct {
 	Elapsed time.Duration
 	// Final marks the last snapshot of the run.
 	Final bool
-}
-
-// RunStream executes the progressive evaluation like Run, additionally
-// invoking emit at every completed quad-tree refinement level and once at
-// the end. emit returning false stops the run (the "user terminates the
-// process at any time" interaction of paper Section 6). budget and
-// maxPixels behave as in Run.
-func RunStream(o *Order, eval func(px, py int) float64, budget time.Duration, maxPixels int, emit func(Snapshot) bool) *Result {
-	res, _ := RunStreamCtx(context.Background(), o, eval, budget, maxPixels, emit)
-	return res
-}
-
-// RunStreamCtx is RunStream under a context: cancellation is polled every
-// timeCheckStride evaluations and stops the run without emitting the final
-// snapshot. As with RunCtx, the returned Result holds the partial raster
-// even when the context error is non-nil.
-func RunStreamCtx(ctx context.Context, o *Order, eval func(px, py int) float64, budget time.Duration, maxPixels int, emit func(Snapshot) bool) (*Result, error) {
-	start := time.Now()
-	vals := grid.NewValues(o.Res)
-	exact := make([]bool, o.Res.W*o.Res.H)
-	res := &Result{Values: vals}
-	limit := o.Len()
-	if maxPixels > 0 && maxPixels < limit {
-		limit = maxPixels
-	}
-	level := 0
-	stopped := false
-	var ctxErr error
-	for i := 0; i < limit; i++ {
-		if i%timeCheckStride == 0 {
-			if ctxErr = ctx.Err(); ctxErr != nil {
-				stopped = true
-				break
-			}
-			if budget > 0 && time.Since(start) > budget {
-				break
-			}
-		}
-		if o.Levels[i] > level {
-			// A new, finer level begins: the previous level is complete.
-			if emit != nil && !emit(Snapshot{
-				Values:    vals.Data,
-				Evaluated: res.Evaluated,
-				Level:     level,
-				Elapsed:   time.Since(start),
-			}) {
-				stopped = true
-				break
-			}
-			level = o.Levels[i]
-		}
-		px, py := o.Px[i], o.Py[i]
-		v := eval(px, py)
-		exact[py*o.Res.W+px] = true
-		res.Evaluated++
-		x0, y0, x1, y1 := o.RegionAt(i)
-		for y := y0; y < y1; y++ {
-			row := y * o.Res.W
-			for x := x0; x < x1; x++ {
-				if !exact[row+x] || (x == px && y == py) {
-					vals.Data[row+x] = v
-				}
-			}
-		}
-	}
-	res.Elapsed = time.Since(start)
-	res.Complete = res.Evaluated == o.Len()
-	if emit != nil && !stopped {
-		emit(Snapshot{
-			Values:    vals.Data,
-			Evaluated: res.Evaluated,
-			Level:     level,
-			Elapsed:   res.Elapsed,
-			Final:     true,
-		})
-	}
-	return res, ctxErr
 }

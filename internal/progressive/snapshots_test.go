@@ -1,6 +1,7 @@
 package progressive
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func TestLevelsRecorded(t *testing.T) {
 func TestRunStreamEmitsPerLevel(t *testing.T) {
 	o, _ := BuildOrder(grid.Resolution{W: 16, H: 16})
 	var snaps []Snapshot
-	r := RunStream(o, func(px, py int) float64 { return float64(px) }, 0, 0, func(s Snapshot) bool {
+	r, _ := Run(context.Background(), o, func(px, py int) float64 { return float64(px) }, 0, 0, func(s Snapshot) bool {
 		// Copy scalar fields only; Values aliases the live raster.
 		snaps = append(snaps, Snapshot{Evaluated: s.Evaluated, Level: s.Level, Final: s.Final})
 		return true
@@ -62,7 +63,7 @@ func TestRunStreamEmitsPerLevel(t *testing.T) {
 func TestRunStreamEarlyStop(t *testing.T) {
 	o, _ := BuildOrder(grid.Resolution{W: 32, H: 32})
 	evals := 0
-	r := RunStream(o, func(px, py int) float64 {
+	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		evals++
 		return 0
 	}, 0, 0, func(s Snapshot) bool {
@@ -78,7 +79,7 @@ func TestRunStreamEarlyStop(t *testing.T) {
 
 func TestRunStreamNilEmit(t *testing.T) {
 	o, _ := BuildOrder(grid.Resolution{W: 8, H: 8})
-	r := RunStream(o, func(px, py int) float64 { return 1 }, 0, 0, nil)
+	r, _ := Run(context.Background(), o, func(px, py int) float64 { return 1 }, 0, 0, nil)
 	if !r.Complete {
 		t.Error("nil-emit run incomplete")
 	}
@@ -87,7 +88,7 @@ func TestRunStreamNilEmit(t *testing.T) {
 func TestRunStreamBudget(t *testing.T) {
 	o, _ := BuildOrder(grid.Resolution{W: 64, H: 64})
 	final := Snapshot{}
-	r := RunStream(o, func(px, py int) float64 {
+	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		time.Sleep(100 * time.Microsecond)
 		return 0
 	}, 3*time.Millisecond, 0, func(s Snapshot) bool {

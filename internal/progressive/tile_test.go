@@ -1,6 +1,7 @@
 package progressive
 
 import (
+	"context"
 	"testing"
 
 	"github.com/quadkdv/quad/internal/grid"
@@ -42,8 +43,8 @@ func TestGroupByTilePreservesSemantics(t *testing.T) {
 		}
 
 		eval := func(px, py int) float64 { return float64(py*res.W + px) }
-		a := Run(base, eval, 0, 0)
-		b := Run(grouped, eval, 0, 0)
+		a, _ := Run(context.Background(), base, eval, 0, 0, nil)
+		b, _ := Run(context.Background(), grouped, eval, 0, 0, nil)
 		if !a.Complete || !b.Complete {
 			t.Fatalf("%v: incomplete full run", res)
 		}

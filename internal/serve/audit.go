@@ -126,7 +126,7 @@ func (s *Server) clusterOracle(p *renderParams, cres *cluster.RenderResult) func
 	var fn func(q []float64) float64
 	return func(q []float64) float64 {
 		once.Do(func() {
-			k, err := s.kdvFor(context.Background(), p.name, p.n, p.seed, p.kern, p.method, p.eps)
+			k, err := s.kdvFor(context.Background(), p)
 			if err != nil {
 				s.log.Error("audit oracle build failed", "dataset", p.name, "error", err)
 				return

@@ -14,14 +14,16 @@ import (
 )
 
 // clusterServer wires a full coordinator-mode serving stack: a public
-// server whose /render fans out to nWorkers real in-process shard workers
-// through a fault-injection transport.
+// server whose /render fans out to nWorkers in-process shard workers
+// (servers mounting ShardHandler) through a fault-injection transport.
 func clusterServer(t *testing.T, nWorkers int, mutate func(*cluster.CoordinatorConfig)) (*httptest.Server, *faultinject.Transport, []string) {
 	t.Helper()
 	fi := faultinject.New(nil, 1)
 	var urls, hosts []string
 	for i := 0; i < nWorkers; i++ {
-		w := httptest.NewServer(cluster.NewWorker(cluster.WorkerConfig{}).Handler())
+		ws := NewServerWith(Config{})
+		t.Cleanup(func() { ws.Close() })
+		w := httptest.NewServer(ws.ShardHandler())
 		t.Cleanup(w.Close)
 		u, err := url.Parse(w.URL)
 		if err != nil {
@@ -133,5 +135,48 @@ func TestClusterOtherEndpointsStayLocal(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status %d, want 200 (local render)", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestShardRouteRejectsBadInput: the shard route parses with the public
+// endpoints' parser, so every malformed shard render is a structured 400 —
+// never garbage that would poison a merge, a 500 or a panic — and is
+// counted under endpoint="shard".
+func TestShardRouteRejectsBadInput(t *testing.T) {
+	s := NewServerWith(Config{})
+	t.Cleanup(func() { s.Close() })
+	ts := httptest.NewServer(s.ShardHandler())
+	t.Cleanup(ts.Close)
+	cases := []struct{ key, val string }{
+		{"shard", "2/2"},                 // index out of range
+		{"shard", "-1/2"},                // negative index
+		{"shard", "x/2"},                 // not a number
+		{"shard", "0/0"},                 // zero count
+		{"shard", ""},                    // missing
+		{"eps", "NaN"},                   // NaN eps
+		{"bbox", "NaN,0,40,40"},          // NaN bbox
+		{"bbox", "0,0,40,Inf"},           // infinite bbox
+		{"res", "4294967296x4294967296"}, // W*H wraps to 0
+		{"method", "zorder"},             // sample sized for the whole dataset
+	}
+	for _, tc := range cases {
+		q := url.Values{
+			"dataset": {"crime"}, "n": {"100"}, "seed": {"1"}, "kernel": {"gaussian"},
+			"method": {"quad"}, "eps": {"0.05"}, "res": {"8x8"}, "shard": {"0/2"},
+		}
+		if tc.val == "" {
+			q.Del(tc.key)
+		} else {
+			q.Set(tc.key, tc.val)
+		}
+		resp := get(t, ts.URL+cluster.ShardRenderPath+"?"+q.Encode())
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s=%q: status %d, want 400", tc.key, tc.val, resp.StatusCode)
+			continue
+		}
+		decodeError(t, resp)
+	}
+	if got := s.m.httpRequests["shard"]["4xx"].Value(); got != uint64(len(cases)) {
+		t.Errorf(`kdv_http_requests_total{endpoint="shard",code="4xx"} = %d, want %d`, got, len(cases))
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	quad "github.com/quadkdv/quad"
+	"github.com/quadkdv/quad/internal/cluster"
 )
 
 // slowPath is a render that takes hundreds of milliseconds (an exact scan
@@ -250,7 +251,19 @@ func TestProgressiveDeadlineClamped(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := get(t, ts.URL+"/progressive?dataset=crime&n=20000&method=exact&res=48x48&budget=30s")
+	// Build the KDV before the timed request, so its deadline covers only
+	// the clamped render: a cold n=20000 build can outlast 150 ms under the
+	// race detector and leave nothing to render.
+	const path = "/progressive?dataset=crime&n=20000&method=exact&res=48x48&budget=30s"
+	p, err := s.parseParams(httptest.NewRequest(http.MethodGet, path, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.kdvFor(context.Background(), p); err != nil {
+		t.Fatal(err)
+	}
+
+	resp := get(t, ts.URL+path)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200", resp.StatusCode)
 	}
@@ -472,14 +485,26 @@ func TestCacheBuildErrorNotCached(t *testing.T) {
 
 // TestZOrderEpsInCacheKey pins the satellite fix: zorder builds for
 // different eps are distinct cache entries, other methods still share one.
+// A shard build is keyed by its shard spec; an unsharded key keeps its form.
 func TestZOrderEpsInCacheKey(t *testing.T) {
-	if k1, k2 := cacheKey("crime", 1000, 1, quad.Gaussian, quad.MethodZOrder, 0.01),
-		cacheKey("crime", 1000, 1, quad.Gaussian, quad.MethodZOrder, 0.1); k1 == k2 {
+	key := func(method quad.Method, eps float64, shard cluster.ShardSpec) string {
+		return cacheKey(&renderParams{name: "crime", n: 1000, seed: 1, kern: quad.Gaussian,
+			method: method, eps: eps, shard: shard})
+	}
+	whole := cluster.ShardSpec{}
+	if k1, k2 := key(quad.MethodZOrder, 0.01, whole), key(quad.MethodZOrder, 0.1, whole); k1 == k2 {
 		t.Error("zorder cache key ignores eps")
 	}
-	if k1, k2 := cacheKey("crime", 1000, 1, quad.Gaussian, quad.MethodQuadratic, 0.01),
-		cacheKey("crime", 1000, 1, quad.Gaussian, quad.MethodQuadratic, 0.1); k1 != k2 {
+	if k1, k2 := key(quad.MethodQuadratic, 0.01, whole), key(quad.MethodQuadratic, 0.1, whole); k1 != k2 {
 		t.Error("quad cache key needlessly includes eps")
+	}
+	if got := key(quad.MethodQuadratic, 0.01, whole); got != "crime/1000/1/gaussian/quad" {
+		t.Errorf("unsharded cache key = %q, want crime/1000/1/gaussian/quad", got)
+	}
+	s0, s1 := key(quad.MethodQuadratic, 0.01, cluster.ShardSpec{Index: 0, Count: 2}),
+		key(quad.MethodQuadratic, 0.01, cluster.ShardSpec{Index: 1, Count: 2})
+	if s0 == s1 || s0 == key(quad.MethodQuadratic, 0.01, whole) {
+		t.Errorf("shard cache keys %q, %q do not tell the shards and the whole dataset apart", s0, s1)
 	}
 
 	s := NewServerWith(Config{DefaultN: 2000})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	quad "github.com/quadkdv/quad"
+	"github.com/quadkdv/quad/internal/cluster"
 	"github.com/quadkdv/quad/internal/telemetry"
 )
 
@@ -14,7 +15,7 @@ import (
 // series is pre-registered at server construction so the request path only
 // touches atomics (and so scrapes show zero-valued series instead of
 // absent ones).
-var endpoints = []string{"render", "tiles", "hotspots", "progressive", "workmap", "info", "healthz", "readyz", "metrics", "other"}
+var endpoints = []string{"render", "tiles", "hotspots", "progressive", "workmap", "shard", "info", "healthz", "readyz", "metrics", "other"}
 
 // codeClasses bucket response statuses; per-exact-code series would blow up
 // cardinality without telling an operator more than the class does.
@@ -83,7 +84,7 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 			telemetry.DurationBuckets, telemetry.L("endpoint", ep))
 	}
 	m.inFlight = reg.Gauge("kdv_http_in_flight", "HTTP requests currently being handled.")
-	for _, ep := range []string{"render", "tiles", "hotspots", "progressive", "workmap"} {
+	for _, ep := range []string{"render", "tiles", "hotspots", "progressive", "workmap", "shard"} {
 		byOutcome := make(map[string]*telemetry.Counter, len(renderOutcomes))
 		for _, oc := range renderOutcomes {
 			byOutcome[oc] = reg.Counter("kdv_render_requests_total",
@@ -170,6 +171,8 @@ func endpointLabel(path string) string {
 		return "progressive"
 	case "/debug/workmap":
 		return "workmap"
+	case cluster.ShardRenderPath:
+		return "shard"
 	case "/info":
 		return "info"
 	case "/healthz":

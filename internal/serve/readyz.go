@@ -31,9 +31,10 @@ func (s *Server) Warmup(ctx context.Context) error {
 	if !s.warmState.CompareAndSwap(warmIdle, warmRunning) {
 		return nil
 	}
-	kern, _ := quad.ParseKernel("gaussian")
-	method, _ := quad.ParseMethod("quad")
-	_, err := s.kdvFor(ctx, s.cfg.WarmDataset, s.DefaultN, 1, kern, method, 0.01)
+	_, err := s.kdvFor(ctx, &renderParams{
+		name: s.cfg.WarmDataset, n: s.DefaultN, seed: 1,
+		kern: quad.Gaussian, method: quad.MethodQuadratic, eps: 0.01,
+	})
 	if err == nil {
 		err = s.warmTiles(ctx)
 	}

@@ -14,7 +14,9 @@
 //
 // Common query parameters: dataset (name of a synthetic analogue), n
 // (cardinality), res (WxH), kernel, method, seed, log (0/1 color scale),
-// bbox (pan/zoom window).
+// bbox (pan/zoom window). A cluster worker serves ShardHandler instead: the
+// internal shard-render route, which takes the same parameters plus
+// shard=i/n.
 //
 // The serving layer is hardened for interactive traffic: render endpoints
 // pass through a semaphore admission controller (429 + Retry-After when
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -323,14 +326,9 @@ func (s *Server) jitterDur(d time.Duration) time.Duration {
 	return d/2 + time.Duration(s.rng.Int63n(int64(d/2)+1))
 }
 
-// Handler returns the HTTP handler tree with the hardening and
-// observability middleware. Ordering, outermost first: requestID (stamps
-// X-Request-ID on the response before anything can fail), tracing (adopts
-// or mints the W3C trace context and stamps X-Trace-ID, so every later
-// layer can read it off the ResponseWriter), instrument (status/latency
-// metrics and the slow-query log — outside recovery, so a panic is counted
-// as the 500 it becomes), recoverJSON, then the mux with admission control
-// and per-request deadlines around the render endpoints.
+// Handler returns the public HTTP handler tree, behind the hardening and
+// observability middleware (see middleware), with admission control and
+// per-request deadlines around the render endpoints.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /info", s.handleInfo)
@@ -343,6 +341,17 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /progressive", s.guard(s.handleProgressive))
 	mux.Handle("GET /debug/workmap", s.guard(s.handleWorkMap))
 	mux.HandleFunc("GET /debug/ops", s.handleOps)
+	return s.middleware(mux)
+}
+
+// middleware wraps a handler tree in the hardening and observability
+// stack. Ordering, outermost first: requestID (stamps X-Request-ID on the
+// response before anything can fail), tracing (adopts or mints the W3C
+// trace context and stamps X-Trace-ID, so every later layer can read it off
+// the ResponseWriter), instrument (status/latency metrics and the
+// slow-query log — outside recovery, so a panic is counted as the 500 it
+// becomes), recoverJSON, then the mux.
+func (s *Server) middleware(mux http.Handler) http.Handler {
 	return requestID(s.tracing(s.instrument(s.recoverJSON(mux))))
 }
 
@@ -403,6 +412,9 @@ type renderParams struct {
 	eps      float64
 	logScale bool
 	window   quad.Window
+	// shard restricts the KDV to one Z-order data shard (shard renders
+	// only); the zero value is the whole dataset.
+	shard cluster.ShardSpec
 }
 
 // parse parses the common parameters and materializes the (cached) KDV —
@@ -417,7 +429,7 @@ func (s *Server) parse(r *http.Request) (*request, error) {
 
 // materialize builds (or fetches from cache) the KDV for parsed params.
 func (s *Server) materialize(ctx context.Context, p *renderParams) (*request, error) {
-	kdv, err := s.kdvFor(ctx, p.name, p.n, p.seed, p.kern, p.method, p.eps)
+	kdv, err := s.kdvFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -544,17 +556,26 @@ func parseError(w http.ResponseWriter, r *http.Request, err error) {
 	writeError(w, http.StatusBadRequest, "%v", err)
 }
 
-func (s *Server) kdvFor(ctx context.Context, name string, n int, seed int64, kern quad.Kernel, method quad.Method, eps float64) (*quad.KDV, error) {
-	key := cacheKey(name, n, seed, kern, method, eps)
+// kdvFor returns the (cached) KDV the params render from, building it on a
+// miss. A sharded build (quad.WithShard) derives bandwidth, weights and the
+// default window from the full dataset before keeping its shard's points,
+// which is what makes per-shard rasters merge exactly.
+func (s *Server) kdvFor(ctx context.Context, p *renderParams) (*quad.KDV, error) {
+	key := cacheKey(p)
 	sp, ctx := trace.StartSpan(ctx, "cache")
 	k, outcome, err := s.cache.getOutcome(ctx, key, func() (*quad.KDV, error) {
-		pts, err := dataset.Generate(name, n, seed)
+		pts, err := dataset.Generate(p.name, p.n, p.seed)
 		if err != nil {
 			return nil, err
 		}
 		pts = dataset.First2D(pts)
-		return quad.New(pts.Coords, pts.Dim,
-			quad.WithKernel(kern), quad.WithMethod(method), quad.WithZOrderGuarantee(eps, 0.2))
+		opts := []quad.Option{
+			quad.WithKernel(p.kern), quad.WithMethod(p.method), quad.WithZOrderGuarantee(p.eps, 0.2),
+		}
+		if p.shard.Count > 0 {
+			opts = append(opts, quad.WithShard(p.shard.Index, p.shard.Count))
+		}
+		return quad.New(pts.Coords, pts.Dim, opts...)
 	})
 	sp.SetAttrs(trace.Str("key", key), trace.Str("outcome", outcome))
 	sp.End()
@@ -567,10 +588,14 @@ func (s *Server) kdvFor(ctx context.Context, name string, n int, seed int64, ker
 // zorder build across eps values would silently void the sampling
 // guarantee. For the bound-based methods eps is a query parameter, not a
 // build parameter, so keeping it out of the key preserves their hit rate.
-func cacheKey(name string, n int, seed int64, kern quad.Kernel, method quad.Method, eps float64) string {
-	key := fmt.Sprintf("%s/%d/%d/%s/%s", name, n, seed, kern, method)
-	if method == quad.MethodZOrder {
-		key += fmt.Sprintf("/eps=%g", eps)
+// A shard build is keyed by its shard spec too.
+func cacheKey(p *renderParams) string {
+	key := fmt.Sprintf("%s/%d/%d/%s/%s", p.name, p.n, p.seed, p.kern, p.method)
+	if p.method == quad.MethodZOrder {
+		key += fmt.Sprintf("/eps=%g", p.eps)
+	}
+	if p.shard.Count > 0 {
+		key += "/shard=" + p.shard.String()
 	}
 	return key
 }
@@ -748,32 +773,39 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// resolveTau parses "mu", "mu+0.2", "mu-0.1" or a literal number.
+// resolveTau parses "mu", "mu+0.2", "mu-0.1" or a literal number. NaN is
+// rejected: no density compares against it, so every pixel would refine to
+// exhaustion and come out cold. ±Inf decides every pixel without
+// refinement and stays accepted.
 func (s *Server) resolveTau(ctx context.Context, req *request, spec string) (float64, error) {
 	spec = strings.TrimSpace(strings.ToLower(spec))
 	if spec == "" {
 		spec = "mu"
 	}
-	if v, err := strconv.ParseFloat(spec, 64); err == nil {
-		return v, nil
-	}
-	if !strings.HasPrefix(spec, "mu") {
-		return 0, fmt.Errorf("bad tau %q (number, 'mu', or 'mu±k')", spec)
-	}
-	mult := 0.0
-	if rest := spec[2:]; rest != "" {
-		v, err := strconv.ParseFloat(rest, 64)
-		if err != nil {
-			return 0, fmt.Errorf("bad tau %q", spec)
-		}
-		mult = v
-	}
-	stride := 1 + req.res.W*req.res.H/4096
-	mu, sigma, err := req.kdv.ThresholdStatsCtx(ctx, req.res, stride, req.eps)
+	tau, err := strconv.ParseFloat(spec, 64)
 	if err != nil {
-		return 0, err
+		if !strings.HasPrefix(spec, "mu") {
+			return 0, fmt.Errorf("bad tau %q (number, 'mu', or 'mu±k')", spec)
+		}
+		mult := 0.0
+		if rest := spec[2:]; rest != "" {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				return 0, fmt.Errorf("bad tau %q", spec)
+			}
+			mult = v
+		}
+		stride := 1 + req.res.W*req.res.H/4096
+		mu, sigma, err := req.kdv.ThresholdStatsCtx(ctx, req.res, stride, req.eps)
+		if err != nil {
+			return 0, err
+		}
+		tau = mu + mult*sigma
 	}
-	return mu + mult*sigma, nil
+	if math.IsNaN(tau) {
+		return 0, fmt.Errorf("bad tau %q (not a number)", spec)
+	}
+	return tau, nil
 }
 
 func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {

@@ -79,6 +79,8 @@ func TestRenderParamValidation(t *testing.T) {
 		"/render?dataset=crime&n=0",                              // bad n
 		"/render?dataset=crime&seed=abc",                         // bad seed
 		"/hotspots?dataset=crime&tau=banana",                     // bad tau
+		"/hotspots?dataset=crime&res=16x12&tau=nan",              // NaN tau
+		"/hotspots?dataset=crime&res=16x12&tau=munan",            // NaN offset from mu
 		"/progressive?dataset=crime&budget=banana",               // bad budget
 		"/progressive?dataset=crime&budget=5h",                   // budget too long
 	}

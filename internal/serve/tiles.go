@@ -96,7 +96,7 @@ func (s *Server) pyramidFor(ctx context.Context, p *renderParams) (*tiles.Pyrami
 }
 
 func (s *Server) buildPyramid(ctx context.Context, p *renderParams, key string) (*tiles.Pyramid, error) {
-	kdv, err := s.kdvFor(ctx, p.name, p.n, p.seed, p.kern, p.method, p.eps)
+	kdv, err := s.kdvFor(ctx, p)
 	if err != nil {
 		return nil, err
 	}

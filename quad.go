@@ -283,10 +283,10 @@ func WithPointWeights(ws []float64) Option {
 // internal pool.
 type KDV struct {
 	pts          geom.Points
-	weights      []float64 // per-point weights, nil = uniform
-	fullRect     geom.Rect // full-dataset bounds when sharded (WithShard)
-	tree         *kdtree.Tree
-	ftree        *flat.Tree // SoA copy of tree (LayoutFlat)
+	weights      []float64    // per-point weights, nil = uniform
+	fullRect     geom.Rect    // full-dataset bounds when sharded (WithShard)
+	tree         *kdtree.Tree // pointer-linked index (LayoutPointer only)
+	ftree        *flat.Tree   // SoA index (LayoutFlat only)
 	cfg          config
 	bw           stats.Bandwidth
 	proto        *bounds.Evaluator // nil for MethodExact / MethodZOrder
@@ -435,9 +435,12 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 		if err != nil {
 			return nil, err
 		}
-		kdv.tree = tree
 		kdv.proto = ev
-		if cfg.layout == LayoutFlat {
+		// Keep only the tree the layout's engine reads: once flattened, the
+		// pointer tree would be most of a default KDV's heap.
+		if cfg.layout == LayoutPointer {
+			kdv.tree = tree
+		} else {
 			ftree, err := flat.FromTree(tree)
 			if err != nil {
 				return nil, err

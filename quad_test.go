@@ -499,6 +499,27 @@ func TestWithLeafSize(t *testing.T) {
 	}
 }
 
+// TestKDVKeepsOnlyItsLayoutsTree: a KDV retains only the index its
+// engine layout reads — a default (flat) KDV holds no pointer tree, and a
+// LayoutPointer KDV no flat copy.
+func TestKDVKeepsOnlyItsLayoutsTree(t *testing.T) {
+	cloud := testCloud(rand.New(rand.NewSource(3)), 500)
+	k, err := NewFromPoints(cloud)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.tree != nil || k.ftree == nil {
+		t.Errorf("default KDV: pointer tree held %v, flat tree held %v; want only the flat tree", k.tree != nil, k.ftree != nil)
+	}
+	p, err := NewFromPoints(cloud, WithEngineLayout(LayoutPointer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.tree == nil || p.ftree != nil {
+		t.Errorf("LayoutPointer KDV: pointer tree held %v, flat tree held %v; want only the pointer tree", p.tree != nil, p.ftree != nil)
+	}
+}
+
 func TestRenderProgressiveStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(116))
 	k, err := NewFromPoints(testCloud(rng, 800))

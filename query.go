@@ -153,6 +153,9 @@ func (k *KDV) IsHot(q []float64, tau float64) (bool, error) {
 	if err := k.checkQuery(q); err != nil {
 		return false, err
 	}
+	if err := checkTau(tau); err != nil {
+		return false, err
+	}
 	switch k.cfg.method {
 	case MethodExact:
 		return bounds.ExactScan(k.pts, k.weights, k.cfg.kern.internal(), k.bw.Gamma, k.bw.Weight, q) >= tau, nil

@@ -169,6 +169,16 @@ func checkEps(eps float64) error {
 	return nil
 }
 
+// checkTau rejects a τKDV threshold no density compares against: NaN, for
+// which F ≥ τ is always false, so every pixel would refine to exhaustion
+// and come out cold. ±Inf stays valid: the root bounds decide every pixel.
+func checkTau(tau float64) error {
+	if math.IsNaN(tau) {
+		return fmt.Errorf("quad: threshold τ is NaN")
+	}
+	return nil
+}
+
 // defaultTileSize is the default pixel tile edge for tile-shared rendering
 // (see WithTileSize): 16×16 tiles amortize the shared kd-tree refinement
 // over 256 pixels while staying small enough that tile-uniform bounds are
@@ -356,9 +366,13 @@ func (s *RenderStats) endShared(timed bool, t0 time.Time) {
 	}
 }
 
-func (s *RenderStats) merge(o RenderStats) {
+// Add sums o's work counters into s: every field except Elapsed, which is
+// wall time and does not add across concurrent workers or shards.
+func (s *RenderStats) Add(o RenderStats) {
+	s.Pixels += o.Pixels
 	s.Tiles += o.Tiles
 	s.TilesDecided += o.TilesDecided
+	s.Workers += o.Workers
 	s.SharedNodeEvals += o.SharedNodeEvals
 	s.FrontierPromotions += o.FrontierPromotions
 	s.Iterations += o.Iterations
@@ -472,7 +486,7 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 				cleanup()
 				if pass.stats != nil {
 					statsMu.Lock()
-					pass.stats.merge(local)
+					pass.stats.Add(local)
 					statsMu.Unlock()
 				}
 			}()
@@ -964,6 +978,9 @@ func (k *KDV) RenderTauStatsInCtx(ctx context.Context, res Resolution, tau float
 }
 
 func (k *KDV) renderTauIn(ctx context.Context, res Resolution, tau float64, win Window, st *RenderStats, work *WorkMap) (*HotspotMap, error) {
+	if err := checkTau(tau); err != nil {
+		return nil, err
+	}
 	g, err := k.newGridIn(res, win)
 	if err != nil {
 		return nil, err
@@ -1052,9 +1069,9 @@ func (k *KDV) RenderProgressive(res Resolution, eps float64, budget time.Duratio
 
 // RenderProgressiveCtx is RenderProgressive under a context: cancellation
 // is polled between evaluations and returns ctx.Err() promptly. Budget
-// expiry still yields the normal partial result with a nil error;
-// cancellation is the caller abandoning the render, so no result is
-// returned.
+// expiry still yields the normal partial result with a nil error, also when
+// the context ended after the budget lapsed; cancellation is the caller
+// abandoning the render, so no result is returned.
 func (k *KDV) RenderProgressiveCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int) (*ProgressiveResult, error) {
 	return k.RenderProgressiveInCtx(ctx, res, eps, budget, maxPixels, Window{})
 }
@@ -1069,63 +1086,7 @@ func (k *KDV) RenderProgressiveIn(res Resolution, eps float64, budget time.Durat
 // RenderProgressiveInCtx is RenderProgressiveIn under a context (see
 // RenderProgressiveCtx).
 func (k *KDV) RenderProgressiveInCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int, win Window) (*ProgressiveResult, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	g, err := k.newGridIn(res, win)
-	if err != nil {
-		return nil, err
-	}
-	order, err := progressive.BuildOrder(res.internal())
-	if err != nil {
-		return nil, err
-	}
-	ec, err := k.newEvalCtx()
-	if err != nil {
-		return nil, err
-	}
-	defer ec.release(k)
-	rst := RenderStats{Workers: 1}
-	warm := k.newProgWarm(g, ec.eng, eps, &rst)
-	if warm != nil {
-		order.GroupByTile(warm.size)
-	}
-	kern := k.cfg.kern.internal()
-	q := make([]float64, 2)
-	eval := func(px, py int) float64 {
-		g.Query(px, py, q)
-		switch k.cfg.method {
-		case MethodExact:
-			return bounds.ExactScan(k.pts, k.weights, kern, k.bw.Gamma, k.bw.Weight, q)
-		case MethodZOrder:
-			return bounds.ExactScan(k.sample, nil, kern, k.bw.Gamma, k.sampleWeight, q)
-		default:
-			if warm != nil {
-				return warm.eval(px, py, q)
-			}
-			v, st := ec.eng.EvalEps(q, eps)
-			rst.addPixel(st)
-			return v
-		}
-	}
-	r, ctxErr := progressive.RunCtx(ctx, order, eval, budget, maxPixels)
-	if ctxErr != nil {
-		return nil, ctxErr
-	}
-	rst.Pixels = r.Evaluated
-	rst.Elapsed = r.Elapsed
-	return &ProgressiveResult{
-		Map: &DensityMap{
-			Res:       res,
-			Values:    r.Values.Data,
-			WindowMin: [2]float64{g.Window.Min[0], g.Window.Min[1]},
-			WindowMax: [2]float64{g.Window.Max[0], g.Window.Max[1]},
-		},
-		Evaluated: r.Evaluated,
-		Complete:  r.Complete,
-		Elapsed:   r.Elapsed,
-		Stats:     rst,
-	}, nil
+	return k.renderProgressive(ctx, res, eps, budget, maxPixels, win, nil)
 }
 
 // Snapshot is a partial color-map state streamed by
@@ -1158,13 +1119,22 @@ func (k *KDV) RenderProgressiveStream(res Resolution, eps float64, budget time.D
 // cancellation is polled between evaluations, stops the stream without a
 // final snapshot, and returns ctx.Err().
 func (k *KDV) RenderProgressiveStreamCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, emit func(Snapshot) bool) (*ProgressiveResult, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
 	if emit == nil {
 		return nil, fmt.Errorf("quad: nil snapshot callback (use RenderProgressive for non-streaming renders)")
 	}
-	g, err := k.newGrid(res)
+	return k.renderProgressive(ctx, res, eps, budget, 0, Window{}, emit)
+}
+
+// renderProgressive is the body of every progressive render: pixels are
+// εKDV-evaluated in quad-tree order under the budget, each value filling
+// its region until refined. emit, when non-nil, receives a snapshot after
+// every completed level, and each level is recorded as a span on the
+// context's trace.
+func (k *KDV) renderProgressive(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int, win Window, emit func(Snapshot) bool) (*ProgressiveResult, error) {
+	if err := checkEps(eps); err != nil {
+		return nil, err
+	}
+	g, err := k.newGridIn(res, win)
 	if err != nil {
 		return nil, err
 	}
@@ -1205,35 +1175,39 @@ func (k *KDV) RenderProgressiveStreamCtx(ctx context.Context, res Resolution, ep
 		WindowMin: [2]float64{g.Window.Min[0], g.Window.Min[1]},
 		WindowMax: [2]float64{g.Window.Max[0], g.Window.Max[1]},
 	}
-	// Per-level spans: each completed quad-tree level becomes a post-hoc
-	// span covering [previous snapshot, this snapshot] with the pixels and
-	// node evaluations the level consumed.
-	tr := trace.FromContext(ctx)
-	parentSpan := trace.SpanFromContext(ctx)
-	start := time.Now()
-	var prevElapsed time.Duration
-	prevEvaluated, prevNodes := 0, 0
-	r, ctxErr := progressive.RunStreamCtx(ctx, order, eval, budget, 0, func(s progressive.Snapshot) bool {
-		dm.Values = s.Values
-		if tr != nil {
-			sp := tr.Add(fmt.Sprintf("progressive.level.%d", s.Level), parentSpan,
-				start.Add(prevElapsed), start.Add(s.Elapsed),
-				trace.Int("level", s.Level),
-				trace.Int("pixels", s.Evaluated-prevEvaluated),
-				trace.Int("node_evals", rst.NodesEvaluated-prevNodes))
-			if s.Final {
-				sp.SetAttrs(trace.Str("final", "true"))
+	var levelEmit func(progressive.Snapshot) bool
+	if emit != nil {
+		// Per-level spans: each completed quad-tree level becomes a post-hoc
+		// span covering [previous snapshot, this snapshot] with the pixels
+		// and node evaluations the level consumed.
+		tr := trace.FromContext(ctx)
+		parentSpan := trace.SpanFromContext(ctx)
+		start := time.Now()
+		var prevElapsed time.Duration
+		prevEvaluated, prevNodes := 0, 0
+		levelEmit = func(s progressive.Snapshot) bool {
+			dm.Values = s.Values
+			if tr != nil {
+				sp := tr.Add(fmt.Sprintf("progressive.level.%d", s.Level), parentSpan,
+					start.Add(prevElapsed), start.Add(s.Elapsed),
+					trace.Int("level", s.Level),
+					trace.Int("pixels", s.Evaluated-prevEvaluated),
+					trace.Int("node_evals", rst.NodesEvaluated-prevNodes))
+				if s.Final {
+					sp.SetAttrs(trace.Str("final", "true"))
+				}
+				prevElapsed, prevEvaluated, prevNodes = s.Elapsed, s.Evaluated, rst.NodesEvaluated
 			}
-			prevElapsed, prevEvaluated, prevNodes = s.Elapsed, s.Evaluated, rst.NodesEvaluated
+			return emit(Snapshot{
+				Map:       dm,
+				Evaluated: s.Evaluated,
+				Level:     s.Level,
+				Elapsed:   s.Elapsed,
+				Final:     s.Final,
+			})
 		}
-		return emit(Snapshot{
-			Map:       dm,
-			Evaluated: s.Evaluated,
-			Level:     s.Level,
-			Elapsed:   s.Elapsed,
-			Final:     s.Final,
-		})
-	})
+	}
+	r, ctxErr := progressive.Run(ctx, order, eval, budget, maxPixels, levelEmit)
 	if ctxErr != nil {
 		return nil, ctxErr
 	}

@@ -2,7 +2,9 @@ package quad
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -261,6 +263,54 @@ func TestRenderStatsDepthAndStages(t *testing.T) {
 	}
 	if pst.SharedElapsed != 0 || pst.FrontierPromotions != 0 {
 		t.Errorf("per-pixel baseline recorded shared stage work: %+v", pst)
+	}
+}
+
+// TestRenderStatsAddSumsEveryCounter sets every numeric field of a
+// RenderStats, array elements included, to a distinct value through
+// reflection and checks that Add sums it, so a counter added to the struct
+// cannot be left out of the sum. Elapsed is wall time and is not summed.
+func TestRenderStatsAddSumsEveryCounter(t *testing.T) {
+	var o RenderStats
+	ov := reflect.ValueOf(&o).Elem()
+	next := int64(1)
+	for i := 0; i < ov.NumField(); i++ {
+		f := ov.Field(i)
+		switch f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(next)
+			next++
+		case reflect.Array:
+			for j := 0; j < f.Len(); j++ {
+				f.Index(j).SetInt(next)
+				next++
+			}
+		default:
+			t.Fatalf("RenderStats.%s has kind %s, which this test does not set", ov.Type().Field(i).Name, f.Kind())
+		}
+	}
+	var s RenderStats
+	s.Add(o)
+	s.Add(o)
+	sv := reflect.ValueOf(s)
+	for i := 0; i < sv.NumField(); i++ {
+		name := sv.Type().Field(i).Name
+		check := func(got, in int64, at string) {
+			want := 2 * in
+			if name == "Elapsed" {
+				want = 0
+			}
+			if got != want {
+				t.Errorf("RenderStats.%s%s after two Adds of %d = %d, want %d", name, at, in, got, want)
+			}
+		}
+		if f, of := sv.Field(i), ov.Field(i); f.Kind() == reflect.Array {
+			for j := 0; j < f.Len(); j++ {
+				check(f.Index(j).Int(), of.Index(j).Int(), fmt.Sprintf("[%d]", j))
+			}
+		} else {
+			check(f.Int(), of.Int(), "")
+		}
 	}
 }
 
