@@ -19,8 +19,13 @@ fmt:
 test:
 	$(GO) test ./...
 
+# race runs every test under the race detector, then repeats the fork-join
+# kd-tree build's identity test ten times: its forked subtrees write
+# disjoint ranges of one buffer, and a data race there may show in only
+# some runs.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run BuildWorkers ./internal/kdtree
 
 # verify is the pre-merge gate: compile everything, lint, run the full test
 # suite — which includes the metrics-drift golden-file gate and the

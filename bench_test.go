@@ -392,14 +392,23 @@ func BenchmarkAblationWorkers(b *testing.B) {
 }
 
 // BenchmarkIndexBuild: kd-tree construction cost (offline stage of the
-// Table 6 indexing methods).
+// Table 6 indexing methods), on one goroutine and on the default
+// GOMAXPROCS. Run with -cpu 1,2: workers=1 times the serial build alone,
+// and the workers=GOMAXPROCS cell over it is the fork-join build's
+// parallel efficiency.
 func BenchmarkIndexBuild(b *testing.B) {
 	coords, dim := getData(b, "crime", benchN)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := quad.New(coords, dim); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=GOMAXPROCS", 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := quad.New(coords, dim, quad.WithWorkers(c.workers)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -30,6 +30,45 @@ func TestNewRejectsEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFinitePoints: one NaN or infinite coordinate makes every
+// pixel NaN, so every constructor form and method must refuse it, naming
+// the point.
+func TestNewRejectsNonFinitePoints(t *testing.T) {
+	coords := func(bad float64) []float64 {
+		c := []float64{0, 0, 1, 0, 0, 1, 1, 1, 0.5, 0.5}
+		c[7] = bad // point 3's y
+		return c
+	}
+	points := func(bad float64) [][]float64 {
+		c := coords(bad)
+		var ps [][]float64
+		for i := 0; i < len(c); i += 2 {
+			ps = append(ps, c[i:i+2])
+		}
+		return ps
+	}
+	for _, c := range []struct {
+		name string
+		new  func() (*quad.KDV, error)
+	}{
+		{"New NaN", func() (*quad.KDV, error) { return quad.New(coords(math.NaN()), 2) }},
+		{"New +Inf", func() (*quad.KDV, error) { return quad.New(coords(math.Inf(1)), 2) }},
+		{"New -Inf", func() (*quad.KDV, error) { return quad.New(coords(math.Inf(-1)), 2) }},
+		{"New NaN exact", func() (*quad.KDV, error) {
+			return quad.New(coords(math.NaN()), 2, quad.WithMethod(quad.MethodExact))
+		}},
+		{"NewFromPoints NaN", func() (*quad.KDV, error) { return quad.NewFromPoints(points(math.NaN())) }},
+		{"NewFromPoints -Inf", func() (*quad.KDV, error) { return quad.NewFromPoints(points(math.Inf(-1))) }},
+	} {
+		_, err := c.new()
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		} else if !strings.Contains(err.Error(), "point 3") {
+			t.Errorf("%s: error %q does not name point 3", c.name, err)
+		}
+	}
+}
+
 // edgeCase is one degenerate dataset/query geometry. Every case is run
 // against Estimate (ε ladder including 0), IsHot (τ ladder including 0 and
 // above-maximum), and DensityBounds (root sandwich), for each bound method.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -36,8 +37,9 @@ func WriteCSV(w io.Writer, pts geom.Points) error {
 }
 
 // ReadCSV parses comma-separated numeric rows into a point buffer. All rows
-// must have the same number of columns; blank lines and lines starting with
-// '#' are skipped, and a non-numeric first row is treated as a header.
+// must have the same number of columns and only finite values; blank lines
+// and lines starting with '#' are skipped, and a non-numeric first row is
+// treated as a header.
 func ReadCSV(r io.Reader) (geom.Points, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
@@ -66,6 +68,11 @@ func ReadCSV(r io.Reader) (geom.Points, error) {
 				continue // header row
 			}
 			return geom.Points{}, fmt.Errorf("dataset: non-numeric value on line %d", line)
+		}
+		for _, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return geom.Points{}, fmt.Errorf("dataset: non-finite value %g on line %d", v, line)
+			}
 		}
 		if dim == 0 {
 			dim = len(row)

@@ -212,6 +212,22 @@ func TestReadCSVErrors(t *testing.T) {
 	if _, err := ReadCSV(strings.NewReader("1,2\nx,y\n")); err == nil {
 		t.Error("mid-file non-numeric row accepted")
 	}
+	for _, c := range []struct {
+		in   string
+		line string
+	}{
+		{"NaN,2\n", "line 1"},
+		{"1,2\n3,Inf\n", "line 2"},
+		{"1,2\n\n-inf,4\n", "line 3"},
+		{"x,y\n1,+Inf\n", "line 2"},
+	} {
+		_, err := ReadCSV(strings.NewReader(c.in))
+		if err == nil {
+			t.Errorf("non-finite value accepted: %q", c.in)
+		} else if !strings.Contains(err.Error(), c.line) {
+			t.Errorf("%q: error %q does not name %s", c.in, err, c.line)
+		}
+	}
 }
 
 func TestSaveLoadFile(t *testing.T) {

@@ -2,12 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
-// FuzzReadCSV: arbitrary text must never panic the parser, and everything
-// it accepts must survive a write/read round trip.
+// FuzzReadCSV: arbitrary text must never panic the parser, everything it
+// accepts must be finite, and it must survive a write/read round trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("1,2\n3,4\n")
 	f.Add("x,y\n1,2\n")
@@ -22,6 +23,11 @@ func FuzzReadCSV(f *testing.F) {
 		}
 		if pts.Len() == 0 || pts.Dim == 0 {
 			t.Fatalf("accepted input produced empty points: %q", input)
+		}
+		for _, v := range pts.Coords {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("accepted non-finite value %g from %q", v, input)
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteCSV(&buf, pts); err != nil {

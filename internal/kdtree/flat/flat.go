@@ -141,19 +141,6 @@ func FromTree(t *kdtree.Tree) (*Tree, error) {
 	return ft, nil
 }
 
-// Build constructs a flat tree directly from points: the rebuild-from-points
-// path for streaming re-ingest. It runs the pointer builder (which reorders
-// pts in place, exactly like kdtree.Build) and flattens the result, so a
-// rebuilt flat tree is bit-identical to flattening a fresh pointer build
-// over the same buffer.
-func Build(pts geom.Points, opt kdtree.Options) (*Tree, error) {
-	t, err := kdtree.Build(pts, opt)
-	if err != nil {
-		return nil, err
-	}
-	return FromTree(t)
-}
-
 // NumNodes returns the node count.
 func (t *Tree) NumNodes() int { return t.numNodes }
 

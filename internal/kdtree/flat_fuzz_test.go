@@ -18,8 +18,8 @@ import (
 //     subtree point intervals exactly partitioned by the children;
 //   - node-for-node statistics equality with the pointer tree within 0 ULP
 //     (the conversion copies, never recomputes);
-//   - flat.Build (the rebuild-from-points path) bit-identical to flattening
-//     a fresh pointer build over the same buffer.
+//   - a rebuild over an identical buffer, flattened again, bit-identical
+//     to the first flat tree (the build is deterministic).
 func FuzzFlatTreeInvariants(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(8), 1.0, false)
 	f.Add(int64(7), uint8(200), uint8(1), 100.0, true)
@@ -133,12 +133,15 @@ func FuzzFlatTreeInvariants(f *testing.F) {
 			t.Fatalf("BFS replay visited %d nodes, flat has %d", len(queue), nn)
 		}
 
-		// Rebuild-from-points path: building flat directly over an identical
-		// buffer must reproduce every array bit-for-bit (the pointer builder
-		// it runs is deterministic).
-		ft2, err := flat.Build(geom.NewPoints(coords2, 2), kdtree.Options{LeafSize: leaf, Gram: true, Weights: weights2})
+		// Rebuilding over an identical buffer and flattening again must
+		// reproduce every array bit-for-bit (the build is deterministic).
+		tree2, err := kdtree.Build(geom.NewPoints(coords2, 2), kdtree.Options{LeafSize: leaf, Gram: true, Weights: weights2})
 		if err != nil {
-			t.Fatalf("flat.Build: %v", err)
+			t.Fatalf("rebuild: %v", err)
+		}
+		ft2, err := flat.FromTree(tree2)
+		if err != nil {
+			t.Fatalf("FromTree(rebuild): %v", err)
 		}
 		if ft2.NumNodes() != nn {
 			t.Fatalf("rebuild has %d nodes, conversion %d", ft2.NumNodes(), nn)

@@ -10,8 +10,8 @@ import (
 
 // FuzzBuildInvariants: for fuzzer-chosen cardinality, leaf size, weighting,
 // and coordinate distribution (including heavy duplication), the built tree
-// must satisfy its structural invariants and its node statistics must match
-// brute force.
+// must satisfy its structural invariants, its node statistics must match
+// brute force, and it must equal the generic loops' build bit for bit.
 func FuzzBuildInvariants(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(8), 1.0, false)
 	f.Add(int64(7), uint8(200), uint8(1), 100.0, true)
@@ -36,11 +36,19 @@ func FuzzBuildInvariants(f *testing.F) {
 				weights[i] = rng.Float64()
 			}
 		}
+		// The generic loops, over a copy of the same input, are the d == 2
+		// loops' bit-for-bit reference.
+		ref, err := build(geom.NewPoints(append([]float64(nil), coords...), 2),
+			Options{LeafSize: leaf, Gram: true, Weights: append([]float64(nil), weights...)}, false)
+		if err != nil {
+			t.Fatalf("generic build(n=%d, leaf=%d): %v", n, leaf, err)
+		}
 		pts := geom.NewPoints(coords, 2)
 		tree, err := Build(pts, Options{LeafSize: leaf, Gram: true, Weights: weights})
 		if err != nil {
 			t.Fatalf("Build(n=%d, leaf=%d): %v", n, leaf, err)
 		}
+		requireIdentical(t, "d == 2 loops vs generic", ref, tree)
 
 		maxLeaf := leaf
 		if maxLeaf < 1 {

@@ -21,17 +21,37 @@
 // Points are kept in a flat buffer that the build reorders in place, so
 // leaves are contiguous coordinate ranges and the exact leaf scans are
 // cache-friendly.
+//
+// The build is fork-join: with Options.Workers > 1, a node of at least
+// forkCutoff points builds its left subtree on a new goroutine and its right
+// one on the calling goroutine, halving the worker budget at each fork. The
+// two subtrees reorder disjoint ranges of the buffer, and a node's own
+// statistics are still accumulated serially from its range once both
+// children are done, so the tree, the point order and every statistic are
+// bit-identical for any worker count. For d == 2 (every serving build) the
+// three per-node scans — the MBR extend, the median quickselect and the
+// moment pass — run as loops over the interleaved coordinates with their
+// running values in registers. They perform the generic loops' float
+// operations in the same order and make the same swap sequence, so they
+// change speed, not results; the generic loops serve d ≠ 2 and are the
+// tests' reference.
 package kdtree
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/quadkdv/quad/internal/geom"
 )
 
 // DefaultLeafSize is the default maximum number of points per leaf.
 const DefaultLeafSize = 30
+
+// forkCutoff is the smallest node, in points, whose subtrees the build may
+// put on two goroutines. A subtree this size builds in about a millisecond
+// at d == 2, so smaller ones, and small trees, stay on one goroutine.
+const forkCutoff = 4096
 
 // Options configures the tree build.
 type Options struct {
@@ -46,6 +66,10 @@ type Options struct {
 	// buffer. The slice is reordered in place alongside the points during
 	// the build. nil means uniform weight 1.
 	Weights []float64
+	// Workers bounds the goroutines the build runs on, the calling one
+	// included; values < 2 build serially. The tree is the same for every
+	// value.
+	Workers int
 }
 
 // Node is one kd-tree node covering points [Start, End) of the tree's
@@ -96,6 +120,9 @@ type Tree struct {
 	LeafSize int
 	hasGram  bool
 	numNodes int
+	// unrolled2 selects the d == 2 loops; only the tests build a 2-d tree
+	// without them, as the reference.
+	unrolled2 bool
 }
 
 // Build constructs a kd-tree over pts. The buffer (and, if supplied, the
@@ -104,6 +131,11 @@ type Tree struct {
 // panicking) for an empty input, since empty datasets are a caller-data
 // condition.
 func Build(pts geom.Points, opt Options) (*Tree, error) {
+	return build(pts, opt, pts.Dim == 2)
+}
+
+// build is Build with the choice of the d == 2 loops made by the caller.
+func build(pts geom.Points, opt Options, unrolled2 bool) (*Tree, error) {
 	if pts.Len() == 0 {
 		return nil, fmt.Errorf("kdtree: cannot build over empty point set")
 	}
@@ -112,8 +144,8 @@ func Build(pts geom.Points, opt Options) (*Tree, error) {
 			return nil, fmt.Errorf("kdtree: %d weights for %d points", len(opt.Weights), pts.Len())
 		}
 		for i, w := range opt.Weights {
-			if w < 0 {
-				return nil, fmt.Errorf("kdtree: negative weight %g at index %d", w, i)
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("kdtree: weight %g at index %d is not finite and non-negative", w, i)
 			}
 		}
 	}
@@ -121,8 +153,8 @@ func Build(pts geom.Points, opt Options) (*Tree, error) {
 	if leaf < 1 {
 		leaf = DefaultLeafSize
 	}
-	t := &Tree{Pts: pts, Weights: opt.Weights, LeafSize: leaf, hasGram: opt.Gram}
-	t.Root = t.build(0, pts.Len())
+	t := &Tree{Pts: pts, Weights: opt.Weights, LeafSize: leaf, hasGram: opt.Gram, unrolled2: unrolled2}
+	t.Root, t.numNodes = t.subtree(0, pts.Len(), opt.Workers)
 	return t, nil
 }
 
@@ -151,27 +183,73 @@ func (t *Tree) HasGram() bool { return t.hasGram }
 // Dim returns the dimensionality of the indexed points.
 func (t *Tree) Dim() int { return t.Pts.Dim }
 
-func (t *Tree) build(lo, hi int) *Node {
-	t.numNodes++
+// subtree builds the subtree over points [lo, hi) and returns its root and
+// node count. workers is the subtree's goroutine budget, the calling
+// goroutine included.
+func (t *Tree) subtree(lo, hi, workers int) (*Node, int) {
 	n := &Node{Start: lo, End: hi, Rect: geom.NewRect(t.Pts.Dim)}
-	for i := lo; i < hi; i++ {
-		n.Rect.Extend(t.Pts.At(i))
+	if t.unrolled2 {
+		extend2(n.Rect, t.Pts.Coords[2*lo:2*hi])
+	} else {
+		for i := lo; i < hi; i++ {
+			n.Rect.Extend(t.Pts.At(i))
+		}
 	}
+	count := 1
 	if hi-lo > t.LeafSize {
 		axis := n.Rect.LongestAxis()
 		mid := (lo + hi) / 2
-		t.selectNth(lo, hi, mid, axis)
+		if t.unrolled2 {
+			t.selectNth2(lo, hi, mid, axis)
+		} else {
+			t.selectNth(lo, hi, mid, axis)
+		}
 		// Degenerate guard: if every coordinate along the split axis is
 		// identical the partition may be vacuous; the longest-axis choice
 		// makes that possible only when the node's rect is a single point,
 		// in which case we keep it as an (oversized) leaf.
 		if n.Rect.Max[axis]-n.Rect.Min[axis] > 0 {
-			n.Left = t.build(lo, mid)
-			n.Right = t.build(mid, hi)
+			var nl, nr int
+			if workers > 1 && hi-lo >= forkCutoff {
+				var wg sync.WaitGroup
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					n.Left, nl = t.subtree(lo, mid, workers/2)
+				}()
+				n.Right, nr = t.subtree(mid, hi, workers-workers/2)
+				wg.Wait()
+			} else {
+				n.Left, nl = t.subtree(lo, mid, 1)
+				n.Right, nr = t.subtree(mid, hi, 1)
+			}
+			count += nl + nr
 		}
 	}
 	t.computeStats(n)
-	return n
+	return n, count
+}
+
+// extend2 is the MBR extend for d == 2 over interleaved coordinates c: the
+// generic loop's comparisons in its order, with the corners in registers.
+func extend2(r geom.Rect, c []float64) {
+	minX, maxX, minY, maxY := r.Min[0], r.Max[0], r.Min[1], r.Max[1]
+	for ; len(c) >= 2; c = c[2:] {
+		x, y := c[0], c[1]
+		if x < minX {
+			minX = x
+		}
+		if x > maxX {
+			maxX = x
+		}
+		if y < minY {
+			minY = y
+		}
+		if y > maxY {
+			maxY = y
+		}
+	}
+	r.Min[0], r.Max[0], r.Min[1], r.Max[1] = minX, maxX, minY, maxY
 }
 
 // selectNth partially sorts points [lo,hi) along axis so that the point at
@@ -217,6 +295,56 @@ func (t *Tree) selectNth(lo, hi, nth, axis int) {
 	}
 }
 
+// selectNth2 is selectNth for d == 2: the same comparisons and the same swap
+// sequence, reading the split coordinate straight from the interleaved
+// buffer and swapping both coordinates (and the weights) inline.
+func (t *Tree) selectNth2(lo, hi, nth, axis int) {
+	c, ws := t.Pts.Coords, t.Weights
+	swap := func(i, j int) {
+		c[2*i], c[2*j] = c[2*j], c[2*i]
+		c[2*i+1], c[2*j+1] = c[2*j+1], c[2*i+1]
+		if ws != nil {
+			ws[i], ws[j] = ws[j], ws[i]
+		}
+	}
+	for hi-lo > 1 {
+		// Median-of-3 pivot.
+		a, b, m := lo, (lo+hi)/2, hi-1
+		if c[2*a+axis] > c[2*b+axis] {
+			swap(a, b)
+		}
+		if c[2*b+axis] > c[2*m+axis] {
+			swap(b, m)
+			if c[2*a+axis] > c[2*b+axis] {
+				swap(a, b)
+			}
+		}
+		pivot := c[2*b+axis]
+		i, j := lo, hi-1
+		for i <= j {
+			for c[2*i+axis] < pivot {
+				i++
+			}
+			for c[2*j+axis] > pivot {
+				j--
+			}
+			if i <= j {
+				swap(i, j)
+				i++
+				j--
+			}
+		}
+		switch {
+		case nth <= j:
+			hi = j + 1
+		case nth >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
 // computeStats fills the node's centered, weighted moment statistics from
 // its point range.
 func (t *Tree) computeStats(n *Node) {
@@ -227,6 +355,10 @@ func (t *Tree) computeStats(n *Node) {
 	n.SumNorm2P = make([]float64, d)
 	if t.hasGram {
 		n.Gram = make([]float64, d*d)
+	}
+	if t.unrolled2 {
+		t.accumulate2(n)
+		return
 	}
 	diff := make([]float64, d)
 	var maxNorm2 float64
@@ -260,6 +392,56 @@ func (t *Tree) computeStats(n *Node) {
 				}
 			}
 		}
+	}
+	n.Radius = math.Sqrt(maxNorm2)
+}
+
+// accumulate2 is computeStats' moment pass for d == 2 with every running
+// sum in a register. Each sum starts at zero and takes the generic loop's
+// terms, rounded the same way, in point order: w·norm2 and w·diff[r] are
+// the generic loop's left-to-right products, and the Gram's off-diagonal
+// entries stay separate sums because (w·d0)·d1 and (w·d1)·d0 may round
+// differently. norm2 = d0² + d1² equals the generic 0 + d0² + d1², since d0²
+// is never −0.
+func (t *Tree) accumulate2(n *Node) {
+	cx, cy := n.Center[0], n.Center[1]
+	c := t.Pts.Coords[2*n.Start : 2*n.End]
+	var ws []float64
+	if t.Weights != nil {
+		ws = t.Weights[n.Start:n.End]
+	}
+	gram := n.Gram != nil
+	var sp0, sp1, snp0, snp1, sw, sn2, sn4, g00, g01, g10, g11, maxNorm2 float64
+	for i := 0; len(c) >= 2; i, c = i+1, c[2:] {
+		w := 1.0
+		if ws != nil {
+			w = ws[i]
+		}
+		d0, d1 := c[0]-cx, c[1]-cy
+		norm2 := d0*d0 + d1*d1
+		if norm2 > maxNorm2 {
+			maxNorm2 = norm2
+		}
+		wd0, wd1, wn2 := w*d0, w*d1, w*norm2
+		sp0 += wd0
+		sp1 += wd1
+		snp0 += wn2 * d0
+		snp1 += wn2 * d1
+		sw += w
+		sn2 += wn2
+		sn4 += wn2 * norm2
+		if gram {
+			g00 += wd0 * d0
+			g01 += wd0 * d1
+			g10 += wd1 * d0
+			g11 += wd1 * d1
+		}
+	}
+	n.SumP[0], n.SumP[1] = sp0, sp1
+	n.SumNorm2P[0], n.SumNorm2P[1] = snp0, snp1
+	n.SumW, n.SumNorm2, n.SumNorm4 = sw, sn2, sn4
+	if gram {
+		n.Gram[0], n.Gram[1], n.Gram[2], n.Gram[3] = g00, g01, g10, g11
 	}
 	n.Radius = math.Sqrt(maxNorm2)
 }

@@ -16,6 +16,11 @@ func TestBuildWeightValidation(t *testing.T) {
 	if _, err := Build(pts.Clone(), Options{Weights: []float64{1, -2}}); err == nil {
 		t.Error("negative weight accepted")
 	}
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := Build(pts.Clone(), Options{Weights: []float64{1, w}}); err == nil {
+			t.Errorf("weight %g accepted", w)
+		}
+	}
 }
 
 func TestWeightsFollowPoints(t *testing.T) {

@@ -46,6 +46,7 @@ package quad
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -208,13 +209,14 @@ func WithLeafSize(n int) Option { return func(c *config) { c.leafSize = n } }
 
 // WithWorkers sets the number of goroutines a full-raster render spreads
 // its pixel tiles over (the paper's "parallel computation" future-work
-// knob). The default, also selected by 0 or negative, is
-// runtime.GOMAXPROCS(0) read at construction, so a render uses every core
-// the process may run on; WithWorkers(1) is the paper's single-threaded
-// setting. Rasters and RenderStats work counters are identical for every
-// worker count, because tiles are evaluated independently. Progressive
-// renders and the per-query calls (Estimate, IsHot) run on one goroutine
-// regardless.
+// knob), and bounds the goroutines New builds the kd-tree index on. The
+// default, also selected by 0 or negative, is runtime.GOMAXPROCS(0) read
+// at construction, so a build and a render use every core the process may
+// run on; WithWorkers(1) is the paper's single-threaded setting. The index,
+// rasters and RenderStats work counters are identical for every worker
+// count, because subtrees and tiles are built and evaluated independently.
+// Progressive renders and the per-query calls (Estimate, IsHot) run on one
+// goroutine regardless.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 
 // WithZOrderGuarantee dimensions the MethodZOrder sample for a target
@@ -354,6 +356,13 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 	if !k.Valid() {
 		return nil, fmt.Errorf("quad: invalid kernel %d", int(cfg.kern))
 	}
+	// A NaN or infinite coordinate would poison the bandwidth, every node
+	// statistic above it and so every pixel; no guarantee covers it.
+	for i, v := range pts.Coords {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("quad: point %d has non-finite coordinate %g", i/pts.Dim, v)
+		}
+	}
 	var weights []float64
 	if cfg.ptWeights != nil {
 		if len(cfg.ptWeights) != pts.Len() {
@@ -361,13 +370,13 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 		}
 		var sum float64
 		for i, w := range cfg.ptWeights {
-			if w < 0 {
-				return nil, fmt.Errorf("quad: negative point weight %g at index %d", w, i)
+			if !(w >= 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("quad: point weight %g at index %d is not finite and non-negative", w, i)
 			}
 			sum += w
 		}
-		if sum <= 0 {
-			return nil, fmt.Errorf("quad: point weights sum to %g; need a positive total", sum)
+		if sum <= 0 || math.IsInf(sum, 1) {
+			return nil, fmt.Errorf("quad: point weights sum to %g; need a positive, finite total", sum)
 		}
 		weights = append([]float64(nil), cfg.ptWeights...)
 	}
@@ -431,7 +440,9 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 			return nil, err
 		}
 		ev.SetBallTightening(cfg.ballBounds)
-		tree, err := kdtree.Build(pts, kdtree.Options{LeafSize: cfg.leafSize, Gram: ev.NeedsGram(), Weights: weights})
+		tree, err := kdtree.Build(pts, kdtree.Options{
+			LeafSize: cfg.leafSize, Gram: ev.NeedsGram(), Weights: weights, Workers: cfg.workers,
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package quad
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +21,29 @@ func TestWithPointWeightsValidation(t *testing.T) {
 	zeros := make([]float64, 50)
 	if _, err := NewFromPoints(cloud, WithPointWeights(zeros)); err == nil {
 		t.Error("all-zero weights accepted")
+	}
+	// Non-finite weights must be rejected by name, not left to poison the
+	// raster (NaN) or surface as a bandwidth error (+Inf makes 1/Σw zero).
+	for _, c := range []struct {
+		name string
+		at   map[int]float64
+		want string
+	}{
+		{"NaN weight", map[int]float64{3: math.NaN()}, "index 3"},
+		{"+Inf weight", map[int]float64{3: math.Inf(1)}, "index 3"},
+		{"overflowing sum", map[int]float64{3: math.MaxFloat64, 4: math.MaxFloat64}, "sum"},
+	} {
+		ws := make([]float64, 50)
+		for i := range ws {
+			ws[i] = 1
+		}
+		for i, w := range c.at {
+			ws[i] = w
+		}
+		_, err := NewFromPoints(cloud, WithPointWeights(ws))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 	ws := make([]float64, 50)
 	for i := range ws {
