@@ -28,7 +28,9 @@ race:
 	$(GO) test -race -count=10 -run BuildWorkers ./internal/kdtree
 
 # verify is the pre-merge gate: compile everything, lint, run the full test
-# suite — which includes the metrics-drift golden-file gate and the
+# suite — which includes the behaviour ledger (TestLedger: raster digests
+# and work counters against testdata/ledger.golden, also re-run under
+# GODEBUG=cpu.fma=off), the metrics-drift golden-file gate and the
 # Prometheus text-format parse check (internal/serve TestMetricsGolden /
 # TestPrometheusExpositionParses) — then run the guarantee-conformance
 # suite (oracle-differential, bound-dominance, and metamorphic checks) on a

@@ -19,6 +19,7 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/pca"
 	"github.com/quadkdv/quad/internal/stats"
@@ -503,7 +504,11 @@ func BenchmarkAblationTangent(b *testing.B) {
 	coords, dim := getData(b, "crime", benchN)
 	pts := geom.NewPoints(append([]float64(nil), coords...), dim)
 	bw := stats.ScottsRule(pts, kernel.Gaussian)
-	tree, err := kdtree.Build(pts, kdtree.Options{Gram: true})
+	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tree, err := flat.FromTree(kt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -521,7 +526,7 @@ func BenchmarkAblationTangent(b *testing.B) {
 				b.Fatal(err)
 			}
 			ev.SetTangentChoice(tc.choice)
-			eng, err := engine.New(tree, ev)
+			eng, err := engine.NewFlat(tree, ev)
 			if err != nil {
 				b.Fatal(err)
 			}

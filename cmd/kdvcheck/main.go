@@ -76,7 +76,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		SkipBounds:      *quick,
 		SkipMetamorphic: *quick,
 		SkipSharding:    *quick,
-		FlatQuick:       *quick,
 		TileQuick:       *quick,
 	}
 	var err error

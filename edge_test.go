@@ -254,3 +254,53 @@ func TestQueryArgumentErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderRejectsHugeResolution pins the library's raster cap: a raster
+// past 2²⁸ pixels, including one whose W×H overflows int, is an error
+// before anything is allocated, not a makeslice or index panic. A
+// sub-render is capped by its sub-rectangle alone, so a deep-zoom tile of
+// a huge full raster still renders.
+func TestRenderRejectsHugeResolution(t *testing.T) {
+	pts, err := dataset.Generate("crime", 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := quad.New(pts.Coords, pts.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, res := range []quad.Resolution{
+		{W: 1 << 32, H: 1 << 32},         // W×H wraps to 0: makeslice cap out of range
+		{W: 3037000500, H: 3037000500},   // W×H wraps negative: makeslice len out of range
+		{W: math.MaxInt, H: math.MaxInt}, // the largest sides
+		{W: 1 << 14, H: 1<<14 + 1},       // just past the cap
+		{W: 1<<28 + 1, H: 1},             // one row past the cap
+	} {
+		if _, err := k.RenderEps(res, 0.05); err == nil {
+			t.Errorf("RenderEps accepted %v", res)
+		}
+		if _, err := k.RenderTau(res, 0.001); err == nil {
+			t.Errorf("RenderTau accepted %v", res)
+		}
+		if _, err := k.RenderProgressive(res, 0.05, 0, 1); err == nil {
+			t.Errorf("RenderProgressive accepted %v", res)
+		}
+		if _, _, _, err := k.RenderEpsWorkMap(res, 0.05); err == nil {
+			t.Errorf("RenderEpsWorkMap accepted %v", res)
+		}
+		if _, _, _, err := k.RenderTauWorkMap(res, 0.001); err == nil {
+			t.Errorf("RenderTauWorkMap accepted %v", res)
+		}
+		if _, err := k.RenderEpsSubInCtx(ctx, res, 0.05, quad.Window{}, quad.PixelRect{X1: res.W, Y1: res.H}); err == nil {
+			t.Errorf("RenderEpsSubInCtx accepted a %v sub-rectangle", res)
+		}
+	}
+	full := quad.Resolution{W: 1 << 32, H: 1 << 32}
+	sub := quad.PixelRect{X0: 1 << 31, Y0: 1 << 31, X1: 1<<31 + 8, Y1: 1<<31 + 8}
+	if dm, err := k.RenderEpsSubInCtx(ctx, full, 0.05, quad.Window{}, sub); err != nil {
+		t.Errorf("8×8 sub-render of a %v raster: %v", full, err)
+	} else if len(dm.Values) != 64 {
+		t.Errorf("8×8 sub-render has %d values", len(dm.Values))
+	}
+}

@@ -27,14 +27,14 @@ func TestBallTighteningStillSandwiches(t *testing.T) {
 			}
 			for trial := 0; trial < 10; trial++ {
 				q := f.randQuery(rng, 2)
-				f.tree.Walk(func(n *kdtree.Node) bool {
-					lb, ub := ev.Bounds(n, q)
-					exact := f.exactNode(n, kern, 0.6, 1.0/400, q)
+				f.tree.Walk(func(id int32) bool {
+					lb, ub := ev.FlatBounds(f.tree, id, q)
+					exact := f.exactNode(id, kern, 0.6, 1.0/400, q)
 					tol := 1e-9 * (1 + math.Abs(exact))
 					if lb > exact+tol || ub < exact-tol {
 						t.Fatalf("%s/%s ball: [%g, %g] does not sandwich %g", kern, method, lb, ub, exact)
 					}
-					return n.Size() > 30
+					return f.tree.Size(id) > 30
 				})
 			}
 		}
@@ -55,13 +55,13 @@ func TestBallTighteningNeverLoosens(t *testing.T) {
 	const tol = 1e-12
 	for trial := 0; trial < 30; trial++ {
 		q := f.randQuery(rng, 2)
-		f.tree.Walk(func(n *kdtree.Node) bool {
-			lbP, ubP := plain.Bounds(n, q)
-			lbB, ubB := ball.Bounds(n, q)
+		f.tree.Walk(func(id int32) bool {
+			lbP, ubP := plain.FlatBounds(f.tree, id, q)
+			lbB, ubB := ball.FlatBounds(f.tree, id, q)
 			if lbB < lbP-tol*(1+lbP) || ubB > ubP+tol*(1+ubP) {
 				t.Fatalf("ball loosened: [%g,%g] vs [%g,%g]", lbB, ubB, lbP, ubP)
 			}
-			return n.Size() > 30
+			return f.tree.Size(id) > 30
 		})
 	}
 }
@@ -83,16 +83,17 @@ func TestCloneCopiesBallFlag(t *testing.T) {
 func TestZeroSumWNode(t *testing.T) {
 	pts := geom.NewPoints([]float64{0, 0, 1, 1, 2, 2, 3, 3}, 2)
 	ws := []float64{0, 0, 0, 0}
-	tr, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
+	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := flatten(t, kt)
 	for _, m := range []Method{MinMax, Linear, Quadratic} {
 		ev, err := NewEvaluator(kernel.Gaussian, 1, 1, m, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, ub := ev.Bounds(tr.Root, []float64{1, 1})
+		lb, ub := ev.FlatBounds(tr, 0, []float64{1, 1})
 		if lb != 0 || ub != 0 {
 			t.Errorf("%s: zero-weight node bounds [%g, %g]", m, lb, ub)
 		}
@@ -103,16 +104,17 @@ func TestZeroSumWNode(t *testing.T) {
 func TestExactNodeWeighted(t *testing.T) {
 	pts := geom.NewPoints([]float64{0, 0, 1, 0, 0, 1}, 2)
 	ws := []float64{2, 0, 3}
-	tr, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
+	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := flatten(t, kt)
 	ev, err := NewEvaluator(kernel.Gaussian, 1, 0.5, Quadratic, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := []float64{0, 0}
-	got := ev.ExactNode(tr, tr.Root, q)
+	got := ev.FlatExactNode(tr, 0, q)
 	var want float64
 	for i := 0; i < tr.Pts.Len(); i++ {
 		want += tr.WeightAt(i) * kernel.Gaussian.Eval(1, geom.Dist2(q, tr.Pts.At(i)))
@@ -128,16 +130,17 @@ func TestExactNodeWeighted(t *testing.T) {
 func TestCosineBeyondSupportFallbacks(t *testing.T) {
 	// Points spread wide enough that the root interval crosses the support.
 	pts := geom.NewPoints([]float64{0, 0, 10, 10, 5, 0, 0, 5, 10, 0, 0, 10}, 2)
-	tr, err := kdtree.Build(pts, kdtree.Options{Gram: true, LeafSize: 2})
+	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true, LeafSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := flatten(t, kt)
 	ev, err := NewEvaluator(kernel.Cosine, 0.3, 1, Quadratic, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := []float64{1, 1}
-	lb, ub := ev.Bounds(tr.Root, q)
+	lb, ub := ev.FlatBounds(tr, 0, q)
 	var exact float64
 	for i := 0; i < tr.Pts.Len(); i++ {
 		exact += kernel.Cosine.Eval(0.3, geom.Dist2(q, tr.Pts.At(i)))
@@ -162,15 +165,15 @@ func TestTangentChoicesAllValid(t *testing.T) {
 		ev.SetTangentChoice(tc)
 		for trial := 0; trial < 15; trial++ {
 			q := f.randQuery(rng, 2)
-			f.tree.Walk(func(n *kdtree.Node) bool {
-				lb, ub := ev.Bounds(n, q)
-				exact := f.exactNode(n, kernel.Gaussian, 0.6, 1.0/400, q)
+			f.tree.Walk(func(id int32) bool {
+				lb, ub := ev.FlatBounds(f.tree, id, q)
+				exact := f.exactNode(id, kernel.Gaussian, 0.6, 1.0/400, q)
 				tol := 1e-9 * (1 + exact)
 				if lb > exact+tol || ub < exact-tol {
 					t.Fatalf("tangent %d: [%g, %g] does not sandwich %g", tc, lb, ub, exact)
 				}
 				gapSums[tc] += ub - lb
-				return n.Size() > 30
+				return f.tree.Size(id) > 30
 			})
 		}
 	}

@@ -19,10 +19,8 @@ package bounds
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/quadkdv/quad/internal/geom"
-	"github.com/quadkdv/quad/internal/kdtree"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -160,79 +158,6 @@ func (e *Evaluator) SetBallTightening(on bool) { e.useBall = on }
 // BallTightening reports whether ball tightening is enabled.
 func (e *Evaluator) BallTightening() bool { return e.useBall }
 
-// Bounds returns LB_R(q) ≤ F_R(q) ≤ UB_R(q) for the node.
-func (e *Evaluator) Bounds(n *kdtree.Node, q []float64) (lb, ub float64) {
-	if n.SumW == 0 {
-		// All-zero weights contribute nothing (and would otherwise produce
-		// 0/0 in the tangent-point formulas).
-		return 0, 0
-	}
-	mind2 := n.Rect.MinDist2(q)
-	maxd2 := n.Rect.MaxDist2(q)
-	if e.useBall {
-		dc := math.Sqrt(geom.Dist2(q, n.Center))
-		if bmin := dc - n.Radius; bmin > 0 {
-			if b2 := bmin * bmin; b2 > mind2 {
-				mind2 = b2
-			}
-		}
-		bmax := dc + n.Radius
-		if b2 := bmax * bmax; b2 < maxd2 {
-			maxd2 = b2
-		}
-	}
-	xmin := e.Kern.X(e.Gamma, mind2)
-	xmax := e.Kern.X(e.Gamma, maxd2)
-
-	switch e.Method {
-	case MinMax:
-		lb, ub = e.minMax(n, xmin, xmax)
-	case Linear:
-		lb, ub = e.linearGaussian(n, q, xmin, xmax)
-	case Quadratic:
-		lb, ub = e.quadratic(n, q, xmin, xmax)
-	default:
-		panic("bounds: invalid method")
-	}
-	return e.clamp(n, lb, ub)
-}
-
-// RectBounds returns tile-uniform bounds on a node's contribution: for EVERY
-// query point q inside the query rectangle,
-//
-//	lb ≤ F_R(q) ≤ ub.
-//
-// The baseline is the min-max bounds (Equations 5–6) evaluated over the
-// rect-to-rect distance interval — valid for every kernel because each
-// profile is non-increasing in distance — honoring the evaluator's
-// ball-tightening setting. For the Gaussian kernel under an envelope method
-// (Linear or Quadratic) the bounds are then tightened with the KARL
-// chord/tangent envelopes: those aggregate through Σdist²(q) alone, and
-// Node.RectSumDist2 gives that statistic's exact range over the rectangle,
-// so the envelope evaluated at the adversarial end of the range is valid for
-// every q in the rect. (The O(d²) quadratic envelopes additionally need
-// Σdist⁴(q), whose rect-range is not available in closed form; the linear
-// tightening is the shared-phase analogue of the method hierarchy.)
-func (e *Evaluator) RectBounds(n *kdtree.Node, rect geom.Rect) (lb, ub float64) {
-	if n.SumW == 0 {
-		return 0, 0
-	}
-	mind2, maxd2 := n.RectDist2(rect, e.useBall)
-	xmin := e.Kern.X(e.Gamma, mind2)
-	xmax := e.Kern.X(e.Gamma, maxd2)
-	lb, ub = e.minMax(n, xmin, xmax)
-	if e.Method != MinMax && e.Kern.HasLinearBounds() {
-		llb, lub := e.rectLinearGaussian(n, rect, xmin, xmax)
-		if llb > lb {
-			lb = llb
-		}
-		if lub < ub {
-			ub = lub
-		}
-	}
-	return e.clamp(n, lb, ub)
-}
-
 // TileEnvelope is an aggregate envelope bound over a set of nodes for every
 // query point in a tile: a single quadratic form in the centered query
 // q' = q − center,
@@ -242,7 +167,7 @@ func (e *Evaluator) RectBounds(n *kdtree.Node, rect geom.Rect) (lb, ub float64) 
 // Because the Gaussian envelope bounds are linear in the node statistic
 // Σ w·dist²(q) — itself a quadratic in q — the per-node bounds of an entire
 // frontier collapse into one such form per side (see
-// Evaluator.AccumulateRectEnvelope). Evaluating it costs O(d) per pixel
+// Evaluator.FlatAccumulateRectEnvelope). Evaluating it costs O(d) per pixel
 // regardless of how many nodes were accumulated, which is what removes the
 // per-pixel re-bounding of frontier nodes from the render hot path.
 type TileEnvelope struct {
@@ -277,8 +202,8 @@ func (t *TileEnvelope) Eval(q, center []float64) float64 {
 }
 
 // SupportsEnvelope reports whether the evaluator can share envelope bounds
-// tile-wide (AccumulateRectEnvelope / RectEnvelopeGap): an envelope method
-// with a kernel that has KARL linear envelopes.
+// tile-wide (FlatAccumulateRectEnvelope / FlatRectEnvelopeGap): an envelope
+// method with a kernel that has KARL linear envelopes.
 func (e *Evaluator) SupportsEnvelope() bool {
 	return e.Method != MinMax && e.Kern.HasLinearBounds()
 }
@@ -321,180 +246,6 @@ func (t *TileEnvelope) RangeRect(rect geom.Rect, center []float64) (lo, hi float
 	return lo, hi
 }
 
-// AccumulateRectEnvelope folds the node's tile-valid envelope bounds into the
-// aggregate quadratic forms: afterwards, for every q in rect,
-//
-//	lbEnv(q) ≤ F_R(q) ≤ ubEnv(q)    (contribution of this node included).
-//
-// The construction fits the KARL chord/tangent envelopes once per node over
-// the rect-wide x-interval (every x_i(q) stays inside it for q in the rect,
-// so the envelopes hold pointwise), then substitutes the EXACT per-query
-// statistic Σ w·dist²(q) = w·‖q'‖² − 2·q'·s' + c' (moments re-centered onto
-// `center`) instead of its rect-worst value. The result is first-order exact
-// in the query position — the residual gap is the envelope's curvature gap
-// over the x-interval, second order in the interval width — while remaining
-// a valid bound for every pixel of the tile.
-//
-// It returns false (accumulating nothing) when the evaluator has no linear
-// envelopes to share: the MinMax method, or a kernel without KARL bounds.
-// center must have the query dimension.
-func (e *Evaluator) AccumulateRectEnvelope(n *kdtree.Node, rect geom.Rect, center []float64, lbEnv, ubEnv *TileEnvelope) bool {
-	if !e.SupportsEnvelope() {
-		return false
-	}
-	if n.SumW == 0 {
-		return true
-	}
-	mind2, maxd2 := n.RectDist2(rect, e.useBall)
-	xmin := e.Kern.X(e.Gamma, mind2)
-	xmax := e.Kern.X(e.Gamma, maxd2)
-	s2lo, s2hi := n.RectSumDist2(rect)
-	e.accumulateEnvelopeVals(n.SumW, n.SumNorm2, n.Center, n.SumP, s2lo, s2hi, xmin, xmax, center, lbEnv, ubEnv)
-	return true
-}
-
-// RectEnvelopeGap returns the maximum over q in the rect of the gap between
-// the chord upper and tangent lower envelope bounds that
-// AccumulateRectEnvelope would install for this node — the tile-wide
-// uncertainty that collapsing the node into the envelope adds to every pixel.
-// The gap is linear in the statistic Σ w·dist²(q), so its rect-maximum is
-// attained at an end of the statistic's exact rect-range. Second order in the
-// x-interval width, it is far smaller than the node's rect-uniform min-max
-// gap, which is what lets the shared phase settle most of the frontier into
-// the envelope within a fraction of the ε budget.
-func (e *Evaluator) RectEnvelopeGap(n *kdtree.Node, rect geom.Rect) (float64, bool) {
-	if !e.SupportsEnvelope() {
-		return 0, false
-	}
-	if n.SumW == 0 {
-		return 0, true
-	}
-	mind2, maxd2 := n.RectDist2(rect, e.useBall)
-	xmin := e.Kern.X(e.Gamma, mind2)
-	xmax := e.Kern.X(e.Gamma, maxd2)
-	s2lo, s2hi := n.RectSumDist2(rect)
-	return e.envelopeGapVals(n.SumW, s2lo, s2hi, xmin, xmax), true
-}
-
-// rectLinearGaussian evaluates the KARL envelopes tile-uniformly. Every
-// x_i(q) = γ·dist(q, p_i)² stays inside [xmin, xmax] for q in the rect, so
-// the chord/tangent envelopes hold pointwise; their aggregates are linear in
-// sumX(q) = γ·Σ w·dist²(q), whose exact rect-range [sxLo, sxHi] comes from
-// RectSumDist2. Both envelope slopes are ≤ 0 (the profile decreases), so the
-// upper bound is worst at sxLo and the lower bound at sxHi; the tangent sits
-// at the worst case's mean so the lower envelope is tight exactly where it
-// binds.
-func (e *Evaluator) rectLinearGaussian(n *kdtree.Node, rect geom.Rect, xmin, xmax float64) (lb, ub float64) {
-	s2lo, s2hi := n.RectSumDist2(rect)
-	return e.rectLinearGaussianVals(n.SumW, s2lo, s2hi, xmin, xmax)
-}
-
-// clamp floors lb at 0, caps ub at w·|P|·K(0), and repairs any floating-
-// point inversion (lb marginally above ub) by widening to the safe side.
-func (e *Evaluator) clamp(n *kdtree.Node, lb, ub float64) (float64, float64) {
-	return e.clampVals(n.SumW, lb, ub)
-}
-
-func (e *Evaluator) minMax(n *kdtree.Node, xmin, xmax float64) (lb, ub float64) {
-	return e.minMaxVals(n.SumW, xmin, xmax)
-}
-
-// linearGaussian implements KARL's bounds for exp(−γ·dist²)
-// (paper Section 3.3, Lemma 1): with x_i = γ·dist², the aggregated linear
-// envelope is w·(m·γ·Σdist² + k·|P|), and Σdist² is O(d) from node stats.
-func (e *Evaluator) linearGaussian(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	sumX := e.Gamma * n.SumDist2(q, e.scratch)
-	return e.linearGaussianVals(n.SumW, sumX, xmin, xmax)
-}
-
-func (e *Evaluator) quadratic(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	switch e.Kern {
-	case kernel.Gaussian:
-		return e.quadGaussian(n, q, xmin, xmax)
-	case kernel.Triangular:
-		return e.quadTriangular(n, q, xmin, xmax)
-	case kernel.Cosine:
-		return e.quadCosine(n, q, xmin, xmax)
-	case kernel.Exponential:
-		return e.quadExponential(n, q, xmin, xmax)
-	case kernel.Epanechnikov:
-		return e.quadEpanechnikov(n, q, xmin, xmax)
-	case kernel.Quartic:
-		return e.quadQuartic(n, q, xmin, xmax)
-	default: // Uniform: flat discontinuous profile, only min-max applies.
-		return e.minMax(n, xmin, xmax)
-	}
-}
-
-// quadGaussian implements paper Section 4: quadratic envelopes of exp(−x)
-// with x = γ·dist², aggregated through Σx = γ·Σdist² and Σx² = γ²·Σdist⁴
-// (Lemma 3, O(d²)).
-func (e *Evaluator) quadGaussian(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	s2, s4 := n.SumDist24(q, e.scratch)
-	sumX := e.Gamma * s2
-	sumX2 := e.Gamma * e.Gamma * s4
-	return e.quadGaussianVals(n.SumW, sumX, sumX2, xmin, xmax)
-}
-
-// quadTriangular implements paper Section 5.2 for max(1 − γ·dist, 0).
-func (e *Evaluator) quadTriangular(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	if xmin >= 1 {
-		return 0, 0
-	}
-	sumX2 := e.Gamma * e.Gamma * n.SumDist2(q, e.scratch)
-	return e.quadTriangularVals(n.SumW, sumX2, xmin, xmax)
-}
-
-// quadCosine implements paper appendix 9.6.1–9.6.2 for cos(γ·dist) with
-// support γ·dist ≤ π/2. When the node's distance interval leaves the
-// support, the quadratic envelopes of cos no longer apply and we fall back
-// to min-max bounds, exactly as the construction in the paper assumes
-// 0 ≤ x ≤ π/2.
-func (e *Evaluator) quadCosine(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	if xmin >= math.Pi/2 {
-		return 0, 0
-	}
-	if xmax > math.Pi/2 {
-		return e.minMax(n, xmin, xmax)
-	}
-	sumX2 := e.Gamma * e.Gamma * n.SumDist2(q, e.scratch)
-	return e.quadCosineVals(n.SumW, sumX2, xmin, xmax)
-}
-
-// quadExponential implements paper appendix 9.6.3–9.6.4 for exp(−γ·dist).
-func (e *Evaluator) quadExponential(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	s2 := n.SumDist2(q, e.scratch)
-	sumX2 := e.Gamma * e.Gamma * s2
-	return e.quadExponentialVals(n.SumW, sumX2, xmin, xmax)
-}
-
-// quadEpanechnikov: the profile max(1−x², 0) coincides with the quadratic
-// 1−x² on its support, so the aggregate is EXACT (lb = ub) whenever the
-// whole node lies inside the support; otherwise 1−x² still lower-bounds the
-// profile everywhere and min-max supplies the upper bound.
-func (e *Evaluator) quadEpanechnikov(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	if xmin >= 1 {
-		return 0, 0
-	}
-	sumX2 := e.Gamma * e.Gamma * n.SumDist2(q, e.scratch)
-	return e.quadEpanechnikovVals(n.SumW, sumX2, xmin, xmax)
-}
-
-// quadQuartic: with y = x², the profile is (1−y)² on its support, a
-// quadratic in y — so the aggregate 1 − 2Σx² + Σx⁴ is EXACT when the node
-// lies inside the support and remains a valid upper bound beyond it. Σx⁴
-// reuses the Σdist⁴ statistic (O(d²)).
-func (e *Evaluator) quadQuartic(n *kdtree.Node, q []float64, xmin, xmax float64) (lb, ub float64) {
-	if xmin >= 1 {
-		return 0, 0
-	}
-	g2 := e.Gamma * e.Gamma
-	s2, s4 := n.SumDist24(q, e.scratch)
-	sumX2 := g2 * s2
-	sumX4 := g2 * g2 * s4
-	return e.quadQuarticVals(n.SumW, sumX2, sumX4, xmin, xmax)
-}
-
 // clampT restricts a tangent/interpolation parameter into [xmin, xmax].
 func clampT(t, xmin, xmax float64) float64 {
 	if t < xmin {
@@ -504,49 +255,6 @@ func clampT(t, xmin, xmax float64) float64 {
 		return xmax
 	}
 	return t
-}
-
-// ExactNode computes the exact contribution F_R(q) of a node by scanning its
-// point range — the leaf-refinement step of the indexing framework. The
-// tree supplies the per-point weights (uniform 1 when unweighted).
-func (e *Evaluator) ExactNode(t *kdtree.Tree, n *kdtree.Node, q []float64) float64 {
-	pts := t.Pts
-	d := pts.Dim
-	coords := pts.Coords
-	var sum float64
-	if e.Kern == kernel.Gaussian && d == 2 {
-		// Batched 2-D Gaussian fast path, shared with FlatExactNode so the
-		// pointer and flat engines scan leaves bit-identically.
-		row := coords[n.Start*2 : n.End*2]
-		if t.Weights == nil {
-			sum = gaussLeafSum2(row, q[0], q[1], e.Gamma)
-		} else {
-			sum = gaussLeafSumW2(row, t.Weights[n.Start:n.End], q[0], q[1], e.Gamma)
-		}
-		return e.Weight * sum
-	}
-	if t.Weights == nil {
-		for i := n.Start; i < n.End; i++ {
-			row := coords[i*d : i*d+d]
-			var dist2 float64
-			for k, v := range q {
-				dd := v - row[k]
-				dist2 += dd * dd
-			}
-			sum += e.Kern.Eval(e.Gamma, dist2)
-		}
-	} else {
-		for i := n.Start; i < n.End; i++ {
-			row := coords[i*d : i*d+d]
-			var dist2 float64
-			for k, v := range q {
-				dd := v - row[k]
-				dist2 += dd * dd
-			}
-			sum += t.Weights[i] * e.Kern.Eval(e.Gamma, dist2)
-		}
-	}
-	return e.Weight * sum
 }
 
 // ExactScan computes F_P(q) by a full sequential scan over pts — the EXACT

@@ -8,13 +8,24 @@ import (
 
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
 // fixture bundles a built tree with brute-force helpers.
 type fixture struct {
-	tree *kdtree.Tree
+	tree *flat.Tree
 	pts  geom.Points
+}
+
+// flatten converts a built kd-tree to the flat layout the evaluator reads.
+func flatten(t *testing.T, tr *kdtree.Tree) *flat.Tree {
+	t.Helper()
+	ft, err := flat.FromTree(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
 }
 
 func newFixture(t *testing.T, rng *rand.Rand, n, dim int, clustered bool) *fixture {
@@ -32,16 +43,17 @@ func newFixture(t *testing.T, rng *rand.Rand, n, dim int, clustered bool) *fixtu
 			}
 		}
 	}
-	tr, err := kdtree.Build(geom.NewPoints(coords, dim), kdtree.Options{LeafSize: 8, Gram: true})
+	kt, err := kdtree.Build(geom.NewPoints(coords, dim), kdtree.Options{LeafSize: 8, Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := flatten(t, kt)
 	return &fixture{tree: tr, pts: tr.Pts}
 }
 
-func (f *fixture) exactNode(n *kdtree.Node, kern kernel.Kernel, gamma, w float64, q []float64) float64 {
+func (f *fixture) exactNode(id int32, kern kernel.Kernel, gamma, w float64, q []float64) float64 {
 	var sum float64
-	for i := n.Start; i < n.End; i++ {
+	for i := int(f.tree.Start[id]); i < int(f.tree.End[id]); i++ {
 		sum += kern.Eval(gamma, geom.Dist2(q, f.pts.At(i)))
 	}
 	return w * sum
@@ -79,22 +91,22 @@ func TestBoundsSandwichExact(t *testing.T) {
 					}
 					for trial := 0; trial < 8; trial++ {
 						q := f.randQuery(rng, dim)
-						f.tree.Walk(func(n *kdtree.Node) bool {
-							lb, ub := ev.Bounds(n, q)
-							exact := f.exactNode(n, kern, gamma, 1.0/400, q)
+						f.tree.Walk(func(id int32) bool {
+							lb, ub := ev.FlatBounds(f.tree, id, q)
+							exact := f.exactNode(id, kern, gamma, 1.0/400, q)
 							tol := 1e-9 * (1 + math.Abs(exact))
 							if lb > exact+tol {
 								t.Fatalf("%s/%s dim=%d γ=%g: LB %.12g > exact %.12g (node size %d)",
-									kern, method, dim, gamma, lb, exact, n.Size())
+									kern, method, dim, gamma, lb, exact, f.tree.Size(id))
 							}
 							if ub < exact-tol {
 								t.Fatalf("%s/%s dim=%d γ=%g: UB %.12g < exact %.12g (node size %d)",
-									kern, method, dim, gamma, ub, exact, n.Size())
+									kern, method, dim, gamma, ub, exact, f.tree.Size(id))
 							}
 							if lb > ub+tol {
 								t.Fatalf("%s/%s: LB %g > UB %g", kern, method, lb, ub)
 							}
-							return n.Size() > 30
+							return f.tree.Size(id) > 30
 						})
 					}
 				}
@@ -121,10 +133,10 @@ func TestTightnessOrderingGaussian(t *testing.T) {
 	const tol = 1e-9
 	for trial := 0; trial < 30; trial++ {
 		q := f.randQuery(rng, 2)
-		f.tree.Walk(func(n *kdtree.Node) bool {
-			lbM, ubM := evMM.Bounds(n, q)
-			lbL, ubL := evL.Bounds(n, q)
-			lbQ, ubQ := evQ.Bounds(n, q)
+		f.tree.Walk(func(id int32) bool {
+			lbM, ubM := evMM.FlatBounds(f.tree, id, q)
+			lbL, ubL := evL.FlatBounds(f.tree, id, q)
+			lbQ, ubQ := evQ.FlatBounds(f.tree, id, q)
 			if lbL < lbM-tol*(1+lbM) {
 				t.Fatalf("KARL lower %g looser than MinMax %g", lbL, lbM)
 			}
@@ -137,7 +149,7 @@ func TestTightnessOrderingGaussian(t *testing.T) {
 			if ubQ > ubL+tol*(1+ubL) {
 				t.Fatalf("QUAD upper %g looser than KARL %g", ubQ, ubL)
 			}
-			return n.Size() > 30
+			return f.tree.Size(id) > 30
 		})
 	}
 }
@@ -161,16 +173,16 @@ func TestTightnessOrderingDistanceKernels(t *testing.T) {
 			}
 			for trial := 0; trial < 20; trial++ {
 				q := f.randQuery(rng, 2)
-				f.tree.Walk(func(n *kdtree.Node) bool {
-					lbM, ubM := evMM.Bounds(n, q)
-					lbQ, ubQ := evQ.Bounds(n, q)
+				f.tree.Walk(func(id int32) bool {
+					lbM, ubM := evMM.FlatBounds(f.tree, id, q)
+					lbQ, ubQ := evQ.FlatBounds(f.tree, id, q)
 					if lbQ < lbM-tol*(1+lbM) {
 						t.Fatalf("%s γ=%g: QUAD lower %g looser than MinMax %g", kern, gamma, lbQ, lbM)
 					}
 					if ubQ > ubM+tol*(1+ubM) {
 						t.Fatalf("%s γ=%g: QUAD upper %g looser than MinMax %g", kern, gamma, ubQ, ubM)
 					}
-					return n.Size() > 30
+					return f.tree.Size(id) > 30
 				})
 			}
 		}
@@ -256,7 +268,7 @@ func TestExactNodeMatchesExactScanOnRoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := f.randQuery(rng, 2)
-	got := ev.ExactNode(f.tree, f.tree.Root, q)
+	got := ev.FlatExactNode(f.tree, 0, q)
 	want := ExactScan(f.pts, nil, kernel.Gaussian, 0.7, 1.0/300, q)
 	if math.Abs(got-want) > 1e-12*(1+math.Abs(want)) {
 		t.Errorf("ExactNode(root) = %g, ExactScan = %g", got, want)
@@ -288,8 +300,8 @@ func TestBoundsQuickGaussian(t *testing.T) {
 	}
 	prop := func(qa, qb float64) bool {
 		q := []float64{math.Mod(qa, 12), math.Mod(qb, 12)}
-		lb, ub := ev.Bounds(f.tree.Root, q)
-		exact := f.exactNode(f.tree.Root, kernel.Gaussian, 0.6, 1.0/300, q)
+		lb, ub := ev.FlatBounds(f.tree, 0, q)
+		exact := f.exactNode(0, kernel.Gaussian, 0.6, 1.0/300, q)
 		tol := 1e-9 * (1 + exact)
 		return lb <= exact+tol && ub >= exact-tol
 	}
@@ -302,17 +314,18 @@ func TestBoundsQuickGaussian(t *testing.T) {
 // radius must get lb = ub = 0 under quadratic bounds.
 func TestZeroSupportNodes(t *testing.T) {
 	pts := geom.NewPoints([]float64{100, 100, 101, 101, 100, 101, 102, 100, 101, 100, 102, 102}, 2)
-	tr, err := kdtree.Build(pts, kdtree.Options{LeafSize: 2, Gram: true})
+	kt, err := kdtree.Build(pts, kdtree.Options{LeafSize: 2, Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := flatten(t, kt)
 	q := []float64{0, 0}
 	for _, kern := range []kernel.Kernel{kernel.Triangular, kernel.Cosine, kernel.Epanechnikov, kernel.Quartic} {
 		ev, err := NewEvaluator(kern, 1, 1, Quadratic, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, ub := ev.Bounds(tr.Root, q)
+		lb, ub := ev.FlatBounds(tr, 0, q)
 		if lb != 0 || ub != 0 {
 			t.Errorf("%s: far node bounds [%g, %g], want [0, 0]", kern, lb, ub)
 		}

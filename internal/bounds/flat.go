@@ -8,14 +8,12 @@ import (
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
-// This file is the flat-tree (SoA) front end of the evaluator: each method
-// mirrors its pointer-tree counterpart in bounds.go, fetching node statistics
-// from the flat arrays and feeding them to the shared scalar cores in
-// vals.go. The distance/moment computations delegate to the flat package,
-// whose methods replicate the pointer arithmetic operation for operation, so
-// both front ends produce bit-identical bounds for the same node.
+// This file is the evaluator's node front end: each method fetches a flat
+// (SoA) tree node's statistics from the tree's arrays, derives the
+// distance/moment aggregates through the flat package, and feeds them to the
+// scalar bound cores in vals.go.
 
-// FlatBounds is Bounds over a flat tree node.
+// FlatBounds returns LB_R(q) ≤ F_R(q) ≤ UB_R(q) for node id.
 func (e *Evaluator) FlatBounds(t *flat.Tree, id int32, q []float64) (lb, ub float64) {
 	sumW := t.SumW[id]
 	if sumW == 0 {
@@ -55,6 +53,13 @@ func (e *Evaluator) FlatBounds(t *flat.Tree, id int32, q []float64) (lb, ub floa
 	return e.clampVals(sumW, lb, ub)
 }
 
+// flatQuadratic dispatches QUAD's quadratic bounds by kernel: paper
+// Section 4 for the Gaussian, aggregated through Σx = γ·Σdist² and
+// Σx² = γ²·Σdist⁴ (Lemma 3, O(d²)); Section 5 and appendix 9.6 for the
+// distance-based kernels, aggregated through Σx² = γ²·Σdist². The cosine
+// envelopes assume 0 ≤ x ≤ π/2, exactly as the paper's construction does,
+// so a node whose distance interval leaves the support falls back to
+// min-max bounds.
 func (e *Evaluator) flatQuadratic(t *flat.Tree, id int32, q []float64, xmin, xmax float64) (lb, ub float64) {
 	sumW := t.SumW[id]
 	switch e.Kern {
@@ -102,7 +107,23 @@ func (e *Evaluator) flatQuadratic(t *flat.Tree, id int32, q []float64, xmin, xma
 	}
 }
 
-// FlatRectBounds is RectBounds over a flat tree node.
+// FlatRectBounds returns tile-uniform bounds on node id's contribution: for
+// EVERY query point q inside the query rectangle,
+//
+//	lb ≤ F_R(q) ≤ ub.
+//
+// The baseline is the min-max bounds (Equations 5–6) evaluated over the
+// rect-to-rect distance interval — valid for every kernel because each
+// profile is non-increasing in distance — honoring the evaluator's
+// ball-tightening setting. For the Gaussian kernel under an envelope method
+// (Linear or Quadratic) the bounds are then tightened with the KARL
+// chord/tangent envelopes: those aggregate through Σdist²(q) alone, and
+// flat.Tree.RectSumDist2 gives that statistic's exact range over the
+// rectangle, so the envelope evaluated at the adversarial end of the range
+// is valid for every q in the rect. (The O(d²) quadratic envelopes
+// additionally need Σdist⁴(q), whose rect-range is not available in closed
+// form; the linear tightening is the shared-phase analogue of the method
+// hierarchy.)
 func (e *Evaluator) FlatRectBounds(t *flat.Tree, id int32, rect geom.Rect) (lb, ub float64) {
 	sumW := t.SumW[id]
 	if sumW == 0 {
@@ -125,7 +146,23 @@ func (e *Evaluator) FlatRectBounds(t *flat.Tree, id int32, rect geom.Rect) (lb, 
 	return e.clampVals(sumW, lb, ub)
 }
 
-// FlatAccumulateRectEnvelope is AccumulateRectEnvelope over a flat tree node.
+// FlatAccumulateRectEnvelope folds node id's tile-valid envelope bounds into
+// the aggregate quadratic forms: afterwards, for every q in rect,
+//
+//	lbEnv(q) ≤ F_R(q) ≤ ubEnv(q)    (contribution of this node included).
+//
+// The construction fits the KARL chord/tangent envelopes once per node over
+// the rect-wide x-interval (every x_i(q) stays inside it for q in the rect,
+// so the envelopes hold pointwise), then substitutes the EXACT per-query
+// statistic Σ w·dist²(q) = w·‖q'‖² − 2·q'·s' + c' (moments re-centered onto
+// `center`) instead of its rect-worst value. The result is first-order exact
+// in the query position — the residual gap is the envelope's curvature gap
+// over the x-interval, second order in the interval width — while remaining
+// a valid bound for every pixel of the tile.
+//
+// It returns false (accumulating nothing) when the evaluator has no linear
+// envelopes to share: the MinMax method, or a kernel without KARL bounds.
+// center must have the query dimension.
 func (e *Evaluator) FlatAccumulateRectEnvelope(t *flat.Tree, id int32, rect geom.Rect, center []float64, lbEnv, ubEnv *TileEnvelope) bool {
 	if !e.SupportsEnvelope() {
 		return false
@@ -145,7 +182,15 @@ func (e *Evaluator) FlatAccumulateRectEnvelope(t *flat.Tree, id int32, rect geom
 	return true
 }
 
-// FlatRectEnvelopeGap is RectEnvelopeGap over a flat tree node.
+// FlatRectEnvelopeGap returns the maximum over q in the rect of the gap
+// between the chord upper and tangent lower envelope bounds that
+// FlatAccumulateRectEnvelope would install for node id — the tile-wide
+// uncertainty that collapsing the node into the envelope adds to every
+// pixel. The gap is linear in the statistic Σ w·dist²(q), so its
+// rect-maximum is attained at an end of the statistic's exact rect-range.
+// Second order in the x-interval width, it is far smaller than the node's
+// rect-uniform min-max gap, which is what lets the shared phase settle most
+// of the frontier into the envelope within a fraction of the ε budget.
 func (e *Evaluator) FlatRectEnvelopeGap(t *flat.Tree, id int32, rect geom.Rect) (float64, bool) {
 	if !e.SupportsEnvelope() {
 		return 0, false
@@ -161,9 +206,10 @@ func (e *Evaluator) FlatRectEnvelopeGap(t *flat.Tree, id int32, rect geom.Rect) 
 	return e.envelopeGapVals(sumW, s2lo, s2hi, xmin, xmax), true
 }
 
-// FlatExactNode is ExactNode over a flat tree node: the leaf point-scan,
-// with the batched 2-D Gaussian fast path of leafscan.go (shared with the
-// pointer engine's ExactNode, so the two stay bit-identical).
+// FlatExactNode computes the exact contribution F_R(q) of node id by
+// scanning its point range — the leaf-refinement step of the indexing
+// framework, with the batched 2-D Gaussian fast path of leafscan.go. The
+// tree supplies the per-point weights (uniform 1 when unweighted).
 func (e *Evaluator) FlatExactNode(t *flat.Tree, id int32, q []float64) float64 {
 	pts := t.Pts
 	d := pts.Dim

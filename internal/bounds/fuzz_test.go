@@ -34,10 +34,11 @@ func FuzzEvaluatorBounds(f *testing.F) {
 			coords[i] = 10 * rng.NormFloat64()
 		}
 		pts := geom.NewPoints(coords, 2)
-		tree, err := kdtree.Build(pts, kdtree.Options{Gram: true})
+		kt, err := kdtree.Build(pts, kdtree.Options{Gram: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tree := flatten(t, kt)
 		q := []float64{math.Mod(qx, 50), math.Mod(qy, 50)}
 		weight := 1.0 / float64(n)
 
@@ -51,13 +52,13 @@ func FuzzEvaluatorBounds(f *testing.F) {
 				t.Fatal(err)
 			}
 			ev.SetBallTightening(ball)
-			tree.Walk(func(nd *kdtree.Node) bool {
-				lb, ub := ev.Bounds(nd, q)
-				exact := ev.ExactNode(tree, nd, q)
+			tree.Walk(func(id int32) bool {
+				lb, ub := ev.FlatBounds(tree, id, q)
+				exact := ev.FlatExactNode(tree, id, q)
 				tol := 1e-9*(math.Abs(exact)+math.Abs(lb)+math.Abs(ub)) + 1e-300
 				if lb > exact+tol || exact > ub+tol {
 					t.Fatalf("%s/%s node [%d,%d): bounds [%.17g,%.17g] miss exact %.17g (γ=%g q=%v)",
-						kern, m, nd.Start, nd.End, lb, ub, exact, gamma, q)
+						kern, m, tree.Start[id], tree.End[id], lb, ub, exact, gamma, q)
 				}
 				return true
 			})
@@ -65,8 +66,8 @@ func FuzzEvaluatorBounds(f *testing.F) {
 	})
 }
 
-// FuzzRectBounds: the tile-uniform RectBounds must bracket the exact node
-// sum for every query inside the rectangle.
+// FuzzRectBounds: the tile-uniform FlatRectBounds must bracket the exact
+// node sum for every query inside the rectangle.
 func FuzzRectBounds(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(0), 0.5, -1.0, -1.0, 3.0, 4.0)
 	f.Add(int64(8), uint8(90), uint8(2), 2.0, 0.0, 0.0, 0.0, 0.0) // degenerate rect
@@ -87,10 +88,11 @@ func FuzzRectBounds(f *testing.F) {
 		for i := range coords {
 			coords[i] = 10 * rng.NormFloat64()
 		}
-		tree, err := kdtree.Build(geom.NewPoints(coords, 2), kdtree.Options{Gram: true})
+		kt, err := kdtree.Build(geom.NewPoints(coords, 2), kdtree.Options{Gram: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tree := flatten(t, kt)
 		rect := geom.Rect{
 			Min: []float64{math.Min(math.Mod(ax, 40), math.Mod(bx, 40)), math.Min(math.Mod(ay, 40), math.Mod(by, 40))},
 			Max: []float64{math.Max(math.Mod(ax, 40), math.Mod(bx, 40)), math.Max(math.Mod(ay, 40), math.Mod(by, 40))},
@@ -100,17 +102,17 @@ func FuzzRectBounds(f *testing.F) {
 			t.Fatal(err)
 		}
 		q := make([]float64, 2)
-		tree.Walk(func(nd *kdtree.Node) bool {
-			lb, ub := ev.RectBounds(nd, rect)
+		tree.Walk(func(id int32) bool {
+			lb, ub := ev.FlatRectBounds(tree, id, rect)
 			for i := 0; i < 8; i++ {
 				for j := range q {
 					q[j] = rect.Min[j] + rng.Float64()*(rect.Max[j]-rect.Min[j])
 				}
-				exact := ev.ExactNode(tree, nd, q)
+				exact := ev.FlatExactNode(tree, id, q)
 				tol := 1e-9*(math.Abs(exact)+math.Abs(lb)+math.Abs(ub)) + 1e-300
 				if lb > exact+tol || exact > ub+tol {
 					t.Fatalf("%s node [%d,%d): rect bounds [%.17g,%.17g] miss exact %.17g at q=%v",
-						kern, nd.Start, nd.End, lb, ub, exact, q)
+						kern, tree.Start[id], tree.End[id], lb, ub, exact, q)
 				}
 			}
 			return true

@@ -2,12 +2,11 @@ package bounds
 
 import "github.com/quadkdv/quad/internal/kernel"
 
-// Gaussian 2-D leaf scans, shared verbatim by the pointer engine's ExactNode
-// and the flat engine's FlatExactNode so the two produce bit-identical sums
-// by construction. The distance accumulation order (x-term then y-term, one
-// running sum added point by point) is fixed; the exponentials go through
-// kernel.Exp4 four points at a time, which returns bit-identical values to
-// its scalar form kernel.Exp1, so the batching never changes the sum.
+// Gaussian 2-D leaf scans behind FlatExactNode. The distance accumulation
+// order (x-term then y-term, one running sum added point by point) is fixed;
+// the exponentials go through kernel.Exp4 four points at a time, which
+// returns bit-identical values to its scalar form kernel.Exp1, so the
+// batching never changes the sum.
 
 // gaussLeafSum2 returns Σ_i exp(−γ·‖q−p_i‖²) over the interleaved 2-D
 // coordinate row (x0 y0 x1 y1 …).

@@ -10,9 +10,9 @@ import (
 )
 
 // TestRectBoundsBracketAllQueries is the tile-shared traversal's core
-// soundness property: RectBounds(n, rect) must bracket the node's exact
-// contribution F_R(q) for EVERY query point q in rect — that is what lets
-// one shared evaluation stand in for a whole pixel tile.
+// soundness property: FlatRectBounds(t, id, rect) must bracket the node's
+// exact contribution F_R(q) for EVERY query point q in rect — that is what
+// lets one shared evaluation stand in for a whole pixel tile.
 func TestRectBoundsBracketAllQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	coords := make([]float64, 0, 600)
@@ -21,10 +21,11 @@ func TestRectBoundsBracketAllQueries(t *testing.T) {
 		coords = append(coords, cx+rng.NormFloat64(), cy+rng.NormFloat64())
 	}
 	pts := geom.NewPoints(coords, 2)
-	tree, err := kdtree.Build(pts, kdtree.Options{LeafSize: 8, Gram: true})
+	kt, err := kdtree.Build(pts, kdtree.Options{LeafSize: 8, Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tree := flatten(t, kt)
 	rects := []geom.Rect{
 		{Min: []float64{0, 0}, Max: []float64{2, 2}},
 		{Min: []float64{-5, -5}, Max: []float64{-4, -4}},
@@ -38,11 +39,11 @@ func TestRectBoundsBracketAllQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			ev.SetBallTightening(ball)
-			var nodes []*kdtree.Node
-			tree.Walk(func(n *kdtree.Node) bool { nodes = append(nodes, n); return true })
+			var nodes []int32
+			tree.Walk(func(id int32) bool { nodes = append(nodes, id); return true })
 			for _, rect := range rects {
 				for ni, n := range nodes {
-					lb, ub := ev.RectBounds(n, rect)
+					lb, ub := ev.FlatRectBounds(tree, n, rect)
 					if lb > ub {
 						t.Fatalf("%v ball=%v node %d: inverted bounds [%g, %g]", kern, ball, ni, lb, ub)
 					}
@@ -60,7 +61,7 @@ func TestRectBoundsBracketAllQueries(t *testing.T) {
 						})
 					}
 					for _, q := range qs {
-						exact := ev.ExactNode(tree, n, q)
+						exact := ev.FlatExactNode(tree, n, q)
 						if exact < lb-1e-12 || exact > ub+1e-12 {
 							t.Fatalf("%v ball=%v node %d rect %v q %v: exact %g outside [%g, %g]",
 								kern, ball, ni, rect, q, exact, lb, ub)
@@ -68,7 +69,7 @@ func TestRectBoundsBracketAllQueries(t *testing.T) {
 						// The rect bounds must also contain the per-query
 						// min-max bounds' information: they may be looser,
 						// never contradictory.
-						qlb, qub := ev.Bounds(n, q)
+						qlb, qub := ev.FlatBounds(tree, n, q)
 						if qub < lb-1e-12 || qlb > ub+1e-12 {
 							t.Fatalf("%v ball=%v node %d: per-query bounds [%g, %g] disjoint from rect bounds [%g, %g]",
 								kern, ball, ni, qlb, qub, lb, ub)

@@ -6,16 +6,12 @@ import (
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
-// This file holds the representation-independent scalar cores of every bound
-// family: each takes the node's aggregate statistics as plain float64s (or
-// slices of them) and is shared verbatim by the pointer-tree methods in
-// bounds.go and the flat-tree methods in flat.go. Keeping exactly one copy of
-// each formula is what makes the two engines bit-identical by construction —
-// the representations may only differ in how they fetch the statistics, never
-// in how they combine them.
+// This file holds the scalar cores of every bound family: each takes the
+// node's aggregate statistics as plain float64s (or slices of them), so the
+// formulas stay separate from how flat.go fetches the statistics.
 
 // clampVals floors lb at 0, caps ub at w·|P|·K(0), and repairs any floating-
-// point inversion by widening to the safe side (see Evaluator.clamp).
+// point inversion (lb marginally above ub) by widening to the safe side.
 func (e *Evaluator) clampVals(sumW, lb, ub float64) (float64, float64) {
 	cap := e.Weight * sumW * e.Kern.ProfileMax()
 	if lb < 0 {
@@ -36,8 +32,10 @@ func (e *Evaluator) minMaxVals(sumW, xmin, xmax float64) (lb, ub float64) {
 	return w * e.Kern.Profile(xmax), w * e.Kern.Profile(xmin)
 }
 
-// linearGaussianVals is KARL's aggregated linear envelope (Section 3.3,
-// Lemma 1) given sumX = γ·Σdist².
+// linearGaussianVals is KARL's bound for exp(−γ·dist²) (paper Section 3.3,
+// Lemma 1): with x_i = γ·dist², the aggregated linear envelope is
+// w·(m·γ·Σdist² + k·|P|), given sumX = γ·Σdist², which is O(d) from the
+// node statistics.
 func (e *Evaluator) linearGaussianVals(sumW, sumX, xmin, xmax float64) (lb, ub float64) {
 	up := kernel.ExpChordUpper(xmin, xmax)
 	ub = e.Weight * (up.M*sumX + up.K*sumW)
@@ -47,8 +45,9 @@ func (e *Evaluator) linearGaussianVals(sumW, sumX, xmin, xmax float64) (lb, ub f
 	return lb, ub
 }
 
-// quadGaussianVals is QUAD's aggregated quadratic envelope (Section 4,
-// Lemma 3) given sumX = γ·Σdist² and sumX2 = γ²·Σdist⁴.
+// quadGaussianVals implements paper Section 4: quadratic envelopes of
+// exp(−x) with x = γ·dist², aggregated through sumX = γ·Σdist² and
+// sumX2 = γ²·Σdist⁴ (Lemma 3, O(d²)).
 func (e *Evaluator) quadGaussianVals(sumW, sumX, sumX2, xmin, xmax float64) (lb, ub float64) {
 	qu := kernel.ExpQuadUpper(xmin, xmax)
 	ub = e.Weight * (qu.A*sumX2 + qu.B*sumX + qu.C*sumW)
@@ -58,8 +57,9 @@ func (e *Evaluator) quadGaussianVals(sumW, sumX, sumX2, xmin, xmax float64) (lb,
 	return lb, ub
 }
 
-// quadTriangularVals is the Section 5.2 bound given sumX2 = γ²·Σdist². The
-// caller has already handled the xmin ≥ 1 early-out.
+// quadTriangularVals implements paper Section 5.2 for max(1 − γ·dist, 0)
+// given sumX2 = γ²·Σdist². The caller has already handled the xmin ≥ 1
+// early-out.
 func (e *Evaluator) quadTriangularVals(sumW, sumX2, xmin, xmax float64) (lb, ub float64) {
 	if qu, ok := kernel.TriangularQuadUpper(xmin, xmax); ok {
 		ub = e.Weight * (qu.A*sumX2 + qu.C*sumW)
@@ -76,8 +76,9 @@ func (e *Evaluator) quadTriangularVals(sumW, sumX2, xmin, xmax float64) (lb, ub 
 	return lb, ub
 }
 
-// quadCosineVals is the appendix 9.6.1–9.6.2 bound given sumX2 = γ²·Σdist².
-// The caller has already handled the support early-outs.
+// quadCosineVals implements paper appendix 9.6.1–9.6.2 for cos(γ·dist)
+// with support γ·dist ≤ π/2, given sumX2 = γ²·Σdist². The caller has already
+// handled the support early-outs.
 func (e *Evaluator) quadCosineVals(sumW, sumX2, xmin, xmax float64) (lb, ub float64) {
 	if qu, ok := kernel.CosineQuadUpper(xmin, xmax); ok {
 		ub = e.Weight * (qu.A*sumX2 + qu.C*sumW)
@@ -92,8 +93,8 @@ func (e *Evaluator) quadCosineVals(sumW, sumX2, xmin, xmax float64) (lb, ub floa
 	return lb, ub
 }
 
-// quadExponentialVals is the appendix 9.6.3–9.6.4 bound given
-// sumX2 = γ²·Σdist².
+// quadExponentialVals implements paper appendix 9.6.3–9.6.4 for
+// exp(−γ·dist) given sumX2 = γ²·Σdist².
 func (e *Evaluator) quadExponentialVals(sumW, sumX2, xmin, xmax float64) (lb, ub float64) {
 	if qu, ok := kernel.ExpDistQuadUpper(xmin, xmax); ok {
 		ub = e.Weight * (qu.A*sumX2 + qu.C*sumW)
@@ -111,8 +112,11 @@ func (e *Evaluator) quadExponentialVals(sumW, sumX2, xmin, xmax float64) (lb, ub
 	return lb, ub
 }
 
-// quadEpanechnikovVals: exact inside the support, envelope lower bound plus
-// min-max upper bound beyond it. The caller has handled xmin ≥ 1.
+// quadEpanechnikovVals: the profile max(1−x², 0) coincides with the
+// quadratic 1−x² on its support, so the aggregate is EXACT (lb = ub)
+// whenever the whole node lies inside the support; otherwise 1−x² still
+// lower-bounds the profile everywhere and min-max supplies the upper bound.
+// The caller has handled xmin ≥ 1.
 func (e *Evaluator) quadEpanechnikovVals(sumW, sumX2, xmin, xmax float64) (lb, ub float64) {
 	exactish := kernel.EpanechnikovQuadLowerValue(e.Weight, sumW, sumX2)
 	if xmax <= 1 {
@@ -126,8 +130,10 @@ func (e *Evaluator) quadEpanechnikovVals(sumW, sumX2, xmin, xmax float64) (lb, u
 	return lb, ub
 }
 
-// quadQuarticVals: exact inside the support via the Σx², Σx⁴ statistics. The
-// caller has handled xmin ≥ 1.
+// quadQuarticVals: with y = x², the profile is (1−y)² on its support, a
+// quadratic in y — so the aggregate 1 − 2Σx² + Σx⁴ is EXACT when the node
+// lies inside the support and remains a valid upper bound beyond it. Σx⁴
+// reuses the Σdist⁴ statistic (O(d²)). The caller has handled xmin ≥ 1.
 func (e *Evaluator) quadQuarticVals(sumW, sumX2, sumX4, xmin, xmax float64) (lb, ub float64) {
 	ub = kernel.QuarticQuadUpperValue(e.Weight, sumW, sumX2, sumX4)
 	if xmax <= 1 {
@@ -137,9 +143,14 @@ func (e *Evaluator) quadQuarticVals(sumW, sumX2, sumX4, xmin, xmax float64) (lb,
 	return lb, ub
 }
 
-// rectLinearGaussianVals is the tile-uniform KARL tightening (see
-// Evaluator.rectLinearGaussian) given the exact rect-range [s2lo, s2hi] of
-// Σ w·dist².
+// rectLinearGaussianVals evaluates the KARL envelopes tile-uniformly. Every
+// x_i(q) = γ·dist(q, p_i)² stays inside [xmin, xmax] for q in the rect, so
+// the chord/tangent envelopes hold pointwise; their aggregates are linear in
+// sumX(q) = γ·Σ w·dist²(q), whose exact rect-range γ·[s2lo, s2hi] comes from
+// flat.Tree.RectSumDist2. Both envelope slopes are ≤ 0 (the profile
+// decreases), so the upper bound is worst at the low end and the lower bound
+// at the high end; the tangent sits at the worst case's mean so the lower
+// envelope is tight exactly where it binds.
 func (e *Evaluator) rectLinearGaussianVals(sumW, s2lo, s2hi, xmin, xmax float64) (lb, ub float64) {
 	sxLo, sxHi := e.Gamma*s2lo, e.Gamma*s2hi
 	up := kernel.ExpChordUpper(xmin, xmax)
@@ -151,9 +162,8 @@ func (e *Evaluator) rectLinearGaussianVals(sumW, s2lo, s2hi, xmin, xmax float64)
 }
 
 // accumulateEnvelopeVals folds one node's tile-valid envelope bounds into the
-// aggregate quadratic forms (see Evaluator.AccumulateRectEnvelope). nCenter
-// and nSumP are the node's moment center and Σw·(p−C) vectors in whichever
-// representation the caller uses.
+// aggregate quadratic forms (see Evaluator.FlatAccumulateRectEnvelope).
+// nCenter and nSumP are the node's moment center and Σw·(p−C) vectors.
 func (e *Evaluator) accumulateEnvelopeVals(sumW, sumNorm2 float64, nCenter, nSumP []float64,
 	s2lo, s2hi, xmin, xmax float64, center []float64, lbEnv, ubEnv *TileEnvelope) {
 	up := kernel.ExpChordUpper(xmin, xmax)
@@ -187,7 +197,7 @@ func (e *Evaluator) accumulateEnvelopeVals(sumW, sumNorm2 float64, nCenter, nSum
 }
 
 // envelopeGapVals is the rect-maximum chord-vs-tangent envelope gap (see
-// Evaluator.RectEnvelopeGap).
+// Evaluator.FlatRectEnvelopeGap).
 func (e *Evaluator) envelopeGapVals(sumW, s2lo, s2hi, xmin, xmax float64) float64 {
 	up := kernel.ExpChordUpper(xmin, xmax)
 	t := e.tangentPoint(e.Gamma*(s2lo+s2hi)/(2*sumW), xmin, xmax)

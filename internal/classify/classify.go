@@ -21,6 +21,7 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -31,7 +32,7 @@ type Class struct {
 	// "use the class's share of the training points".
 	Prior float64
 
-	engine *engine.Engine
+	engine *engine.FlatEngine
 	n      int
 }
 
@@ -86,7 +87,11 @@ func New(classes map[string]geom.Points, cfg Config) (*Classifier, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := engine.New(tree, ev)
+		ftree, err := flat.FromTree(tree)
+		if err != nil {
+			return nil, err
+		}
+		eng, err := engine.NewFlat(ftree, ev)
 		if err != nil {
 			return nil, err
 		}

@@ -3,10 +3,7 @@
 // tile size the library supports and asserts, against Kahan-summed exact
 // ground truth, that each path honors its contract — the εKDV relative-error
 // guarantee pixel-by-pixel, exact τKDV classification, bit-identical hot
-// masks between tile-shared and per-pixel refinement, bit-identical rasters
-// and masks between the flat SoA engine and the pointer-tree engine it
-// replaced (every bound-based method × kernel × tile size, and per shard),
-// the bound-dominance
+// masks between tile-shared and per-pixel refinement, the bound-dominance
 // invariants (LB ≤ F ≤ UB on every node; QUAD ⊆ KARL ⊆ min-max interval
 // nesting for the Gaussian kernel), a set of metamorphic properties
 // (translation/scale invariance, weight linearity, duplication ≡ weight
@@ -66,11 +63,6 @@ type Config struct {
 	SkipBounds      bool
 	SkipMetamorphic bool
 	SkipSharding    bool
-	// FlatQuick cuts the flat-vs-pointer engine pass to a representative
-	// subset (first kernel, MethodQuadratic, 2-way shards); the pass itself
-	// always runs — engine-layout identity is the cheapest early signal the
-	// suite has.
-	FlatQuick bool
 	// SkipTiles drops the tile-pyramid stitch pass entirely; TileQuick cuts
 	// it to the first kernel × MethodQuadratic (both zooms still run). The
 	// quick subset is what `kdvcheck -quick` gates on.
@@ -177,9 +169,6 @@ func Run(cfg Config) (*Report, error) {
 		TauSigma: cfg.TauSigma,
 	}
 	if err := runDifferential(&cfg, rep); err != nil {
-		return nil, err
-	}
-	if err := runFlat(&cfg, rep); err != nil {
 		return nil, err
 	}
 	if !cfg.SkipTiles {

@@ -10,6 +10,7 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/oracle"
 )
@@ -18,7 +19,7 @@ import (
 // interface (satisfied by *bounds.Evaluator) so the mutation self-tests can
 // inject a deliberately broken implementation and prove the checks catch it.
 type Bounder interface {
-	Bounds(n *kdtree.Node, q []float64) (lb, ub float64)
+	FlatBounds(t *flat.Tree, id int32, q []float64) (lb, ub float64)
 }
 
 // boundTol is the floating-point slack granted to a bound violation check:
@@ -36,21 +37,21 @@ func boundTol(vals ...float64) float64 {
 // CheckNodeBounds walks every node of the tree and asserts the sandwich
 // invariant LB_R(q) ≤ F_R(q) ≤ UB_R(q) for each query, with F from the
 // Kahan-summed oracle.
-func CheckNodeBounds(name string, t *kdtree.Tree, b Bounder, o *oracle.Oracle, queries [][]float64) Check {
+func CheckNodeBounds(name string, t *flat.Tree, b Bounder, o *oracle.Oracle, queries [][]float64) Check {
 	var worst float64
 	var detail string
 	bad := 0
 	for _, q := range queries {
-		t.Walk(func(n *kdtree.Node) bool {
-			lb, ub := b.Bounds(n, q)
-			f := o.NodeDensity(t, n, q)
+		t.Walk(func(id int32) bool {
+			lb, ub := b.FlatBounds(t, id, q)
+			f := o.NodeDensity(t, id, q)
 			tol := boundTol(f, lb, ub)
 			if v := math.Max(lb-f, f-ub); v > tol {
 				bad++
 				if v > worst {
 					worst = v
 					detail = fmt.Sprintf("node [%d,%d) at q=%v: lb=%.17g f=%.17g ub=%.17g",
-						n.Start, n.End, q, lb, f, ub)
+						t.Start[id], t.End[id], q, lb, f, ub)
 				}
 			}
 			return true
@@ -66,21 +67,21 @@ func CheckNodeBounds(name string, t *kdtree.Tree, b Bounder, o *oracle.Oracle, q
 // CheckBoundHierarchy asserts the paper's dominance chain on every node: the
 // tight method's interval nests inside the loose one's,
 // [lbT, ubT] ⊆ [lbL, ubL] up to floating-point slack.
-func CheckBoundHierarchy(name string, t *kdtree.Tree, tight, loose Bounder, queries [][]float64) Check {
+func CheckBoundHierarchy(name string, t *flat.Tree, tight, loose Bounder, queries [][]float64) Check {
 	var worst float64
 	var detail string
 	bad := 0
 	for _, q := range queries {
-		t.Walk(func(n *kdtree.Node) bool {
-			lbT, ubT := tight.Bounds(n, q)
-			lbL, ubL := loose.Bounds(n, q)
+		t.Walk(func(id int32) bool {
+			lbT, ubT := tight.FlatBounds(t, id, q)
+			lbL, ubL := loose.FlatBounds(t, id, q)
 			tol := boundTol(lbT, ubT, lbL, ubL)
 			if v := math.Max(lbL-lbT, ubT-ubL); v > tol {
 				bad++
 				if v > worst {
 					worst = v
 					detail = fmt.Sprintf("node [%d,%d) at q=%v: tight [%.17g,%.17g] vs loose [%.17g,%.17g]",
-						n.Start, n.End, q, lbT, ubT, lbL, ubL)
+						t.Start[id], t.End[id], q, lbT, ubT, lbL, ubL)
 				}
 			}
 			return true
@@ -93,21 +94,21 @@ func CheckBoundHierarchy(name string, t *kdtree.Tree, tight, loose Bounder, quer
 	return c
 }
 
-// CheckRectBounds asserts the tile-uniform contract: RectBounds(n, rect)
-// brackets F_R(q) for every query inside rect — the invariant the
+// CheckRectBounds asserts the tile-uniform contract: FlatRectBounds(t, id,
+// rect) brackets F_R(q) for every query inside rect — the invariant the
 // tile-shared render phase rests on. All queries must lie inside rect.
-func CheckRectBounds(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
+func CheckRectBounds(name string, t *flat.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
 	bad := 0
 	var detail string
-	t.Walk(func(n *kdtree.Node) bool {
-		lb, ub := ev.RectBounds(n, rect)
+	t.Walk(func(id int32) bool {
+		lb, ub := ev.FlatRectBounds(t, id, rect)
 		for _, q := range queries {
-			f := o.NodeDensity(t, n, q)
+			f := o.NodeDensity(t, id, q)
 			if v := math.Max(lb-f, f-ub); v > boundTol(f, lb, ub) {
 				bad++
 				if detail == "" {
 					detail = fmt.Sprintf("node [%d,%d) at q=%v: rect bounds [%.17g,%.17g] miss f=%.17g",
-						n.Start, n.End, q, lb, ub, f)
+						t.Start[id], t.End[id], q, lb, ub, f)
 				}
 			}
 		}
@@ -123,7 +124,7 @@ func CheckRectBounds(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracl
 // checkEnvelope accumulates the rect envelopes of a covering node set and
 // asserts lbEnv(q) ≤ F_P(q) ≤ ubEnv(q) for every query in the rect — the
 // aggregate form the tile-shared phase evaluates per pixel.
-func checkEnvelope(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
+func checkEnvelope(name string, t *flat.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
 	cover := coverNodes(t, 2)
 	var lbEnv, ubEnv bounds.TileEnvelope
 	lbEnv.Reset(t.Dim())
@@ -132,8 +133,8 @@ func checkEnvelope(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracle.
 	for i := range center {
 		center[i] = (rect.Min[i] + rect.Max[i]) / 2
 	}
-	for _, n := range cover {
-		if !ev.AccumulateRectEnvelope(n, rect, center, &lbEnv, &ubEnv) {
+	for _, id := range cover {
+		if !ev.FlatAccumulateRectEnvelope(t, id, rect, center, &lbEnv, &ubEnv) {
 			return Check{Name: name, Pass: true, Info: true, Detail: "envelope unsupported for this configuration"}
 		}
 	}
@@ -159,18 +160,18 @@ func checkEnvelope(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracle.
 
 // coverNodes returns a set of nodes at the given depth (or shallower leaves)
 // that partitions the point set.
-func coverNodes(t *kdtree.Tree, depth int) []*kdtree.Node {
-	var out []*kdtree.Node
-	var rec func(n *kdtree.Node, d int)
-	rec = func(n *kdtree.Node, d int) {
-		if n.IsLeaf() || d >= depth {
-			out = append(out, n)
+func coverNodes(t *flat.Tree, depth int) []int32 {
+	var out []int32
+	var rec func(id int32, d int)
+	rec = func(id int32, d int) {
+		if t.IsLeaf(id) || d >= depth {
+			out = append(out, id)
 			return
 		}
-		rec(n.Left, d+1)
-		rec(n.Right, d+1)
+		rec(t.Left[id], d+1)
+		rec(t.Right[id], d+1)
 	}
-	rec(t.Root, 0)
+	rec(0, 0)
 	return out
 }
 
@@ -185,7 +186,11 @@ func runDominance(cfg *Config, rep *Report) error {
 	queries := sampleQueries(g, rng)
 	rect, rectQueries := centralRect(g)
 
-	tree, err := kdtree.Build(cfg.Pts, kdtree.Options{Gram: true})
+	ptree, err := kdtree.Build(cfg.Pts, kdtree.Options{Gram: true})
+	if err != nil {
+		return fmt.Errorf("conformance: dominance tree: %w", err)
+	}
+	tree, err := flat.FromTree(ptree)
 	if err != nil {
 		return fmt.Errorf("conformance: dominance tree: %w", err)
 	}

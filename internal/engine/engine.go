@@ -11,15 +11,11 @@
 //
 // The engine is shared by every bound method (MinMax/aKDE, MinMax/tKDC,
 // Linear/KARL, Quadratic/QUAD), mirroring the paper's "same framework,
-// different bound functions" methodology.
+// different bound functions" methodology. It walks the struct-of-arrays
+// kd-tree of internal/kdtree/flat.
 package engine
 
-import (
-	"fmt"
-
-	"github.com/quadkdv/quad/internal/bounds"
-	"github.com/quadkdv/quad/internal/kdtree"
-)
+import "github.com/quadkdv/quad/internal/kdtree/flat"
 
 // Stats aggregates per-query work counters.
 type Stats struct {
@@ -57,215 +53,6 @@ func (s *Stats) Add(other Stats) {
 	s.PointsScanned += other.PointsScanned
 }
 
-// item is one queue entry: a node with its current bound contribution. seed
-// is the node's index in the tile frontier that seeded the queue (−1 for
-// items produced by ordinary expansion); refineFrom uses it to record which
-// frontier nodes a pixel had to expand, the signal behind frontier promotion.
-type item struct {
-	node   *kdtree.Node
-	lb, ub float64
-	seed   int
-}
-
-// Engine evaluates εKDV / τKDV queries against one tree with one bound
-// evaluator. It reuses its internal queue across queries and therefore must
-// not be shared between goroutines; use Clone for parallel workers.
-type Engine struct {
-	Tree *kdtree.Tree
-	Ev   *bounds.Evaluator
-
-	heap []item
-}
-
-// New validates that the tree carries the statistics the evaluator needs and
-// returns an engine.
-func New(tree *kdtree.Tree, ev *bounds.Evaluator) (*Engine, error) {
-	if tree == nil || tree.Root == nil {
-		return nil, fmt.Errorf("engine: nil or empty tree")
-	}
-	if ev.NeedsGram() && !tree.HasGram() {
-		return nil, fmt.Errorf("engine: %s/%s bounds need the Gram statistic; build the tree with Options.Gram", ev.Kern, ev.Method)
-	}
-	if len(tree.Pts.Coords) > 0 && tree.Dim() <= 0 {
-		return nil, fmt.Errorf("engine: tree has invalid dimension %d", tree.Dim())
-	}
-	return &Engine{Tree: tree, Ev: ev}, nil
-}
-
-// Clone returns an engine sharing the tree but with private evaluator
-// scratch and queue, safe for a separate goroutine.
-func (e *Engine) Clone() *Engine {
-	return &Engine{Tree: e.Tree, Ev: e.Ev.Clone()}
-}
-
-// --- internal max-heap on gap = ub − lb (hand-rolled: container/heap's
-// interface indirection costs ~2x on this hot path). ---
-
-func (e *Engine) heapReset() { e.heap = e.heap[:0] }
-
-func (e *Engine) heapPush(it item) {
-	e.heap = append(e.heap, it)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if gap(e.heap[parent]) >= gap(e.heap[i]) {
-			break
-		}
-		e.heap[parent], e.heap[i] = e.heap[i], e.heap[parent]
-		i = parent
-	}
-}
-
-func (e *Engine) heapPop() item {
-	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	h = e.heap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && gap(h[l]) > gap(h[big]) {
-			big = l
-		}
-		if r < len(h) && gap(h[r]) > gap(h[big]) {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return top
-}
-
-func gap(it item) float64 { return it.ub - it.lb }
-
-// heapify restores the max-gap heap property over the whole slice in O(n) —
-// used when a pixel's queue is bulk-seeded from a tile frontier.
-func (e *Engine) heapify() {
-	h := e.heap
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		for j := i; ; {
-			l, r := 2*j+1, 2*j+2
-			big := j
-			if l < len(h) && gap(h[l]) > gap(h[big]) {
-				big = l
-			}
-			if r < len(h) && gap(h[r]) > gap(h[big]) {
-				big = r
-			}
-			if big == j {
-				break
-			}
-			h[j], h[big] = h[big], h[j]
-			j = big
-		}
-	}
-}
-
-// EvalEps answers an εKDV query: a value within relative error ε of F_P(q).
-// With the stop rule ub ≤ (1+ε)·lb and result (lb+ub)/2, the error satisfies
-// |R−F|/F ≤ (ub−lb)/(2·lb) ≤ ε/2.
-func (e *Engine) EvalEps(q []float64, eps float64) (float64, Stats) {
-	lb, ub, st := e.refine(q, func(lb, ub float64) bool {
-		return ub <= (1+eps)*lb
-	})
-	st.LB, st.UB = lb, ub
-	return (lb + ub) / 2, st
-}
-
-// EvalTau answers a τKDV query: whether F_P(q) ≥ τ. Pixels whose density is
-// exactly τ are classified as hot (lb ≥ τ fires first).
-func (e *Engine) EvalTau(q []float64, tau float64) (bool, Stats) {
-	lb, ub, st := e.refine(q, func(lb, ub float64) bool {
-		return lb >= tau || ub <= tau
-	})
-	st.LB, st.UB = lb, ub
-	return lb >= tau, st
-}
-
-// Exact computes F_P(q) exactly through the tree (equivalent to a full scan
-// but reusing the leaf layout).
-func (e *Engine) Exact(q []float64) float64 {
-	return e.Ev.ExactNode(e.Tree, e.Tree.Root, q)
-}
-
-// refine runs the Table 3 loop until done(lb, ub) holds or the bounds are
-// exact (queue empty). It returns the final aggregate bounds.
-//
-// The aggregates are maintained as exactAcc (sum of refined leaf
-// contributions, exact) plus lbPend/ubPend (incremental sums of the bound
-// contributions of nodes still in the queue). The incremental updates
-// accumulate absolute rounding drift on the order of an ulp of the ROOT
-// bounds, which can dwarf tiny tail densities and corrupt the relative
-// termination test — so whenever the test is about to fire, or a pending
-// sum dips negative (impossible for true sums of non-negative bounds), the
-// pending sums are recomputed exactly from the live queue before the
-// decision is trusted.
-func (e *Engine) refine(q []float64, done func(lb, ub float64) bool) (flb, fub float64, st Stats) {
-	e.heapReset()
-	root := e.Tree.Root
-	rlb, rub := e.Ev.Bounds(root, q)
-	st.NodesEvaluated++
-	e.heapPush(item{node: root, lb: rlb, ub: rub})
-
-	var exactAcc float64
-	lbPend, ubPend := rlb, rub
-
-	for len(e.heap) > 0 {
-		if lbPend < 0 || ubPend < 0 || done(exactAcc+lbPend, exactAcc+ubPend) {
-			lbPend, ubPend = e.recomputePending()
-			if done(exactAcc+lbPend, exactAcc+ubPend) {
-				break
-			}
-		}
-		st.Iterations++
-		it := e.heapPop()
-		n := it.node
-		if n.IsLeaf() {
-			exactAcc += e.Ev.ExactNode(e.Tree, n, q)
-			st.LeafScans++
-			st.PointsScanned += n.Size()
-			lbPend -= it.lb
-			ubPend -= it.ub
-			continue
-		}
-		llb, lub := e.Ev.Bounds(n.Left, q)
-		rlb, rub := e.Ev.Bounds(n.Right, q)
-		st.NodesEvaluated += 2
-		lbPend += llb + rlb - it.lb
-		ubPend += lub + rub - it.ub
-		e.heapPush(item{node: n.Left, lb: llb, ub: lub})
-		e.heapPush(item{node: n.Right, lb: rlb, ub: rub})
-	}
-	if len(e.heap) == 0 {
-		// Fully refined: the pending sums are pure rounding residue.
-		return exactAcc, exactAcc, st
-	}
-	lb, ub := exactAcc+lbPend, exactAcc+ubPend
-	if lb > ub {
-		// Within an ulp of each other after the fresh recompute.
-		mid := (lb + ub) / 2
-		lb, ub = mid, mid
-	}
-	return lb, ub, st
-}
-
-// recomputePending re-derives the pending bound sums directly from the
-// queue's items, discarding accumulated incremental drift. The true sums of
-// clamped node bounds are non-negative by construction.
-func (e *Engine) recomputePending() (lbPend, ubPend float64) {
-	for _, it := range e.heap {
-		lbPend += it.lb
-		ubPend += it.ub
-	}
-	return lbPend, ubPend
-}
-
 // TracePoint records the aggregate bounds after one refinement iteration —
 // the instrumentation behind the paper's Figure 18.
 type TracePoint struct {
@@ -276,11 +63,11 @@ type TracePoint struct {
 // BoundTrace runs an εKDV query recording (lb, ub) after every iteration,
 // including iteration 0 (root bounds). It stops at the εKDV termination
 // condition and returns the trace.
-func (e *Engine) BoundTrace(q []float64, eps float64) []TracePoint {
+func (e *FlatEngine) BoundTrace(q []float64, eps float64) []TracePoint {
 	e.heapReset()
-	root := e.Tree.Root
-	blb, bub := e.Ev.Bounds(root, q)
-	e.heapPush(item{node: root, lb: blb, ub: bub})
+	t := e.Tree
+	blb, bub := e.Ev.FlatBounds(t, 0, q)
+	e.heapPush(fitem{id: 0, seed: -1, lb: blb, ub: bub})
 	trace := []TracePoint{{Iteration: 0, LB: blb, UB: bub}}
 
 	var exactAcc float64
@@ -295,18 +82,19 @@ func (e *Engine) BoundTrace(q []float64, eps float64) []TracePoint {
 		}
 		iter++
 		it := e.heapPop()
-		n := it.node
-		if n.IsLeaf() {
-			exactAcc += e.Ev.ExactNode(e.Tree, n, q)
+		id := it.id
+		if left := t.Left[id]; left == flat.NoChild {
+			exactAcc += e.Ev.FlatExactNode(t, id, q)
 			lbPend -= it.lb
 			ubPend -= it.ub
 		} else {
-			llb, lub := e.Ev.Bounds(n.Left, q)
-			rlb, rub := e.Ev.Bounds(n.Right, q)
+			right := t.Right[id]
+			llb, lub := e.Ev.FlatBounds(t, left, q)
+			rlb, rub := e.Ev.FlatBounds(t, right, q)
 			lbPend += llb + rlb - it.lb
 			ubPend += lub + rub - it.ub
-			e.heapPush(item{node: n.Left, lb: llb, ub: lub})
-			e.heapPush(item{node: n.Right, lb: rlb, ub: rub})
+			e.heapPush(fitem{id: left, seed: -1, lb: llb, ub: lub})
+			e.heapPush(fitem{id: right, seed: -1, lb: rlb, ub: rub})
 		}
 		if lbPend < 0 || ubPend < 0 {
 			lbPend, ubPend = e.recomputePending()

@@ -8,6 +8,7 @@ import (
 	"github.com/quadkdv/quad/internal/bounds"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -20,7 +21,17 @@ func clusteredPoints(rng *rand.Rand, n int) geom.Points {
 	return geom.NewPoints(coords, 2)
 }
 
-func buildEngine(t *testing.T, pts geom.Points, kern kernel.Kernel, gamma float64, m bounds.Method) *Engine {
+// flatten converts a built kd-tree to the flat layout the engine runs on.
+func flatten(t *testing.T, tr *kdtree.Tree) *flat.Tree {
+	t.Helper()
+	ft, err := flat.FromTree(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft
+}
+
+func buildEngine(t *testing.T, pts geom.Points, kern kernel.Kernel, gamma float64, m bounds.Method) *FlatEngine {
 	t.Helper()
 	w := 1 / float64(pts.Len())
 	ev, err := bounds.NewEvaluator(kern, gamma, w, m, pts.Dim)
@@ -31,7 +42,7 @@ func buildEngine(t *testing.T, pts geom.Points, kern kernel.Kernel, gamma float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(tr, ev)
+	e, err := NewFlat(flatten(t, tr), ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +56,16 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(nil, ev); err == nil {
-		t.Error("New with nil tree should fail")
+	if _, err := NewFlat(nil, ev); err == nil {
+		t.Error("NewFlat with nil tree should fail")
 	}
 	// Gram-less tree with a Gram-needing evaluator must be rejected.
 	tr, err := kdtree.Build(pts, kdtree.Options{Gram: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(tr, ev); err == nil {
-		t.Error("New with Gram-less tree and Gaussian quadratic bounds should fail")
+	if _, err := NewFlat(flatten(t, tr), ev); err == nil {
+		t.Error("NewFlat with Gram-less tree and Gaussian quadratic bounds should fail")
 	}
 }
 

@@ -7,21 +7,18 @@ import (
 	"github.com/quadkdv/quad/internal/kdtree/flat"
 )
 
-// This file is the flat-tree (SoA) per-pixel refinement engine: the same
-// Table 3 loop as Engine.refine, walking int32 node ids through contiguous
-// arrays instead of chasing *Node pointers. Queue entries shrink from 32 to
-// 24 bytes and every statistic fetch is a strided array load, which is what
-// converts the refinement loop from cache-miss-bound to arithmetic-bound.
-//
-// Bit-identity contract with the pointer engine: the heap uses the SAME
-// binary-heap push/pop/heapify algorithms (tied gaps pop in the same order),
-// the pending-sum bookkeeping is identical, and every bound evaluation
-// delegates to the shared scalar cores in internal/bounds — so EvalEps /
-// EvalTau return bit-identical results for the same query, which the
-// conformance flat-vs-pointer differential pass verifies raster-wide.
+// This file is the per-pixel refinement engine: the Table 3 loop over the
+// flat (SoA) kd-tree, walking int32 node ids through contiguous arrays.
+// Queue entries are 24 bytes and every statistic fetch is a strided array
+// load, which keeps the refinement loop arithmetic-bound rather than
+// cache-miss-bound. Its output bits are pinned by the ledger
+// (testdata/ledger.golden at the module root).
 
-// fitem is one flat-queue entry: a node id with its current bound
-// contribution. seed mirrors item.seed (−1 for expansion products).
+// fitem is one queue entry: a node id with its current bound contribution.
+// seed is the node's index in the tile frontier that seeded the queue (−1
+// for items produced by ordinary expansion); refineFrom uses it to record
+// which frontier nodes a pixel had to expand, the signal behind frontier
+// promotion.
 type fitem struct {
 	id   int32
 	seed int32
@@ -31,9 +28,9 @@ type fitem struct {
 
 func fgap(it fitem) float64 { return it.ub - it.lb }
 
-// FlatEngine evaluates εKDV / τKDV queries against one flat tree. Like
-// Engine it reuses its queue across queries and must not be shared between
-// goroutines.
+// FlatEngine evaluates εKDV / τKDV queries against one flat tree with one
+// bound evaluator. It reuses its internal queue across queries and therefore
+// must not be shared between goroutines; use Clone for parallel workers.
 type FlatEngine struct {
 	Tree *flat.Tree
 	Ev   *bounds.Evaluator
@@ -42,7 +39,7 @@ type FlatEngine struct {
 }
 
 // NewFlat validates that the flat tree carries the statistics the evaluator
-// needs and returns a flat engine (the SoA counterpart of New).
+// needs and returns an engine.
 func NewFlat(tree *flat.Tree, ev *bounds.Evaluator) (*FlatEngine, error) {
 	if tree == nil || tree.NumNodes() == 0 {
 		return nil, fmt.Errorf("engine: nil or empty flat tree")
@@ -62,8 +59,8 @@ func (e *FlatEngine) Clone() *FlatEngine {
 	return &FlatEngine{Tree: e.Tree, Ev: e.Ev.Clone()}
 }
 
-// --- max-heap on gap = ub − lb: the same hand-rolled binary heap as the
-// pointer engine, so tied gaps resolve in the same order. ---
+// --- internal max-heap on gap = ub − lb (hand-rolled: container/heap's
+// interface indirection costs ~2x on this hot path). ---
 
 func (e *FlatEngine) heapReset() { e.heap = e.heap[:0] }
 
@@ -106,6 +103,8 @@ func (e *FlatEngine) heapPop() fitem {
 	return top
 }
 
+// heapify restores the max-gap heap property over the whole slice in O(n) —
+// used when a pixel's queue is bulk-seeded from a tile frontier.
 func (e *FlatEngine) heapify() {
 	h := e.heap
 	for i := len(h)/2 - 1; i >= 0; i-- {
@@ -127,7 +126,9 @@ func (e *FlatEngine) heapify() {
 	}
 }
 
-// EvalEps answers an εKDV query (see Engine.EvalEps).
+// EvalEps answers an εKDV query: a value within relative error ε of F_P(q).
+// With the stop rule ub ≤ (1+ε)·lb and result (lb+ub)/2, the error satisfies
+// |R−F|/F ≤ (ub−lb)/(2·lb) ≤ ε/2.
 func (e *FlatEngine) EvalEps(q []float64, eps float64) (float64, Stats) {
 	lb, ub, st := e.refine(q, func(lb, ub float64) bool {
 		return ub <= (1+eps)*lb
@@ -136,7 +137,8 @@ func (e *FlatEngine) EvalEps(q []float64, eps float64) (float64, Stats) {
 	return (lb + ub) / 2, st
 }
 
-// EvalTau answers a τKDV query (see Engine.EvalTau).
+// EvalTau answers a τKDV query: whether F_P(q) ≥ τ. Pixels whose density is
+// exactly τ are classified as hot (lb ≥ τ fires first).
 func (e *FlatEngine) EvalTau(q []float64, tau float64) (bool, Stats) {
 	lb, ub, st := e.refine(q, func(lb, ub float64) bool {
 		return lb >= tau || ub <= tau
@@ -145,19 +147,30 @@ func (e *FlatEngine) EvalTau(q []float64, tau float64) (bool, Stats) {
 	return lb >= tau, st
 }
 
-// Exact computes F_P(q) exactly through the tree.
+// Exact computes F_P(q) exactly through the tree (equivalent to a full scan
+// but reusing the leaf layout).
 func (e *FlatEngine) Exact(q []float64) float64 {
 	return e.Ev.FlatExactNode(e.Tree, 0, q)
 }
 
 // RootBounds returns the evaluator's whole-dataset bounds at q without
-// refinement.
+// refinement (paper Section 7.3 diagnostics).
 func (e *FlatEngine) RootBounds(q []float64) (lb, ub float64) {
 	return e.Ev.FlatBounds(e.Tree, 0, q)
 }
 
-// refine is Engine.refine over the flat arrays: identical loop structure,
-// termination tests, and pending-sum recompute discipline.
+// refine runs the Table 3 loop until done(lb, ub) holds or the bounds are
+// exact (queue empty). It returns the final aggregate bounds.
+//
+// The aggregates are maintained as exactAcc (sum of refined leaf
+// contributions, exact) plus lbPend/ubPend (incremental sums of the bound
+// contributions of nodes still in the queue). The incremental updates
+// accumulate absolute rounding drift on the order of an ulp of the ROOT
+// bounds, which can dwarf tiny tail densities and corrupt the relative
+// termination test — so whenever the test is about to fire, or a pending
+// sum dips negative (impossible for true sums of non-negative bounds), the
+// pending sums are recomputed exactly from the live queue before the
+// decision is trusted.
 func (e *FlatEngine) refine(q []float64, done func(lb, ub float64) bool) (flb, fub float64, st Stats) {
 	e.heapReset()
 	t := e.Tree
@@ -209,6 +222,9 @@ func (e *FlatEngine) refine(q []float64, done func(lb, ub float64) bool) (flb, f
 	return lb, ub, st
 }
 
+// recomputePending re-derives the pending bound sums directly from the
+// queue's items, discarding accumulated incremental drift. The true sums of
+// clamped node bounds are non-negative by construction.
 func (e *FlatEngine) recomputePending() (lbPend, ubPend float64) {
 	for _, it := range e.heap {
 		lbPend += it.lb

@@ -1,3 +1,27 @@
+// Tile-shared traversal: the render hot path refines every pixel of a raster
+// against the same kd-tree, and neighboring pixels prune nearly identical
+// node sets — per-pixel refinement from the root repeats the top of that
+// work W×H times. The FlatTileEngine amortizes it: one shared refinement per
+// pixel tile classifies nodes against the tile's query rectangle into
+//
+//   - settled nodes — their tile-uniform [lb, ub] contribution is added once
+//     for the whole tile (εKDV: within a budgeted fraction of the ε slack;
+//     τKDV: only exactly-known contributions, so hot masks stay identical to
+//     per-pixel refinement), and
+//   - a residual frontier — a disjoint node cover of the rest.
+//
+// Per pixel, the refinement queue is then seeded from the frontier's
+// tile-uniform bounds (zero bound evaluations — the bounds were computed once
+// per tile) instead of the root, and refinement proceeds with the configured
+// per-query bounds only where this pixel actually needs them. Frontier
+// promotion feeds each pixel's termination state back into the shared
+// frontier: nodes that successive pixels keep expanding are replaced
+// tile-wide by their children, so later pixels skip that expansion too.
+//
+// Correctness: FlatRectBounds guarantees lb ≤ F_R(q) ≤ ub for every q in the
+// tile, so a pixel's aggregate [settled + seeded + refined] interval always
+// brackets F_P(q) and the usual termination tests keep their guarantees
+// (εKDV relative error; τKDV exact classification).
 package engine
 
 import (
@@ -8,26 +32,89 @@ import (
 	"github.com/quadkdv/quad/internal/kdtree/flat"
 )
 
-// Flat-tree tile-shared traversal: the SoA mirror of tile.go. Every constant
-// (settleFrac, tileEpsFrac, budgets, promotion thresholds), every loop, and
-// every settle/sort decision is shared with or copied verbatim from the
-// pointer implementation — the ONLY differences are fitem entries instead of
-// item and flat-array statistic fetches instead of pointer chases — so a
-// flat render is bit-identical to a pointer render of the same raster.
+const (
+	// DefaultMaxFrontier caps the residual frontier the shared phase
+	// produces. Larger frontiers push more traversal into the shared phase
+	// (good: amortized over the tile's pixels) but grow the per-pixel
+	// queue-seeding copy, which costs no bound evaluations but is O(cap).
+	DefaultMaxFrontier = 256
+	// promoteHits is how many pixels must expand a frontier node before it
+	// is promoted (replaced tile-wide by its children).
+	promoteHits = 1
+	// promoteCapFactor bounds frontier growth under promotion, as a
+	// multiple of the configured frontier cap.
+	promoteCapFactor = 3
+	// settleFrac is the fraction of the εKDV error slack the shared phase
+	// may spend on settled-node gaps. It must stay < 1 so per-pixel
+	// refinement can always reach ub ≤ (1+ε)·lb even after fully refining
+	// the frontier (the residual gap is then exactly the settled gap).
+	settleFrac = 0.9
+	// tileEpsFrac stops shared expansion once the tile-uniform bounds are
+	// already within this fraction of the ε budget — the whole tile is then
+	// answerable with (at most) queue-seeding work per pixel.
+	tileEpsFrac = 0.5
+	// expandBudgetFactor caps shared-phase pops at this multiple of the
+	// frontier cap, a guard against long leaf-pop runs.
+	expandBudgetFactor = 4
+	// subFrontierFactor scales the second (sub-tile) level's frontier cap
+	// relative to the parent frontier it starts from. Sub-tile rectangles
+	// are much smaller, so re-bounded parent seeds settle readily and the
+	// sub level may expand further — but expansion that cannot settle only
+	// grows the per-pixel seeding cost, so the room is proportional to the
+	// parent frontier rather than a fixed deep cap.
+	subFrontierFactor = 2
+	// subFrontierSlack is the additive part of the sub-level cap, so small
+	// parent frontiers still have room to reach settleable granularity.
+	subFrontierSlack = 64
+	// subExpandBudget caps the sub level's expansion pops. The sub level
+	// amortizes over only a sub-tile's worth of pixels, so unbounded
+	// expansion hoping for settles can cost more shared work than the pixels
+	// it serves would spend refining — dense datasets at coarse resolutions
+	// hit exactly that. ~12 pops per pixel of a default 4×4 sub-tile.
+	subExpandBudget = 192
+	// coarseSettleFrac is the share of the settle budget the OUTER level of a
+	// two-level build may spend. Settling at the coarse rectangle costs the
+	// budget at coarse-gap granularity, while the sub level settles the same
+	// mass against a much smaller rectangle (envelope gaps shrink with the
+	// square of the rect width) — so most of the budget is reserved for it.
+	coarseSettleFrac = 0.25
+)
 
-// FlatFrontier is the reusable result of one shared tile refinement over a
-// flat tree (see Frontier).
+// subCap is the sub-level frontier cap for a parent frontier of n seeds.
+func subCap(n int) int { return subFrontierFactor*n + subFrontierSlack }
+
+// FlatFrontier is the reusable result of one shared tile refinement. It is
+// owned by a single worker (no internal locking) and is valid only for query
+// points inside the tile rectangle it was built for.
 type FlatFrontier struct {
-	Tile                 geom.Rect
+	// Tile is the data-space rectangle spanning the tile's pixel centers.
+	Tile geom.Rect
+	// SettledLB/SettledUB are the summed tile-uniform bounds of settled
+	// nodes: every pixel of the tile adds them as a constant.
 	SettledLB, SettledUB float64
-	Decided              bool
-	Hot                  bool
-	SettledGap           float64
+	// Decided reports a tile-wide τKDV classification: every pixel of the
+	// tile is Hot (lb ≥ τ) or not (ub < τ) without per-pixel work.
+	Decided bool
+	Hot     bool
+	// SettledGap tracks the worst-case per-pixel uncertainty of all settled
+	// mass (constant settles plus envelope settles, across every level that
+	// fed this frontier) — the spent part of the εKDV settle budget.
+	SettledGap float64
 
-	seeds          []fitem
+	seeds          []fitem // residual frontier with tile-uniform bounds
 	seedLB, seedUB float64
-	hits           []int32
+	hits           []int32 // per-seed expansion counts since last promotion
 
+	// Collapsed envelope: when envOK, envLB/envUB aggregate per-node envelope
+	// bounds into one quadratic form each (centered on envCenter), evaluated
+	// in O(d) per pixel with zero node visits. Two usages share the machinery:
+	//
+	//   - εKDV (envSettled): the envelope IS settled mass — nodes whose
+	//     envelope gap fits the settle budget are folded in and leave the
+	//     frontier, and every pixel adds the envelope to its refinement base.
+	//   - τKDV (!envSettled): the envelope covers the whole residual frontier
+	//     as a pre-check — a pixel whose envelope bound already clears τ
+	//     one-sidedly skips refinement entirely.
 	envOK      bool
 	envSettled bool
 	envLB      bounds.TileEnvelope
@@ -35,7 +122,8 @@ type FlatFrontier struct {
 	envCenter  []float64
 }
 
-// State reports the tile-wide τKDV classification (see Frontier.Decided).
+// State reports the tile-wide τKDV classification: decided means every
+// pixel of the tile shares the hot bit without per-pixel work.
 func (f *FlatFrontier) State() (decided, hot bool) { return f.Decided, f.Hot }
 
 // Size returns the residual frontier's node count.
@@ -44,6 +132,8 @@ func (f *FlatFrontier) Size() int { return len(f.seeds) }
 // Settled returns the tile-wide settled contribution interval.
 func (f *FlatFrontier) Settled() (lb, ub float64) { return f.SettledLB, f.SettledUB }
 
+// envBounds evaluates the collapsed frontier envelope at q, including the
+// settled contribution. Valid only when envOK.
 func (f *FlatFrontier) envBounds(q []float64) (lb, ub float64) {
 	lb = f.SettledLB + f.envLB.Eval(q, f.envCenter)
 	ub = f.SettledUB + f.envUB.Eval(q, f.envCenter)
@@ -53,6 +143,7 @@ func (f *FlatFrontier) envBounds(q []float64) (lb, ub float64) {
 	return lb, ub
 }
 
+// initEnv arms an empty settled envelope centered on the frontier's tile.
 func (f *FlatFrontier) initEnv() {
 	d := len(f.Tile.Min)
 	if cap(f.envCenter) < d {
@@ -67,6 +158,9 @@ func (f *FlatFrontier) initEnv() {
 	f.envOK, f.envSettled = true, true
 }
 
+// inheritEnv copies a parent frontier's settled envelope — valid here because
+// this frontier's tile lies inside the parent's. The parent's center is kept
+// (the forms are expressed about it).
 func (f *FlatFrontier) inheritEnv(parent *FlatFrontier) {
 	if !parent.envOK || !parent.envSettled {
 		return
@@ -78,6 +172,9 @@ func (f *FlatFrontier) inheritEnv(parent *FlatFrontier) {
 }
 
 func (f *FlatFrontier) reset(tile geom.Rect) {
+	// Copy the rect: callers reuse their rect buffers across tiles, while
+	// the frontier (and Promote, which re-evaluates against Tile) may
+	// outlive that reuse.
 	f.Tile.Min = append(f.Tile.Min[:0], tile.Min...)
 	f.Tile.Max = append(f.Tile.Max[:0], tile.Max...)
 	f.SettledLB, f.SettledUB = 0, 0
@@ -89,6 +186,8 @@ func (f *FlatFrontier) reset(tile geom.Rect) {
 	f.envOK, f.envSettled = false, false
 }
 
+// setSeeds installs the residual frontier, assigning seed indices and
+// recomputing the seeded bound sums.
 func (f *FlatFrontier) setSeeds(items []fitem) {
 	f.seeds = append(f.seeds[:0], items...)
 	f.hits = f.hits[:0]
@@ -101,20 +200,20 @@ func (f *FlatFrontier) setSeeds(items []fitem) {
 	}
 }
 
-// FlatTileEngine runs the shared (per-tile) phase over a flat tree (see
-// TileEngine). It owns scratch state and must not be shared between
-// goroutines.
+// FlatTileEngine runs the shared (per-tile) phase of the tile-shared
+// traversal on top of a per-pixel FlatEngine. Like the FlatEngine it owns
+// scratch state and must not be shared between goroutines.
 type FlatTileEngine struct {
 	*FlatEngine
 	// MaxFrontier caps the residual frontier (0 means DefaultMaxFrontier).
 	MaxFrontier int
 
-	theap   []fitem
-	scratch []fitem
-	gapbuf  []float64
+	theap   []fitem   // shared-phase max-gap heap
+	scratch []fitem   // candidate staging for settle/promote passes
+	gapbuf  []float64 // per-candidate envelope gaps for the settle sort
 }
 
-// NewFlatTileEngine wraps a flat engine for tile-shared rendering.
+// NewFlatTileEngine wraps an engine for tile-shared rendering.
 func NewFlatTileEngine(e *FlatEngine) *FlatTileEngine { return &FlatTileEngine{FlatEngine: e} }
 
 func (te *FlatTileEngine) frontierCap() int {
@@ -125,13 +224,25 @@ func (te *FlatTileEngine) frontierCap() int {
 }
 
 // Saturated reports that the shared phase pinned the frontier cap without
-// settling the tile (see TileEngine.Saturated).
+// settling the tile: the tile rectangle is too coarse for this data density,
+// so the frontier is mostly shattered leaves with loose tile-uniform bounds.
+// Seeding every pixel from such a frontier costs more than refining from the
+// root — renderers should fall back to the per-pixel engine for the tile.
 func (te *FlatTileEngine) Saturated(f *FlatFrontier) bool {
 	return len(f.seeds) >= te.frontierCap()
 }
 
-// sharedExpand is TileEngine.sharedExpand over the flat arrays: identical
-// loop, budgets, and pending-sum discipline.
+// sharedExpand runs the shared max-gap expansion against the tile rectangle
+// until stop() holds on the exact tile-uniform aggregate, the frontier cap
+// is reached, or the tree is exhausted. The expansion starts from seeds
+// (each re-bounded against this tile's rectangle) when given, else from the
+// root — the former is the second level of the two-level traversal, where a
+// coarse tile frontier is tightened against a sub-tile rectangle. It
+// returns the surviving candidate items (a disjoint node cover of the
+// un-settled dataset) in te.scratch and the exact candidate bound sums.
+// stop receives the tile-uniform aggregate bounds including base, the
+// already-settled contribution interval (valid for every pixel of the
+// tile).
 func (te *FlatTileEngine) sharedExpand(tile geom.Rect, seeds []fitem, baseLB, baseUB float64, fcap, budget int, st *Stats, stop func(lb, ub float64) bool) (cands []fitem, sumLB, sumUB float64) {
 	te.theap = te.theap[:0]
 	t := te.Tree
@@ -155,6 +266,10 @@ func (te *FlatTileEngine) sharedExpand(tile geom.Rect, seeds []fitem, baseLB, ba
 	leafLB, leafUB := baseLB, baseUB
 
 	for pops := 0; len(te.theap) > 0 && len(te.theap)+len(te.scratch) < fcap && pops < budget; pops++ {
+		// The pending sums are maintained incrementally; before trusting a
+		// stop decision (or whenever accumulated float drift turns a sum
+		// negative) they are recomputed exactly, mirroring the per-pixel
+		// refinement loop.
 		if pendLB < 0 || pendUB < 0 || stop(leafLB+pendLB, leafUB+pendUB) {
 			pendLB, pendUB = te.tilePending()
 			if stop(leafLB+pendLB, leafUB+pendUB) {
@@ -190,20 +305,28 @@ func (te *FlatTileEngine) sharedExpand(tile geom.Rect, seeds []fitem, baseLB, ba
 	return te.scratch, sumLB, sumUB
 }
 
-// BuildFrontierEps runs the shared phase for an εKDV tile (see
-// TileEngine.BuildFrontierEps).
+// BuildFrontierEps runs the shared phase for an εKDV tile: expand until the
+// tile-uniform bounds are within tileEpsFrac·ε or the frontier cap is hit,
+// then settle the smallest-gap nodes within the settleFrac·ε error budget —
+// into the collapsed envelope when the evaluator supports it (the envelope
+// gap is second order in the tile size, so nearly the whole frontier usually
+// fits the budget), else as tile-constant bounds.
 func (te *FlatTileEngine) BuildFrontierEps(tile geom.Rect, eps float64, f *FlatFrontier) Stats {
 	return te.buildEps(tile, nil, te.frontierCap(), eps, 1, f)
 }
 
 // BuildFrontierEpsCoarse is BuildFrontierEps for the OUTER level of a
-// two-level build (see TileEngine.BuildFrontierEpsCoarse).
+// two-level build: it spends only coarseSettleFrac of the settle budget,
+// reserving the rest for the sub level's far cheaper settles.
 func (te *FlatTileEngine) BuildFrontierEpsCoarse(tile geom.Rect, eps float64, f *FlatFrontier) Stats {
 	return te.buildEps(tile, nil, te.frontierCap(), eps, coarseSettleFrac, f)
 }
 
 // BuildFrontierEpsFrom is BuildFrontierEps seeded from a coarser frontier
-// (see TileEngine.BuildFrontierEpsFrom).
+// instead of the root — the second level of the two-level traversal. tile
+// must lie inside parent's tile; parent's seeds are re-bounded against the
+// finer rectangle (much tighter — rect-to-rect distance intervals shrink
+// with the query rectangle) and its settled contribution carries over.
 func (te *FlatTileEngine) BuildFrontierEpsFrom(parent *FlatFrontier, tile geom.Rect, eps float64, f *FlatFrontier) Stats {
 	if len(parent.seeds) == 0 {
 		// Fully settled parent: the sub-frontier is the same settled state
@@ -232,6 +355,9 @@ func (te *FlatTileEngine) buildEps(tile geom.Rect, parent *FlatFrontier, fcap in
 	if !f.envOK && te.Ev.SupportsEnvelope() {
 		f.initEnv()
 	}
+	// The expansion's stop test and settle budget see the settled envelope
+	// through its exact value range over this tile: the envelope is settled
+	// mass like the constant part, just query-dependent.
 	baseLB, baseUB := f.SettledLB, f.SettledUB
 	if f.envOK {
 		elo, _ := f.envLB.RangeRect(tile, f.envCenter)
@@ -249,8 +375,14 @@ func (te *FlatTileEngine) buildEps(tile geom.Rect, parent *FlatFrontier, fcap in
 	cands, sumLB, _ := te.sharedExpand(tile, seeds, baseLB, baseUB, fcap, budgetPops, &st, func(lb, ub float64) bool {
 		return ub <= (1+tileEpsFrac*eps)*lb
 	})
-	// Settle greedily by ascending gap within the budget (see
-	// TileEngine.buildEps for the εKDV-guarantee argument).
+	// Settle greedily by ascending gap while the cumulative settled gap
+	// (including what the parent level already settled) stays within the
+	// budget. sumLB lower-bounds every pixel's final lb (each candidate's
+	// tile lb ≤ F_R(q)), so a total settled gap ≤ settleFrac·ε·sumLB keeps
+	// ub ≤ (1+ε)·lb reachable for every pixel. With an envelope the per-node
+	// cost of settling is its envelope gap — second order in the tile size —
+	// instead of the loose rect-uniform gap, which is what empties most of
+	// the frontier.
 	budget := budgetFrac * settleFrac * eps * sumLB
 	spent := parentGap
 	rest := cands[:0]
@@ -289,14 +421,19 @@ func (te *FlatTileEngine) buildEps(tile geom.Rect, parent *FlatFrontier, fcap in
 	return st
 }
 
-// BuildFrontierTau runs the shared phase for a τKDV tile (see
-// TileEngine.BuildFrontierTau).
+// BuildFrontierTau runs the shared phase for a τKDV tile. When the tile's
+// uniform bounds already decide the classification (lb ≥ τ tile-wide, or
+// ub < τ tile-wide — strict, so densities exactly at τ stay hot exactly as
+// in per-pixel refinement), the frontier comes back Decided and pixels need
+// no work at all. Otherwise only zero-gap nodes settle, keeping every
+// pixel's classification bit-identical to per-pixel refinement.
 func (te *FlatTileEngine) BuildFrontierTau(tile geom.Rect, tau float64, f *FlatFrontier) Stats {
 	return te.buildTau(tile, nil, 0, 0, te.frontierCap(), tau, f)
 }
 
 // BuildFrontierTauFrom is BuildFrontierTau seeded from a coarser frontier
-// (see TileEngine.BuildFrontierTauFrom).
+// (see BuildFrontierEpsFrom). A sub-tile can come back Decided even when the
+// whole tile could not.
 func (te *FlatTileEngine) BuildFrontierTauFrom(parent *FlatFrontier, tile geom.Rect, tau float64, f *FlatFrontier) Stats {
 	if len(parent.seeds) == 0 {
 		f.reset(tile)
@@ -343,8 +480,11 @@ func (te *FlatTileEngine) buildTau(tile geom.Rect, seeds []fitem, baseLB, baseUB
 	return st
 }
 
-// Promote replaces over-expanded frontier nodes with their children (see
-// TileEngine.Promote).
+// Promote replaces frontier nodes that promoteHits pixels had to expand with
+// their children (evaluated once against the tile rectangle), bounded by
+// promoteCapFactor·cap — the "reuse the previous pixel's termination state"
+// feedback that walks the shared frontier down to where pixels actually
+// stop. Call it between pixels of one tile.
 func (te *FlatTileEngine) Promote(f *FlatFrontier) Stats {
 	var st Stats
 	t := te.Tree
@@ -379,12 +519,17 @@ func (te *FlatTileEngine) Promote(f *FlatFrontier) Stats {
 	f.setSeeds(out)
 	if f.envOK && !f.envSettled {
 		// The τKDV pre-check envelope covers the seed set, which just
-		// changed; re-collapse it.
+		// changed; re-collapse it. (The εKDV settled envelope covers settled
+		// mass only — promotion does not touch it.)
 		te.buildEnvelope(f, &st)
 	}
 	return st
 }
 
+// buildEnvelope collapses the frontier's FULL seed set into the aggregate
+// envelope forms — the τKDV pre-check variant (!envSettled): the envelope
+// mirrors the residual frontier instead of replacing it, so EvalTauFrom can
+// try a one-sided O(d) classification before seeding the refinement heap.
 func (te *FlatTileEngine) buildEnvelope(f *FlatFrontier, st *Stats) {
 	f.envSettled = false
 	d := len(f.Tile.Min)
@@ -410,7 +555,7 @@ func (te *FlatTileEngine) buildEnvelope(f *FlatFrontier, st *Stats) {
 // sortFlatCandidatesByGap orders cands (and the parallel gaps slice) by
 // ascending gap, tie-broken on the node's point range. The comparator is a
 // total order over a disjoint node cover (Start values are unique across the
-// cover), so the sorted permutation is identical to the pointer path's.
+// cover), so the settle split is fully deterministic.
 func sortFlatCandidatesByGap(t *flat.Tree, cands []fitem, gaps []float64) {
 	sort.Sort(&flatCandGapSorter{t, cands, gaps})
 }
@@ -434,7 +579,7 @@ func (s *flatCandGapSorter) Swap(i, j int) {
 }
 
 // sortFlatCandidates orders items by ascending gap, tie-broken on the node's
-// point range (see sortCandidates).
+// point range so the settle split is fully deterministic.
 func sortFlatCandidates(t *flat.Tree, items []fitem) {
 	sort.Slice(items, func(i, j int) bool {
 		gi, gj := fgap(items[i]), fgap(items[j])
@@ -445,7 +590,7 @@ func sortFlatCandidates(t *flat.Tree, items []fitem) {
 	})
 }
 
-// --- shared-phase heap (same max-gap binary heap as the per-pixel queue) ---
+// --- shared-phase heap (same max-gap ordering as the per-pixel queue) ---
 
 func (te *FlatTileEngine) heapPushTile(it fitem) {
 	te.theap = append(te.theap, it)
@@ -494,8 +639,9 @@ func (te *FlatTileEngine) tilePending() (lb, ub float64) {
 	return lb, ub
 }
 
-// EvalEpsFrom answers an εKDV query warm-started from a flat frontier (see
-// Engine.EvalEpsFrom).
+// EvalEpsFrom answers an εKDV query for a pixel inside the frontier's tile,
+// warm-started from the shared frontier. The guarantee is the same as
+// EvalEps: the returned value is within relative error ε of F_P(q).
 func (e *FlatEngine) EvalEpsFrom(f *FlatFrontier, q []float64, eps float64) (float64, Stats) {
 	lb, ub, st := e.refineFrom(f, q, func(lb, ub float64) bool {
 		return ub <= (1+eps)*lb
@@ -504,15 +650,17 @@ func (e *FlatEngine) EvalEpsFrom(f *FlatFrontier, q []float64, eps float64) (flo
 	return (lb + ub) / 2, st
 }
 
-// EvalTauFrom answers a τKDV query warm-started from a flat frontier (see
-// Engine.EvalTauFrom).
+// EvalTauFrom answers a τKDV query for a pixel inside the frontier's tile,
+// warm-started from the shared frontier. The classification is exactly the
+// per-pixel engine's: F_P(q) ≥ τ.
 func (e *FlatEngine) EvalTauFrom(f *FlatFrontier, q []float64, tau float64) (bool, Stats) {
 	if f.Decided {
 		return f.Hot, Stats{}
 	}
 	if f.envOK && !f.envSettled {
 		// Each envelope side is an independently valid bound, so a one-sided
-		// decision here is exactly the classification refinement would reach.
+		// decision here is exactly the classification refinement would reach
+		// (strict ub < τ keeps densities at exactly τ hot, as everywhere).
 		lb, ub := f.envBounds(q)
 		if lb >= tau {
 			return true, Stats{Iterations: 1, LB: lb, UB: ub}
@@ -528,8 +676,12 @@ func (e *FlatEngine) EvalTauFrom(f *FlatFrontier, q []float64, tau float64) (boo
 	return lb >= tau, st
 }
 
-// refineFrom is Engine.refineFrom over the flat arrays: frontier-seeded
-// refinement with identical bookkeeping and promotion hit recording.
+// refineFrom is the Table 3 refinement loop seeded from a tile frontier
+// instead of the root: the queue starts with the frontier's tile-uniform
+// bounds (no bound evaluations — they were computed once per tile) plus the
+// settled contribution as a constant base, and per-query bounds are spent
+// only on the nodes this pixel actually needs refined. Expansions of seed
+// items are recorded in the frontier's hit counters for Promote.
 func (e *FlatEngine) refineFrom(f *FlatFrontier, q []float64, done func(lb, ub float64) bool) (flb, fub float64, st Stats) {
 	e.heap = append(e.heap[:0], f.seeds...)
 	e.heapify()
@@ -566,7 +718,8 @@ func (e *FlatEngine) refineFrom(f *FlatFrontier, q []float64, done func(lb, ub f
 			if it.seed >= 0 {
 				// A leaf seed still carries its loose tile-uniform bounds.
 				// Tighten with this pixel's bounds before committing to an
-				// exact scan.
+				// exact scan — the per-query bounds usually shrink the gap
+				// enough that the scan is never needed.
 				llb, lub := e.Ev.FlatBounds(t, id, q)
 				st.NodesEvaluated++
 				lbPend += llb - it.lb

@@ -1,31 +1,33 @@
 package engine
 
+import "github.com/quadkdv/quad/internal/kdtree/flat"
+
 // Refiner exposes the Table 3 refinement loop one step at a time, so callers
 // can interleave the refinement of several aggregates and stop on conditions
 // the engine doesn't know about — the mechanism behind kernel density
 // classification (racing per-class density bounds) and any anytime use of
 // the bounds.
 //
-// A Refiner borrows its Engine exclusively until the caller is done with it;
-// the Engine's own Eval* methods must not be used concurrently. Use
-// Engine.Clone to refine several queries at once.
+// A Refiner borrows its FlatEngine exclusively until the caller is done with
+// it; the engine's own Eval* methods must not be used concurrently. Use
+// FlatEngine.Clone to refine several queries at once.
 type Refiner struct {
-	e *Engine
+	e *FlatEngine
 	q []float64
 
 	exactAcc       float64
 	lbPend, ubPend float64
 	st             Stats
-	heap           []item
+	heap           []fitem
 }
 
 // StartRefine begins refining F_P(q)'s bounds. The returned Refiner starts
 // with the root bounds already evaluated.
-func (e *Engine) StartRefine(q []float64) *Refiner {
+func (e *FlatEngine) StartRefine(q []float64) *Refiner {
 	r := &Refiner{e: e, q: q}
-	lb, ub := e.Ev.Bounds(e.Tree.Root, q)
+	lb, ub := e.Ev.FlatBounds(e.Tree, 0, q)
 	r.st.NodesEvaluated++
-	r.push(item{node: e.Tree.Root, lb: lb, ub: ub})
+	r.push(fitem{id: 0, seed: -1, lb: lb, ub: ub})
 	r.lbPend, r.ubPend = lb, ub
 	return r
 }
@@ -69,28 +71,29 @@ func (r *Refiner) Step() bool {
 	}
 	r.st.Iterations++
 	it := r.pop()
-	n := it.node
-	if n.IsLeaf() {
-		r.exactAcc += r.e.Ev.ExactNode(r.e.Tree, n, r.q)
+	t := r.e.Tree
+	if left := t.Left[it.id]; left == flat.NoChild {
+		r.exactAcc += r.e.Ev.FlatExactNode(t, it.id, r.q)
 		r.st.LeafScans++
-		r.st.PointsScanned += n.Size()
+		r.st.PointsScanned += t.Size(it.id)
 		r.lbPend -= it.lb
 		r.ubPend -= it.ub
 	} else {
-		llb, lub := r.e.Ev.Bounds(n.Left, r.q)
-		rlb, rub := r.e.Ev.Bounds(n.Right, r.q)
+		right := t.Right[it.id]
+		llb, lub := r.e.Ev.FlatBounds(t, left, r.q)
+		rlb, rub := r.e.Ev.FlatBounds(t, right, r.q)
 		r.st.NodesEvaluated += 2
 		r.lbPend += llb + rlb - it.lb
 		r.ubPend += lub + rub - it.ub
-		r.push(item{node: n.Left, lb: llb, ub: lub})
-		r.push(item{node: n.Right, lb: rlb, ub: rub})
+		r.push(fitem{id: left, seed: -1, lb: llb, ub: lub})
+		r.push(fitem{id: right, seed: -1, lb: rlb, ub: rub})
 	}
 	return len(r.heap) > 0
 }
 
 // RefineUntil steps until cond(lb, ub) holds or the bounds are exact, and
 // returns the final bounds. The condition is re-verified on drift-free
-// recomputed pending sums before it is trusted (see Engine.refine).
+// recomputed pending sums before it is trusted (see FlatEngine.refine).
 func (r *Refiner) RefineUntil(cond func(lb, ub float64) bool) (lb, ub float64) {
 	for {
 		if r.lbPend < 0 || r.ubPend < 0 || cond(r.rawBounds()) {
@@ -119,12 +122,12 @@ func (r *Refiner) recompute() {
 
 // --- Refiner-local heap (same max-gap ordering as the engine's). ---
 
-func (r *Refiner) push(it item) {
+func (r *Refiner) push(it fitem) {
 	r.heap = append(r.heap, it)
 	i := len(r.heap) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if gap(r.heap[parent]) >= gap(r.heap[i]) {
+		if fgap(r.heap[parent]) >= fgap(r.heap[i]) {
 			break
 		}
 		r.heap[parent], r.heap[i] = r.heap[i], r.heap[parent]
@@ -132,7 +135,7 @@ func (r *Refiner) push(it item) {
 	}
 }
 
-func (r *Refiner) pop() item {
+func (r *Refiner) pop() fitem {
 	h := r.heap
 	top := h[0]
 	last := len(h) - 1
@@ -143,10 +146,10 @@ func (r *Refiner) pop() item {
 	for {
 		l, rc := 2*i+1, 2*i+2
 		big := i
-		if l < len(h) && gap(h[l]) > gap(h[big]) {
+		if l < len(h) && fgap(h[l]) > fgap(h[big]) {
 			big = l
 		}
-		if rc < len(h) && gap(h[rc]) > gap(h[big]) {
+		if rc < len(h) && fgap(h[rc]) > fgap(h[big]) {
 			big = rc
 		}
 		if big == i {

@@ -41,10 +41,10 @@ func TestEvalEpsFromMeetsGuarantee(t *testing.T) {
 	pts := clusteredPoints(rng, 400)
 	for _, m := range []bounds.Method{bounds.Quadratic, bounds.Linear, bounds.MinMax} {
 		e := buildEngine(t, pts, kernel.Gaussian, 0.5, m)
-		te := NewTileEngine(e.Clone())
+		te := NewFlatTileEngine(e.Clone())
 		for _, eps := range []float64{0.3, 0.05, 0.005} {
 			for ti, tile := range testTiles() {
-				var f Frontier
+				var f FlatFrontier
 				te.BuildFrontierEps(tile, eps, &f)
 				for qi, q := range tileQueries(rng, tile, 20) {
 					got, _ := te.EvalEpsFrom(&f, q, eps)
@@ -63,7 +63,7 @@ func TestEvalTauFromMatchesPerPixel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	pts := clusteredPoints(rng, 400)
 	e := buildEngine(t, pts, kernel.Gaussian, 0.5, bounds.Quadratic)
-	te := NewTileEngine(e.Clone())
+	te := NewFlatTileEngine(e.Clone())
 
 	// Probe τ values around the density range so tiles land on all three
 	// regimes: decided-hot, decided-cold, and mixed.
@@ -82,7 +82,7 @@ func TestEvalTauFromMatchesPerPixel(t *testing.T) {
 	for _, frac := range []float64{0.01, 0.3, 0.9} {
 		tau := lo + frac*(hi-lo)
 		for ti, tile := range testTiles() {
-			var f Frontier
+			var f FlatFrontier
 			te.BuildFrontierTau(tile, tau, &f)
 			for qi, q := range tileQueries(rng, tile, 30) {
 				got, _ := te.EvalTauFrom(&f, q, tau)
@@ -100,9 +100,9 @@ func TestFrontierInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	pts := clusteredPoints(rng, 300)
 	e := buildEngine(t, pts, kernel.Gaussian, 0.5, bounds.Quadratic)
-	te := NewTileEngine(e.Clone())
+	te := NewFlatTileEngine(e.Clone())
 	tile := geom.Rect{Min: []float64{0, 0}, Max: []float64{4, 4}}
-	var f Frontier
+	var f FlatFrontier
 	te.BuildFrontierEps(tile, 0.05, &f)
 	if f.SettledLB > f.SettledUB {
 		t.Errorf("settled bounds inverted: [%g, %g]", f.SettledLB, f.SettledUB)
@@ -125,10 +125,10 @@ func TestPromotePreservesGuarantee(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pts := clusteredPoints(rng, 300)
 	e := buildEngine(t, pts, kernel.Gaussian, 0.5, bounds.Quadratic)
-	te := NewTileEngine(e.Clone())
+	te := NewFlatTileEngine(e.Clone())
 	tile := geom.Rect{Min: []float64{1, 1}, Max: []float64{3, 3}}
 	const eps = 0.02
-	var f Frontier
+	var f FlatFrontier
 	te.BuildFrontierEps(tile, eps, &f)
 	for i, q := range tileQueries(rng, tile, 50) {
 		got, _ := te.EvalEpsFrom(&f, q, eps)

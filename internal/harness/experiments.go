@@ -14,6 +14,7 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/pca"
 	"github.com/quadkdv/quad/internal/stats"
@@ -321,7 +322,7 @@ func RunFig18(c *Config) error {
 		return err
 	}
 	bw := stats.ScottsRule(d.Pts, kernel.Gaussian)
-	tree, err := kdtree.Build(d.Pts.Clone(), kdtree.Options{Gram: true})
+	tree, err := buildFlat(d.Pts)
 	if err != nil {
 		return err
 	}
@@ -330,7 +331,7 @@ func RunFig18(c *Config) error {
 		if err != nil {
 			return nil, err
 		}
-		e, err := engine.New(tree, ev)
+		e, err := engine.NewFlat(tree, ev)
 		if err != nil {
 			return nil, err
 		}
@@ -714,7 +715,7 @@ func RunTightness(c *Config) error {
 		return err
 	}
 	bw := stats.ScottsRule(d.Pts, kernel.Gaussian)
-	tree, err := kdtree.Build(d.Pts.Clone(), kdtree.Options{Gram: true})
+	tree, err := buildFlat(d.Pts)
 	if err != nil {
 		return err
 	}
@@ -734,12 +735,12 @@ func RunTightness(c *Config) error {
 		var gaps []float64
 		for i := 0; i < qs.Len(); i++ {
 			q := qs.At(i)
-			tree.Walk(func(n *kdtree.Node) bool {
-				if n.Size() >= 64 && n.Size() <= 1024 {
-					lb, ub := ev.Bounds(n, q)
-					gaps = append(gaps, (ub-lb)/(bw.Weight*n.SumW))
+			tree.Walk(func(id int32) bool {
+				if n := tree.Size(id); n >= 64 && n <= 1024 {
+					lb, ub := ev.FlatBounds(tree, id, q)
+					gaps = append(gaps, (ub-lb)/(bw.Weight*tree.SumW[id]))
 				}
-				return n.Size() > 64
+				return tree.Size(id) > 64
 			})
 		}
 		sort.Float64s(gaps)
@@ -749,7 +750,7 @@ func RunTightness(c *Config) error {
 		}
 		mean /= float64(len(gaps))
 
-		eng, err := engine.New(tree, ev)
+		eng, err := engine.NewFlat(tree, ev)
 		if err != nil {
 			return err
 		}
@@ -766,6 +767,16 @@ func RunTightness(c *Config) error {
 	}
 	c.Emit(&t)
 	return nil
+}
+
+// buildFlat indexes a copy of pts with the Gram statistic, as the bound
+// experiments need it for every method.
+func buildFlat(pts geom.Points) (*flat.Tree, error) {
+	tree, err := kdtree.Build(pts.Clone(), kdtree.Options{Gram: true})
+	if err != nil {
+		return nil, err
+	}
+	return flat.FromTree(tree)
 }
 
 func percentile(sorted []float64, p float64) float64 {

@@ -1,10 +1,9 @@
-// Package flat is the contiguous struct-of-arrays (SoA) representation of
-// the kdtree package's pointer tree — the render engine's production memory
-// layout. The pointer tree allocates every node and each of its five moment
-// slices separately, so the refinement hot loop (millions of node visits per
-// raster) is bound by cache misses chasing node pointers and slice headers.
-// The flat tree stores the same nodes as parallel arrays indexed by an int32
-// node id:
+// Package flat is the contiguous struct-of-arrays (SoA) form of the kdtree
+// package's tree — the memory layout every bound engine runs on. The kdtree
+// build allocates every node and each of its five moment slices separately,
+// so a refinement loop walking it (millions of node visits per raster) would
+// be bound by cache misses chasing node pointers and slice headers. The flat
+// tree stores the same nodes as parallel arrays indexed by an int32 node id:
 //
 //   - child and point indices are int32 (half the pointer width, no GC scan),
 //   - per-node scalars (SumW, SumNorm2, SumNorm4, Radius) are one float64
@@ -20,12 +19,11 @@
 // the deeper vEB recursion buys nothing here and BFS keeps ids monotone in
 // depth, which the structural invariants below exploit.)
 //
-// Correctness contract: every query-time method mirrors its pointer-tree
-// counterpart operation for operation — loops are unrolled for d == 2 but
-// never reassociated — so bound engines running on either representation
-// produce bit-identical rasters. The conversion copies node statistics
-// verbatim (0 ULP), which the FuzzFlatTreeInvariants target and the
-// conformance flat-vs-pointer differential pass enforce.
+// The d == 2 query-time loops are unrolled but never reassociated, so they
+// return the generic loops' bits. The conversion copies node statistics
+// verbatim (0 ULP), which the FuzzFlatTreeInvariants target enforces; the
+// engine's output bits are pinned by the ledger (testdata/ledger.golden at
+// the module root).
 package flat
 
 import (
@@ -48,7 +46,7 @@ type Tree struct {
 	Weights []float64
 
 	// Left and Right are child node ids, NoChild for leaves. A node has
-	// either two children or none, exactly like the pointer tree.
+	// either two children or none, exactly like the source tree.
 	Left, Right []int32
 	// Start and End delimit the node's point range [Start, End) in Pts.
 	Start, End []int32
@@ -72,9 +70,8 @@ type Tree struct {
 	numNodes int
 }
 
-// FromTree flattens a built pointer tree in one BFS pass. Node statistics
-// are copied verbatim (bit-identical); the point buffer is shared, not
-// copied.
+// FromTree flattens a built kdtree in one BFS pass. Node statistics are
+// copied verbatim (bit-identical); the point buffer is shared, not copied.
 func FromTree(t *kdtree.Tree) (*Tree, error) {
 	if t == nil || t.Root == nil {
 		return nil, fmt.Errorf("flat: nil or empty source tree")
@@ -248,8 +245,12 @@ func (t *Tree) Dist2Center(id int32, q []float64) float64 {
 	return s
 }
 
-// SumDist2 returns Σw·dist(q,p)² over node id's points in O(d) from the
-// centered moments — Node.SumDist2 with the d == 2 loop unrolled.
+// SumDist2 returns Σw·dist(q,p)² over node id's points in O(d) time using
+// the centered moments (paper Section 3.3):
+//
+//	Σ‖q'−p'‖² = |P|·‖q'‖² − 2·q'·a_P + b_P,   q' = q − Center.
+//
+// scratch must have length ≥ d and is used for q' when d ≠ 2.
 func (t *Tree) SumDist2(id int32, q, scratch []float64) float64 {
 	o := int(id) * t.dim
 	if len(q) == 2 {
@@ -276,8 +277,15 @@ func (t *Tree) SumDist2(id int32, q, scratch []float64) float64 {
 	return t.SumW[id]*qn2 - 2*geom.Dot(qc, t.SumP[o:o+d:o+d]) + t.SumNorm2[id]
 }
 
-// SumDist24 returns both Σw·dist² and Σw·dist⁴ in one pass — Node.SumDist24
-// with the d == 2 loops unrolled. It requires the Gram statistic.
+// SumDist24 returns both Σw·dist² and Σw·dist⁴ over node id's points in one
+// pass, sharing the centered-query terms the two formulas have in common.
+// Σdist⁴ takes O(d²) time (paper Lemma 3 / Section 9.2):
+//
+//	Σ‖q'−p'‖⁴ = |P|·‖q'‖⁴ − 4‖q'‖²·q'·a_P − 4·q'·v_P + 2‖q'‖²·b_P + h_P
+//	            + 4·q'ᵀ·C·q'.
+//
+// It requires the Gram statistic; calling it on a tree built without Gram
+// panics, since that is a programming error. scratch must have length ≥ d.
 func (t *Tree) SumDist24(id int32, q, scratch []float64) (s2, s4 float64) {
 	if t.Gram == nil {
 		panic("flat: SumDist24 requires a tree built with Options.Gram")
@@ -340,8 +348,17 @@ func (t *Tree) SumDist24(id int32, q, scratch []float64) (s2, s4 float64) {
 	return s2, s4
 }
 
-// RectSumDist2 returns the exact range of SumDist2 over every query point in
-// the rectangle — Node.RectSumDist2 with the d == 2 loop unrolled.
+// RectSumDist2 returns the exact range of SumDist2(id, q) over every query
+// point q in the rectangle. Completing the square in the Section 3.3
+// identity,
+//
+//	Σ w·‖q−p‖² = W·‖q' − a_P/W‖² + b_P − ‖a_P‖²/W,   q' = q − Center,
+//
+// which is a separable convex quadratic in q: each dimension independently
+// attains its minimum at a_P[d]/W clamped into the rectangle's interval and
+// its maximum at the endpoint farther from it. This is what lets envelope
+// bounds (which aggregate through Σdist²) be evaluated tile-uniformly in
+// O(d) instead of falling back to the loose min-max distance interval.
 func (t *Tree) RectSumDist2(id int32, rect geom.Rect) (lo, hi float64) {
 	w := t.SumW[id]
 	if w <= 0 {
@@ -402,8 +419,12 @@ func (t *Tree) RectSumDist2(id int32, rect geom.Rect) (lo, hi float64) {
 	return lo, hi
 }
 
-// RectDist2 returns the squared-distance interval between node id's points
-// and any query point in rect — Node.RectDist2 over the SoA arrays.
+// RectDist2 returns the squared distance interval [min2, max2] between node
+// id's points and ANY query point inside the query rectangle: for every
+// q ∈ rect and p ∈ node, min2 ≤ dist(q, p)² ≤ max2. The interval combines
+// the node's MBR with (optionally) its bounding ball around Center — the
+// rectangle-query analogue of the per-point MBR+ball machinery used by the
+// bound evaluators, and the primitive behind tile-shared traversal.
 func (t *Tree) RectDist2(id int32, rect geom.Rect, useBall bool) (min2, max2 float64) {
 	o := int(id) * t.dim
 	d := t.dim

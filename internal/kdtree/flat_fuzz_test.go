@@ -18,8 +18,12 @@ import (
 //     subtree point intervals exactly partitioned by the children;
 //   - node-for-node statistics equality with the pointer tree within 0 ULP
 //     (the conversion copies, never recomputes);
+//   - every node's moment queries (SumDist2, SumDist24, RectSumDist2)
+//     matching brute force over its point range;
 //   - a rebuild over an identical buffer, flattened again, bit-identical
 //     to the first flat tree (the build is deterministic).
+//
+// Its corpus holds FuzzBuildInvariants' inputs too.
 func FuzzFlatTreeInvariants(f *testing.F) {
 	f.Add(int64(1), uint8(50), uint8(8), 1.0, false)
 	f.Add(int64(7), uint8(200), uint8(1), 100.0, true)
@@ -86,6 +90,35 @@ func FuzzFlatTreeInvariants(f *testing.F) {
 			if ft.Start[l] != ft.Start[id] || ft.End[r] != ft.End[id] || ft.End[l] != ft.Start[r] {
 				t.Fatalf("node %d children [%d,%d)+[%d,%d) do not partition [%d,%d)",
 					id, ft.Start[l], ft.End[l], ft.Start[r], ft.End[r], ft.Start[id], ft.End[id])
+			}
+		}
+
+		// Moment pass: every node's moment queries against brute force.
+		q := []float64{spread * rng.Float64(), spread * rng.Float64()}
+		scratch := make([]float64, 2)
+		for id := int32(0); id < int32(nn); id++ {
+			var s2, s4, s2c float64
+			for i := int(ft.Start[id]); i < int(ft.End[id]); i++ {
+				p := ft.Pts.At(i)
+				w := ft.WeightAt(i)
+				d2 := geom.Dist2(q, p)
+				s2 += w * d2
+				s4 += w * d2 * d2
+				s2c += w * geom.Dist2(ft.CenterAt(id), p)
+			}
+			tol := 1e-9 * (1 + s2)
+			if got := ft.SumDist2(id, q, scratch); math.Abs(got-s2) > tol {
+				t.Fatalf("node %d SumDist2=%g, brute force %g", id, got, s2)
+			}
+			g2, g4 := ft.SumDist24(id, q, scratch)
+			if math.Abs(g2-s2) > tol || math.Abs(g4-s4) > 1e-9*(1+s4) {
+				t.Fatalf("node %d SumDist24=(%g,%g), brute force (%g,%g)", id, g2, g4, s2, s4)
+			}
+			// The node's center lies inside its own rect, so the exact
+			// statistic there must fall in the rect-range.
+			lo, hi := ft.RectSumDist2(id, ft.Rect(id))
+			if ctol := 1e-9 * (1 + s2c); s2c < lo-ctol || s2c > hi+ctol {
+				t.Fatalf("node %d Σdist²(center) %g outside own-rect range [%g,%g]", id, s2c, lo, hi)
 			}
 		}
 

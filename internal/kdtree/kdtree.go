@@ -446,154 +446,6 @@ func (t *Tree) accumulate2(n *Node) {
 	n.Radius = math.Sqrt(maxNorm2)
 }
 
-// SumDist2 returns Σ_{p∈node} dist(q, p)² in O(d) time using the centered
-// moments (paper Section 3.3):
-//
-//	Σ‖q'−p'‖² = |P|·‖q'‖² − 2·q'·a_P + b_P,   q' = q − Center.
-//
-// scratch must have length ≥ d and is used for q'.
-func (n *Node) SumDist2(q, scratch []float64) float64 {
-	qc := scratch[:len(q)]
-	var qn2 float64
-	for i := range q {
-		qc[i] = q[i] - n.Center[i]
-		qn2 += qc[i] * qc[i]
-	}
-	return n.SumW*qn2 - 2*geom.Dot(qc, n.SumP) + n.SumNorm2
-}
-
-// SumDist4 returns Σ_{p∈node} dist(q, p)⁴ in O(d²) time (paper Lemma 3 /
-// Section 9.2):
-//
-//	Σ‖q'−p'‖⁴ = |P|·‖q'‖⁴ − 4‖q'‖²·q'·a_P − 4·q'·v_P + 2‖q'‖²·b_P + h_P
-//	            + 4·q'ᵀ·C·q'.
-//
-// It requires the Gram statistic; calling it on a tree built without Gram
-// panics, since that is a programming error. scratch must have length ≥ d.
-func (n *Node) SumDist4(q, scratch []float64) float64 {
-	if n.Gram == nil {
-		panic("kdtree: SumDist4 requires a tree built with Options.Gram")
-	}
-	d := len(q)
-	qc := scratch[:d]
-	var qn2 float64
-	for i := 0; i < d; i++ {
-		qc[i] = q[i] - n.Center[i]
-		qn2 += qc[i] * qc[i]
-	}
-	var quad float64 // q'ᵀ C q'
-	for r := 0; r < d; r++ {
-		row := n.Gram[r*d : (r+1)*d]
-		var s float64
-		for c := 0; c < d; c++ {
-			s += row[c] * qc[c]
-		}
-		quad += qc[r] * s
-	}
-	return n.SumW*qn2*qn2 - 4*qn2*geom.Dot(qc, n.SumP) - 4*geom.Dot(qc, n.SumNorm2P) +
-		2*qn2*n.SumNorm2 + n.SumNorm4 + 4*quad
-}
-
-// SumDist24 returns both Σdist² and Σdist⁴ in one pass, sharing the
-// centered-query terms the two formulas have in common. It requires the
-// Gram statistic (see SumDist4). scratch must have length ≥ d.
-func (n *Node) SumDist24(q, scratch []float64) (s2, s4 float64) {
-	if n.Gram == nil {
-		panic("kdtree: SumDist24 requires a tree built with Options.Gram")
-	}
-	d := len(q)
-	qc := scratch[:d]
-	var qn2 float64
-	for i := 0; i < d; i++ {
-		qc[i] = q[i] - n.Center[i]
-		qn2 += qc[i] * qc[i]
-	}
-	dotA := geom.Dot(qc, n.SumP)
-	s2 = n.SumW*qn2 - 2*dotA + n.SumNorm2
-	var quad float64 // q'ᵀ C q'
-	for r := 0; r < d; r++ {
-		row := n.Gram[r*d : (r+1)*d]
-		var s float64
-		for c := 0; c < d; c++ {
-			s += row[c] * qc[c]
-		}
-		quad += qc[r] * s
-	}
-	s4 = n.SumW*qn2*qn2 - 4*qn2*dotA - 4*geom.Dot(qc, n.SumNorm2P) +
-		2*qn2*n.SumNorm2 + n.SumNorm4 + 4*quad
-	return s2, s4
-}
-
-// RectSumDist2 returns the exact range of SumDist2(q) over every query point
-// q in the rectangle. Completing the square in the Section 3.3 identity,
-//
-//	Σ w·‖q−p‖² = W·‖q' − a_P/W‖² + b_P − ‖a_P‖²/W,   q' = q − Center,
-//
-// which is a separable convex quadratic in q: each dimension independently
-// attains its minimum at a_P[d]/W clamped into the rectangle's interval and
-// its maximum at the endpoint farther from it. This is what lets envelope
-// bounds (which aggregate through Σdist²) be evaluated tile-uniformly in
-// O(d) instead of falling back to the loose min-max distance interval.
-func (n *Node) RectSumDist2(rect geom.Rect) (lo, hi float64) {
-	w := n.SumW
-	if w <= 0 {
-		return 0, 0
-	}
-	var m2, sumMin, sumMax float64
-	for d := range n.Center {
-		m := n.SumP[d] / w
-		m2 += n.SumP[d] * m
-		qlo := rect.Min[d] - n.Center[d] - m
-		qhi := rect.Max[d] - n.Center[d] - m
-		switch {
-		case qlo > 0:
-			sumMin += qlo * qlo
-		case qhi < 0:
-			sumMin += qhi * qhi
-		}
-		if lo2, hi2 := qlo*qlo, qhi*qhi; lo2 > hi2 {
-			sumMax += lo2
-		} else {
-			sumMax += hi2
-		}
-	}
-	base := n.SumNorm2 - m2
-	lo = w*sumMin + base
-	hi = w*sumMax + base
-	if lo < 0 {
-		lo = 0
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
-
-// RectDist2 returns the squared distance interval [min2, max2] between the
-// node's points and ANY query point inside the query rectangle: for every
-// q ∈ rect and p ∈ node, min2 ≤ dist(q, p)² ≤ max2. The interval combines
-// the node's MBR with (optionally) its bounding ball around Center — the
-// rectangle-query analogue of the per-point MBR+ball machinery used by the
-// bound evaluators, and the primitive behind tile-shared traversal.
-func (n *Node) RectDist2(rect geom.Rect, useBall bool) (min2, max2 float64) {
-	min2 = n.Rect.MinDist2Rect(rect)
-	max2 = n.Rect.MaxDist2Rect(rect)
-	if useBall {
-		dcMin := math.Sqrt(rect.MinDist2(n.Center))
-		dcMax := math.Sqrt(rect.MaxDist2(n.Center))
-		if bmin := dcMin - n.Radius; bmin > 0 {
-			if b2 := bmin * bmin; b2 > min2 {
-				min2 = b2
-			}
-		}
-		bmax := dcMax + n.Radius
-		if b2 := bmax * bmax; b2 < max2 {
-			max2 = b2
-		}
-	}
-	return min2, max2
-}
-
 // Walk visits every node in pre-order and invokes fn; returning false from
 // fn prunes the node's subtree.
 func (t *Tree) Walk(fn func(*Node) bool) {

@@ -122,98 +122,6 @@ func TestRectsContainPoints(t *testing.T) {
 	})
 }
 
-// TestNodeStatsMatchBruteForce is the load-bearing test: every node's
-// centered moments must reproduce the brute-force Σdist² and Σdist⁴ for
-// arbitrary queries.
-func TestNodeStatsMatchBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, dim := range []int{1, 2, 3, 5} {
-		pts := randomPoints(rng, 600, dim, 4)
-		tr, err := Build(pts, Options{LeafSize: 10, Gram: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch := make([]float64, dim)
-		for trial := 0; trial < 20; trial++ {
-			q := make([]float64, dim)
-			for i := range q {
-				q[i] = rng.NormFloat64() * 6
-			}
-			tr.Walk(func(n *Node) bool {
-				var want2, want4 float64
-				for i := n.Start; i < n.End; i++ {
-					d2 := geom.Dist2(q, tr.Pts.At(i))
-					want2 += d2
-					want4 += d2 * d2
-				}
-				got2 := n.SumDist2(q, scratch)
-				got4 := n.SumDist4(q, scratch)
-				if relErr(got2, want2) > 1e-9 {
-					t.Fatalf("dim=%d SumDist2 = %g, want %g (node size %d)", dim, got2, want2, n.Size())
-				}
-				if relErr(got4, want4) > 1e-8 {
-					t.Fatalf("dim=%d SumDist4 = %g, want %g (node size %d)", dim, got4, want4, n.Size())
-				}
-				f2, f4 := n.SumDist24(q, scratch)
-				if f2 != got2 || relErr(f4, got4) > 1e-12 {
-					t.Fatalf("dim=%d SumDist24 = (%g, %g), separate = (%g, %g)", dim, f2, f4, got2, got4)
-				}
-				// Only descend a few levels; children repeat the check.
-				return n.Size() > 50
-			})
-		}
-	}
-}
-
-func relErr(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}
-
-// TestSumDist4FarQueryStability checks the centered-moment formulation stays
-// accurate when the query is far from the node (where the naive uncentered
-// expansion loses digits).
-func TestSumDist4FarQueryStability(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	coords := make([]float64, 0, 400)
-	for i := 0; i < 200; i++ {
-		coords = append(coords, 1000+rng.Float64(), 2000+rng.Float64())
-	}
-	pts := geom.NewPoints(coords, 2)
-	tr, err := Build(pts, Options{LeafSize: 16, Gram: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{-5000, 7000}
-	scratch := make([]float64, 2)
-	var want float64
-	for i := 0; i < pts.Len(); i++ {
-		d2 := geom.Dist2(q, tr.Pts.At(i))
-		want += d2 * d2
-	}
-	got := tr.Root.SumDist4(q, scratch)
-	if relErr(got, want) > 1e-10 {
-		t.Errorf("far-query SumDist4 rel err %g (got %g, want %g)", relErr(got, want), got, want)
-	}
-}
-
-func TestSumDist4WithoutGramPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	pts := randomPoints(rng, 50, 2, 1)
-	tr, err := Build(pts, Options{Gram: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SumDist4 without Gram did not panic")
-		}
-	}()
-	tr.Root.SumDist4([]float64{0, 0}, make([]float64, 2))
-}
-
 func TestNumNodesAndHeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	pts := randomPoints(rng, 1024, 2, 1)

@@ -100,8 +100,8 @@ func ExpDistQuadUpper(xmin, xmax float64) (AxC, bool) {
 	if den < degenerateX {
 		return AxC{}, false
 	}
-	eMin := math.Exp(-xmin)
-	eMax := math.Exp(-xmax)
+	eMin := Exp1(-xmin)
+	eMax := Exp1(-xmax)
 	au := (eMax - eMin) / den
 	cu := (xmax*xmax*eMin - xmin*xmin*eMax) / den
 	return AxC{A: au, C: cu}, true
@@ -121,7 +121,7 @@ func ExpDistQuadLower(t float64) (AxC, bool) {
 	if t < degenerateX {
 		return AxC{}, false
 	}
-	et := math.Exp(-t)
+	et := Exp1(-t)
 	return AxC{A: -et / (2 * t), C: (t + 2) * et / 2}, true
 }
 

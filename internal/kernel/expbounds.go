@@ -32,9 +32,9 @@ func (q Quadratic) Eval(x float64) float64 { return (q.A*x+q.B)*x + q.C }
 func ExpChordUpper(xmin, xmax float64) Linear {
 	w := xmax - xmin
 	if w < degenerateX {
-		return Linear{M: 0, K: math.Exp(-xmin)}
+		return Linear{M: 0, K: Exp1(-xmin)}
 	}
-	eMin := math.Exp(-xmin)
+	eMin := Exp1(-xmin)
 	// (e^{−xmax} − e^{−xmin})/w = e^{−xmin}·expm1(−w)/w, which stays
 	// accurate when w is small (the direct difference cancels).
 	m := eMin * math.Expm1(-w) / w
@@ -45,7 +45,7 @@ func ExpChordUpper(xmin, xmax float64) Linear {
 // tangent line at t, EL(x) = −e^{−t}·x + (1+t)·e^{−t}. By convexity the
 // tangent lies below exp(−x) everywhere, so no interval is needed.
 func ExpTangentLower(t float64) Linear {
-	et := math.Exp(-t)
+	et := Exp1(-t)
 	return Linear{M: -et, K: (1 + t) * et}
 }
 
@@ -63,9 +63,9 @@ func ExpTangentLower(t float64) Linear {
 func ExpQuadUpper(xmin, xmax float64) Quadratic {
 	w := xmax - xmin
 	if w < degenerateX {
-		return Quadratic{A: 0, B: 0, C: math.Exp(-xmin)}
+		return Quadratic{A: 0, B: 0, C: Exp1(-xmin)}
 	}
-	eMin := math.Exp(-xmin)
+	eMin := Exp1(-xmin)
 	em1 := math.Expm1(-w)
 	// a_u* = e^{−xmin}·(1 − (w+1)e^{−w})/w². The parenthesized factor is
 	// ~w²/2 for small w and cancels catastrophically if evaluated
@@ -107,7 +107,7 @@ func ExpQuadLower(xmin, xmax, t float64) Quadratic {
 		l := ExpTangentLower(xmax)
 		return Quadratic{A: 0, B: l.M, C: l.K}
 	}
-	et := math.Exp(-t)
+	et := Exp1(-t)
 	// a_l = e^{−t}·(e^{−u} + u − 1)/u² with u = xmax − t. The numerator is
 	// ~u²/2 for small u and cancels catastrophically if evaluated as
 	// e^{−xmax} + (xmax−1−t)e^{−t}; expm1(−u) + u is the stable form.

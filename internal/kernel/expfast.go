@@ -9,16 +9,17 @@ import "math"
 // serializing behind a math.Exp call per point.
 //
 // The algorithm is the Shibata/SLEEF polynomial that Go's amd64 assembly
-// math.Exp implements, in its plain multiply/add variant (no fused ops), so
-// the result is a deterministic pure-Go function of the input — identical
-// across worker counts, builds, and architectures that round IEEE multiplies
-// and adds separately. Accuracy matches libm-grade exp (~1 ulp; this exact
-// code path WAS math.Exp on pre-FMA amd64). It is intentionally not
-// bit-identical to math.Exp on machines where math.Exp takes an FMA path:
-// every engine consumer (pointer and flat alike) goes through this package,
-// so raster bit-identity between the two engines never depends on matching
-// math.Exp — and the conformance suite's oracle comparisons carry explicit
-// floating-point slack orders of magnitude above the ulp-level difference.
+// math.Exp implements, in its plain multiply/add variant (no fused ops).
+// Accuracy matches libm-grade exp (~1 ulp). Exp1 returns the bits math.Exp
+// returns on an amd64 CPU without FMA. On one with AVX and FMA, math.Exp
+// takes a fused path and may differ in the last bit, so every exponential
+// behind a raster — bound coefficients, kernel profiles, leaf scans and,
+// through stats, the bandwidth — goes through Exp1. That makes rasters the
+// same on every amd64 host, which TestLedgerHostIndependent checks by
+// re-running the ledger under GODEBUG=cpu.fma=off. The Go compiler does not
+// fuse x*y+z on amd64, even at GOAMD64=v3; other architectures are
+// unverified, since their compilers may fuse and change these bits.
+// math.Expm1 has no assembly on amd64 and stays as it is.
 
 const (
 	expOverflow = 7.09782712893384e+02

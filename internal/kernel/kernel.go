@@ -112,7 +112,7 @@ func (k Kernel) SupportX() float64 {
 func (k Kernel) Profile(x float64) float64 {
 	switch k {
 	case Gaussian, Exponential:
-		return math.Exp(-x)
+		return Exp1(-x)
 	case Triangular:
 		if x >= 1 {
 			return 0
@@ -149,7 +149,7 @@ func (k Kernel) Profile(x float64) float64 {
 // the common case.
 func (k Kernel) Eval(gamma, dist2 float64) float64 {
 	if k == Gaussian {
-		return math.Exp(-gamma * dist2)
+		return Exp1(-gamma * dist2)
 	}
 	return k.Profile(gamma * math.Sqrt(dist2))
 }

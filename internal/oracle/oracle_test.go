@@ -10,6 +10,7 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -103,7 +104,11 @@ func TestDensityWeighted(t *testing.T) {
 // tree's point buffer).
 func TestNodeDensityPartition(t *testing.T) {
 	pts := dataset.ElNino(1500, 11)
-	tree, err := kdtree.Build(pts, kdtree.Options{LeafSize: 16})
+	kt, err := kdtree.Build(pts, kdtree.Options{LeafSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := flat.FromTree(kt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,14 +117,14 @@ func TestNodeDensityPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := []float64{25, 12}
-	root := o.NodeDensity(tree, tree.Root, q)
+	root := o.NodeDensity(tree, 0, q)
 	if whole := o.Density(q); math.Abs(root-whole) > 1e-13*(1+whole) {
 		t.Errorf("root partial %.17g != full density %.17g", root, whole)
 	}
 	var leafSum Sum
-	tree.Walk(func(n *kdtree.Node) bool {
-		if n.IsLeaf() {
-			leafSum.Add(o.NodeDensity(tree, n, q))
+	tree.Walk(func(id int32) bool {
+		if tree.IsLeaf(id) {
+			leafSum.Add(o.NodeDensity(tree, id, q))
 		}
 		return true
 	})

@@ -26,6 +26,7 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
+	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -40,9 +41,9 @@ type Config struct {
 
 // Regressor predicts responses by locally weighted averaging.
 type Regressor struct {
-	den *engine.Engine // Σ K — the density aggregate
-	pos *engine.Engine // Σ y⁺·K, nil if no positive responses
-	neg *engine.Engine // Σ y⁻·K, nil if no negative responses
+	den *engine.FlatEngine // Σ K — the density aggregate
+	pos *engine.FlatEngine // Σ y⁺·K, nil if no positive responses
+	neg *engine.FlatEngine // Σ y⁻·K, nil if no negative responses
 	dim int
 	// yMin/yMax bound every prediction (a weighted average of responses).
 	yMin, yMax float64
@@ -86,7 +87,7 @@ func New(x geom.Points, y []float64, cfg Config) (*Regressor, error) {
 		}
 	}
 
-	build := func(weights []float64) (*engine.Engine, error) {
+	build := func(weights []float64) (*engine.FlatEngine, error) {
 		ev, err := bounds.NewEvaluator(cfg.Kernel, cfg.Gamma, 1, cfg.Method, x.Dim)
 		if err != nil {
 			return nil, err
@@ -97,7 +98,11 @@ func New(x geom.Points, y []float64, cfg Config) (*Regressor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return engine.New(tree, ev)
+		ftree, err := flat.FromTree(tree)
+		if err != nil {
+			return nil, err
+		}
+		return engine.NewFlat(ftree, ev)
 	}
 	var err error
 	if r.den, err = build(nil); err != nil {

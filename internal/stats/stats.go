@@ -38,7 +38,7 @@ func ScottsRule(pts geom.Points, kern kernel.Kernel) Bandwidth {
 // bandwidth scaled by the kernel-efficiency factor (4/(d+2))^{1/(d+4)}.
 func SilvermanRule(pts geom.Points, kern kernel.Kernel) Bandwidth {
 	d := pts.Dim
-	factor := math.Pow(4/float64(d+2), 1/float64(d+4))
+	factor := pow(4/float64(d+2), 1/float64(d+4))
 	return ruleOfThumb(pts, kern, factor)
 }
 
@@ -70,7 +70,7 @@ func ruleOfThumb(pts geom.Points, kern kernel.Kernel, factor float64) Bandwidth 
 		}
 	}
 	var h float64
-	scale := factor * math.Pow(float64(n), -1/float64(d+4))
+	scale := factor * pow(float64(n), -1/float64(d+4))
 	for j := 0; j < d; j++ {
 		sigma := math.Sqrt(variance[j] / float64(n))
 		h += sigma * scale
@@ -86,6 +86,18 @@ func ruleOfThumb(pts geom.Points, kern kernel.Kernel, factor float64) Bandwidth 
 		b.Gamma = 1 / h
 	}
 	return b
+}
+
+// pow returns x^y for x > 0 and 0 < |y| < ½ along math.Pow's
+// fractional-exponent path, exp(|y|·ln x), inverted when y < 0, with
+// kernel.Exp1 in place of math.Exp. On amd64 math.Exp takes an FMA code
+// path on CPUs that have one, so math.Pow, and through it γ, would depend
+// on the host; Exp1 gives the same bits on every amd64 host.
+func pow(x, y float64) float64 {
+	if y < 0 {
+		return 1 / kernel.Exp1(-y*math.Log(x))
+	}
+	return kernel.Exp1(y * math.Log(x))
 }
 
 // MuSigma returns the mean μ and standard deviation σ of the supplied KDE

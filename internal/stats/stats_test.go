@@ -199,3 +199,25 @@ func TestFlooredAvgRelativeError(t *testing.T) {
 		t.Error("empty input accepted")
 	}
 }
+
+// TestPowMatchesMathPow: pow is math.Pow's fractional-exponent path with
+// kernel.Exp1 in place of math.Exp, for the exponents the bandwidth rules
+// use. Exp1 and an FMA math.Exp may differ by one ulp, which the reciprocal
+// of a negative exponent can round to two, so the results agree within two
+// ulps on every host (and exactly on amd64 hosts without FMA).
+func TestPowMatchesMathPow(t *testing.T) {
+	for d := 1; d <= 4; d++ {
+		y := 1 / float64(d+4)
+		check := func(x, y float64) {
+			got, want := pow(x, y), math.Pow(x, y)
+			ulps := int64(math.Float64bits(got)) - int64(math.Float64bits(want))
+			if ulps < -2 || ulps > 2 {
+				t.Fatalf("pow(%g, %g) = %.17g, math.Pow = %.17g (%d ulps apart)", x, y, got, want, ulps)
+			}
+		}
+		check(4/float64(d+2), y)
+		for n := 1; n <= 5000; n++ {
+			check(float64(n), -y)
+		}
+	}
+}

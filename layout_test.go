@@ -3,7 +3,6 @@ package quad_test
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -12,67 +11,6 @@ import (
 	"github.com/quadkdv/quad/internal/dataset"
 	"github.com/quadkdv/quad/internal/harness"
 )
-
-// TestFlatPointerRenderIdentity is the tier-1 face of the engine-layout
-// contract: the flat SoA engine renders bit-identically to the pointer
-// engine across kernels, bound methods, and tile sizes — εKDV rasters by
-// Float64bits, τKDV masks exactly. (cmd/kdvcheck runs the full matrix with
-// sharding through internal/conformance; this keeps the core of it in
-// plain `go test ./...`.)
-func TestFlatPointerRenderIdentity(t *testing.T) {
-	pts := dataset.Crime(8000, 7)
-	res := quad.Resolution{W: 64, H: 48}
-	const eps = 0.05
-	const tau = 0.001
-	for _, kern := range []quad.Kernel{quad.Gaussian, quad.Epanechnikov} {
-		for _, method := range []quad.Method{quad.MethodQuadratic, quad.MethodMinMax, quad.MethodLinear} {
-			if method == quad.MethodLinear && kern != quad.Gaussian {
-				continue
-			}
-			for _, ts := range []int{1, 16} {
-				opts := []quad.Option{
-					quad.WithKernel(kern), quad.WithMethod(method), quad.WithTileSize(ts),
-				}
-				fl, err := quad.New(pts.Coords, 2, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pt, err := quad.New(pts.Coords, 2, append(opts, quad.WithEngineLayout(quad.LayoutPointer))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tag := func(v string) string {
-					return v + "/" + kern.String() + "/" + method.String()
-				}
-				fdm, err := fl.RenderEps(res, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pdm, err := pt.RenderEps(res, eps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i, ok := sameBits(fdm.Values, pdm.Values); !ok {
-					t.Fatalf("%s ts=%d: flat differs from pointer at pixel %d: %x vs %x", tag("eps"), ts,
-						i, math.Float64bits(fdm.Values[i]), math.Float64bits(pdm.Values[i]))
-				}
-				fhm, err := fl.RenderTau(res, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				phm, err := pt.RenderTau(res, tau)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range fhm.Hot {
-					if fhm.Hot[i] != phm.Hot[i] {
-						t.Fatalf("%s ts=%d: flat mask differs from pointer at pixel %d", tag("tau"), ts, i)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestFlatRenderWorkersDeterminism pins the flat engine's scheduling
 // independence: the same scene rendered with 1, 3, and 8 workers is

@@ -138,7 +138,9 @@ func ParseMethod(name string) (Method, error) {
 	return 0, fmt.Errorf("quad: unknown method %q", name)
 }
 
-// Resolution is an output raster size in pixels.
+// Resolution is an output raster size in pixels. Renders reject a raster
+// of more than 2²⁸ pixels with an error; for a sub-render the limit applies
+// to the sub-rectangle, not the full raster.
 type Resolution struct{ W, H int }
 
 // String formats the resolution as "WxH".
@@ -166,30 +168,7 @@ type config struct {
 	sharded    bool
 	shardIndex int
 	shardCount int
-	layout     EngineLayout
 }
-
-// EngineLayout selects the kd-tree memory layout the bound engine runs on.
-type EngineLayout int
-
-const (
-	// LayoutFlat (the default) runs the engine over a contiguous
-	// struct-of-arrays copy of the kd-tree: int32 node ids through parallel
-	// statistic arrays in BFS order, which keeps the refinement hot loop
-	// cache-resident. Renders are bit-identical to LayoutPointer.
-	LayoutFlat EngineLayout = iota
-	// LayoutPointer runs the engine over the original pointer-linked node
-	// tree. It is retained as the test oracle for the flat engine (the
-	// conformance suite renders both and requires bit-identical rasters)
-	// and as a fallback while the flat layout matures.
-	LayoutPointer
-)
-
-// WithEngineLayout selects the engine's tree memory layout (default
-// LayoutFlat). Both layouts produce bit-identical results for every method,
-// kernel, tile size, and shard configuration; LayoutPointer trades the flat
-// layout's speed for the simpler, directly-debuggable representation.
-func WithEngineLayout(l EngineLayout) Option { return func(c *config) { c.layout = l } }
 
 // WithKernel selects the kernel function (default Gaussian).
 func WithKernel(k Kernel) Option { return func(c *config) { c.kern = k } }
@@ -240,11 +219,7 @@ func WithWindowMargin(frac float64) Option { return func(c *config) { c.seedWind
 // across tile sizes: warm-started refinement can stop at a different
 // (still ε-certified) interval than root refinement, so only τKDV hot
 // masks are bit-identical for every tile size. For a fixed tile size,
-// renders are deterministic and independent of the worker count — and of
-// the engine layout: the tile-shared traversal is one code path over the
-// Renderer interface, so the flat SoA engine and the pointer engine walk
-// identical tile, sub-tile, and per-pixel refinement sequences (the
-// conformance suite's flat-identity pass holds per tile size).
+// renders are deterministic and independent of the worker count.
 func WithTileSize(n int) Option { return func(c *config) { c.tileSize = n } }
 
 // BandwidthRule selects the automatic bandwidth selector used when
@@ -285,10 +260,9 @@ func WithPointWeights(ws []float64) Option {
 // internal pool.
 type KDV struct {
 	pts          geom.Points
-	weights      []float64    // per-point weights, nil = uniform
-	fullRect     geom.Rect    // full-dataset bounds when sharded (WithShard)
-	tree         *kdtree.Tree // pointer-linked index (LayoutPointer only)
-	ftree        *flat.Tree   // SoA index (LayoutFlat only)
+	weights      []float64  // per-point weights, nil = uniform
+	fullRect     geom.Rect  // full-dataset bounds when sharded (WithShard)
+	ftree        *flat.Tree // SoA kd-tree index (bound-based methods)
 	cfg          config
 	bw           stats.Bandwidth
 	proto        *bounds.Evaluator // nil for MethodExact / MethodZOrder
@@ -447,17 +421,13 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 			return nil, err
 		}
 		kdv.proto = ev
-		// Keep only the tree the layout's engine reads: once flattened, the
-		// pointer tree would be most of a default KDV's heap.
-		if cfg.layout == LayoutPointer {
-			kdv.tree = tree
-		} else {
-			ftree, err := flat.FromTree(tree)
-			if err != nil {
-				return nil, err
-			}
-			kdv.ftree = ftree
+		// Keep only the flat tree the engine reads: the pointer tree it was
+		// built from would be most of a default KDV's heap.
+		ftree, err := flat.FromTree(tree)
+		if err != nil {
+			return nil, err
 		}
+		kdv.ftree = ftree
 		// Construct one renderer eagerly so configuration errors surface here
 		// rather than on the first query.
 		r, err := kdv.newRenderer()
@@ -469,20 +439,13 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 	return kdv, nil
 }
 
-// newRenderer constructs a render engine of the configured layout.
-func (k *KDV) newRenderer() (engine.Renderer, error) {
-	if k.cfg.layout == LayoutPointer {
-		eng, err := engine.New(k.tree, k.proto.Clone())
-		if err != nil {
-			return nil, err
-		}
-		return engine.PointerRenderer{TileEngine: engine.NewTileEngine(eng)}, nil
-	}
+// newRenderer constructs a render engine over the KDV's index.
+func (k *KDV) newRenderer() (*engine.FlatTileEngine, error) {
 	feng, err := engine.NewFlat(k.ftree, k.proto.Clone())
 	if err != nil {
 		return nil, err
 	}
-	return engine.FlatRenderer{FlatTileEngine: engine.NewFlatTileEngine(feng)}, nil
+	return engine.NewFlatTileEngine(feng), nil
 }
 
 func toBoundsMethod(m Method) (bounds.Method, error) {

@@ -499,27 +499,6 @@ func TestWithLeafSize(t *testing.T) {
 	}
 }
 
-// TestKDVKeepsOnlyItsLayoutsTree: a KDV retains only the index its
-// engine layout reads — a default (flat) KDV holds no pointer tree, and a
-// LayoutPointer KDV no flat copy.
-func TestKDVKeepsOnlyItsLayoutsTree(t *testing.T) {
-	cloud := testCloud(rand.New(rand.NewSource(3)), 500)
-	k, err := NewFromPoints(cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k.tree != nil || k.ftree == nil {
-		t.Errorf("default KDV: pointer tree held %v, flat tree held %v; want only the flat tree", k.tree != nil, k.ftree != nil)
-	}
-	p, err := NewFromPoints(cloud, WithEngineLayout(LayoutPointer))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.tree == nil || p.ftree != nil {
-		t.Errorf("LayoutPointer KDV: pointer tree held %v, flat tree held %v; want only the pointer tree", p.tree != nil, p.ftree != nil)
-	}
-}
-
 func TestRenderProgressiveStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(116))
 	k, err := NewFromPoints(testCloud(rng, 800))
@@ -561,5 +540,30 @@ func TestRenderProgressiveStream(t *testing.T) {
 	}
 	if _, err := k.RenderProgressiveStream(res, -1, 0, func(Snapshot) bool { return true }); err == nil {
 		t.Error("negative eps accepted")
+	}
+}
+
+// TestCheckPixels covers the raster cap on sizes no render test may try:
+// 2³¹×3 passed every check at the parent of the cap, and the process died
+// allocating a 48 GiB raster, a fatal error no recover can catch.
+func TestCheckPixels(t *testing.T) {
+	for _, c := range []struct {
+		w, h int
+		ok   bool
+	}{
+		{2560, 1920, true},
+		{1 << 14, 1 << 14, true},
+		{1 << 28, 1, true},
+		{1, 1 << 28, true},
+		{1<<28 + 1, 1, false},
+		{1 << 31, 3, false},
+		{1 << 32, 1 << 32, false},
+		{math.MaxInt, math.MaxInt, false},
+		{0, 5, false},
+		{5, -1, false},
+	} {
+		if err := checkPixels(c.w, c.h); (err == nil) != c.ok {
+			t.Errorf("checkPixels(%d, %d) = %v, want ok=%v", c.w, c.h, err, c.ok)
+		}
 	}
 }

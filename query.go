@@ -11,29 +11,27 @@ import (
 	"github.com/quadkdv/quad/internal/oracle"
 )
 
-// acquireEngine hands out a per-goroutine render engine of the configured
-// layout (engines hold scratch buffers and a reusable priority queue, so
-// they cannot be shared).
-func (k *KDV) acquireEngine() (engine.Renderer, error) {
+// acquireEngine hands out a per-goroutine render engine (engines hold
+// scratch buffers and a reusable priority queue, so they cannot be shared).
+func (k *KDV) acquireEngine() (*engine.FlatTileEngine, error) {
 	if k.proto == nil {
 		return nil, fmt.Errorf("quad: method %s does not use the bound engine", k.cfg.method)
 	}
-	if r, ok := k.engines.Get().(engine.Renderer); ok {
+	if r, ok := k.engines.Get().(*engine.FlatTileEngine); ok {
 		return r, nil
 	}
 	return k.newRenderer()
 }
 
-func (k *KDV) releaseEngine(r engine.Renderer) { k.engines.Put(r) }
+func (k *KDV) releaseEngine(r *engine.FlatTileEngine) { k.engines.Put(r) }
 
 // renderScratch is the pooled per-worker state of a tile render: the
-// worker's render engine, reusable frontiers of the engine's layout, and
-// the query/rect buffers — everything the hot path would otherwise allocate
-// per tile.
+// worker's render engine, reusable frontiers, and the query/rect buffers —
+// everything the hot path would otherwise allocate per tile.
 type renderScratch struct {
-	r                engine.Renderer
-	frontier         engine.Front // tile-level frontier
-	sub              engine.Front // sub-tile frontier (second level)
+	r                *engine.FlatTileEngine
+	frontier         *engine.FlatFrontier // tile-level frontier
+	sub              *engine.FlatFrontier // sub-tile frontier (second level)
 	q                []float64
 	rectMin, rectMax [2]float64
 }
@@ -57,15 +55,9 @@ func (k *KDV) acquireRenderScratch() (*renderScratch, error) {
 	}
 	s, _ := k.tileScratch.Get().(*renderScratch)
 	if s == nil {
-		s = &renderScratch{q: make([]float64, 2)}
+		s = &renderScratch{q: make([]float64, 2), frontier: new(engine.FlatFrontier), sub: new(engine.FlatFrontier)}
 	}
 	s.r = r
-	if s.frontier == nil {
-		// Frontiers are layout-specific; the layout is fixed per KDV, so the
-		// scratch's frontiers always match the pooled renderers.
-		s.frontier = r.NewFront()
-		s.sub = r.NewFront()
-	}
 	k.scratchLive.Add(1)
 	return s, nil
 }

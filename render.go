@@ -160,6 +160,26 @@ func (k *KDV) newGridIn(res Resolution, w Window) (*grid.Grid, error) {
 	return grid.New(res.internal(), geomRect(w))
 }
 
+// maxRasterPixels is the library's raster cap: a render whose output raster
+// (the sub-rectangle, for a sub-render) has more pixels is rejected before
+// anything is allocated. 2²⁸ pixels is a 2 GiB εKDV raster, 54 times the
+// server's 2560×1920 cap, and far below the sizes at which W×H overflows
+// int or the allocation cannot succeed.
+const maxRasterPixels = 1 << 28
+
+// checkPixels rejects a w×h raster with a non-positive side or more than
+// maxRasterPixels pixels. It compares by division, so sides whose product
+// would overflow int are rejected instead of wrapping.
+func checkPixels(w, h int) error {
+	if w < 1 || h < 1 {
+		return fmt.Errorf("quad: non-positive resolution %dx%d", w, h)
+	}
+	if w > maxRasterPixels/h {
+		return fmt.Errorf("quad: resolution %dx%d exceeds the %d-pixel raster cap", w, h, maxRasterPixels)
+	}
+	return nil
+}
+
 // checkEps rejects a relative error the εKDV guarantee does not cover:
 // negative values, and NaN, which every ordered comparison lets through.
 func checkEps(eps float64) error {
@@ -594,7 +614,7 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 	// runPixels evaluates a pixel span against one frontier. Serpentine
 	// pixel order keeps successive queries adjacent, which is what makes the
 	// frontier-promotion coherence signal meaningful.
-	runPixels := func(t tileSpan, f engine.Front, vals []float64) {
+	runPixels := func(t tileSpan, f *engine.FlatFrontier, vals []float64) {
 		for y := t.y0; y < t.y1; y++ {
 			if ctx.Err() != nil {
 				return
@@ -641,9 +661,7 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 	}
 	// rootPixels evaluates a pixel span with per-pixel root refinement — the
 	// fallback when a tile's shared frontier is measurably not worth seeding
-	// from. Like the warm-started path it runs through the Renderer
-	// interface, so the fallback decision and the refinement it triggers are
-	// identical under the flat and pointer engine layouts.
+	// from.
 	rootPixels := func(t tileSpan, vals []float64) {
 		for y := t.y0; y < t.y1; y++ {
 			if ctx.Err() != nil {
@@ -780,12 +798,12 @@ func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass re
 // later pixel in that tile seeds from it. Paired with Order.GroupByTile so
 // deep levels visit each tile's pixels in bursts.
 type progWarm struct {
-	r                engine.Renderer
+	r                *engine.FlatTileEngine
 	g                *grid.Grid
 	size, tilesX     int
 	eps              float64
 	touched          []bool
-	fronts           []engine.Front
+	fronts           []*engine.FlatFrontier
 	rectMin, rectMax [2]float64
 	// stats, when non-nil, accumulates the per-pixel and shared work
 	// counters. Progressive evaluation is single-threaded, so plain field
@@ -793,7 +811,7 @@ type progWarm struct {
 	stats *RenderStats
 }
 
-func (k *KDV) newProgWarm(g *grid.Grid, r engine.Renderer, eps float64, st *RenderStats) *progWarm {
+func (k *KDV) newProgWarm(g *grid.Grid, r *engine.FlatTileEngine, eps float64, st *RenderStats) *progWarm {
 	size := k.tileSize()
 	if r == nil || size < 2 {
 		return nil
@@ -807,7 +825,7 @@ func (k *KDV) newProgWarm(g *grid.Grid, r engine.Renderer, eps float64, st *Rend
 		tilesX:  tilesX,
 		eps:     eps,
 		touched: make([]bool, tilesX*tilesY),
-		fronts:  make([]engine.Front, tilesX*tilesY),
+		fronts:  make([]*engine.FlatFrontier, tilesX*tilesY),
 		stats:   st,
 	}
 }
@@ -840,7 +858,7 @@ func (w *progWarm) eval(px, py int, q []float64) float64 {
 	rect := geom.Rect{Min: w.rectMin[:], Max: w.rectMax[:]}
 	w.g.Query(x0, y0, rect.Min)
 	w.g.Query(x1-1, y1-1, rect.Max)
-	f := w.r.NewFront()
+	f := new(engine.FlatFrontier)
 	buildSt := w.r.BuildFrontierEps(rect, w.eps, f)
 	w.fronts[ti] = f
 	v, st := w.r.EvalEpsFrom(f, q, w.eps)
@@ -855,7 +873,7 @@ func (w *progWarm) eval(px, py int, q []float64) float64 {
 // evalCtx carries the per-worker evaluation state: the worker's private
 // engine for bound-based methods, nil for scan-based methods.
 type evalCtx struct {
-	eng engine.Renderer
+	eng *engine.FlatTileEngine
 }
 
 func (k *KDV) newEvalCtx() (*evalCtx, error) {
@@ -923,6 +941,9 @@ func (k *KDV) renderEpsIn(ctx context.Context, res Resolution, eps float64, win 
 	if err := checkEps(eps); err != nil {
 		return nil, err
 	}
+	if err := checkPixels(res.W, res.H); err != nil {
+		return nil, err
+	}
 	g, err := k.newGridIn(res, win)
 	if err != nil {
 		return nil, err
@@ -979,6 +1000,9 @@ func (k *KDV) RenderTauStatsInCtx(ctx context.Context, res Resolution, tau float
 
 func (k *KDV) renderTauIn(ctx context.Context, res Resolution, tau float64, win Window, st *RenderStats, work *WorkMap) (*HotspotMap, error) {
 	if err := checkTau(tau); err != nil {
+		return nil, err
+	}
+	if err := checkPixels(res.W, res.H); err != nil {
 		return nil, err
 	}
 	g, err := k.newGridIn(res, win)
@@ -1132,6 +1156,9 @@ func (k *KDV) RenderProgressiveStreamCtx(ctx context.Context, res Resolution, ep
 // context's trace.
 func (k *KDV) renderProgressive(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int, win Window, emit func(Snapshot) bool) (*ProgressiveResult, error) {
 	if err := checkEps(eps); err != nil {
+		return nil, err
+	}
+	if err := checkPixels(res.W, res.H); err != nil {
 		return nil, err
 	}
 	g, err := k.newGridIn(res, win)

@@ -137,56 +137,46 @@ func TestRenderTauCancelMidTileNoLeak(t *testing.T) {
 }
 
 // TestRenderCancelMidTileBothLayouts re-runs the mid-tile cancellation
-// guarantee against each engine layout explicitly: the flat engine's batched
-// refinement loops must reach the same between-(sub-)tile poll points the
-// pointer engine does, and both must return every pooled scratch. (The
-// unsuffixed tests above already cover the default layout; this pins the
-// contract to the option so a future layout cannot silently drop polling.)
+// guarantee as a subtest named for the flat engine: its refinement loops
+// must reach the between-(sub-)tile poll points, and every pooled scratch
+// must come back.
 func TestRenderCancelMidTileBothLayouts(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		layout EngineLayout
-	}{
-		{"flat", LayoutFlat},
-		{"pointer", LayoutPointer},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := slowTiledKDV(t, 20000, 64, 4, WithEngineLayout(tc.layout))
-			res := Resolution{W: 128, H: 128}
-			const eps = 0.001
+	t.Run("flat", func(t *testing.T) {
+		k := slowTiledKDV(t, 20000, 64, 4)
+		res := Resolution{W: 128, H: 128}
+		const eps = 0.001
 
-			start := time.Now()
-			if _, err := k.RenderEps(res, eps); err != nil {
-				t.Fatal(err)
-			}
-			full := time.Since(start)
-			if live := k.scratchLive.Load(); live != 0 {
-				t.Fatalf("after full render: %d render scratches still checked out", live)
-			}
-			if full < 30*time.Millisecond {
-				t.Skipf("full render too fast to measure mid-tile cancellation (%s)", full)
-			}
+		start := time.Now()
+		if _, err := k.RenderEps(res, eps); err != nil {
+			t.Fatal(err)
+		}
+		full := time.Since(start)
+		if live := k.scratchLive.Load(); live != 0 {
+			t.Fatalf("after full render: %d render scratches still checked out", live)
+		}
+		if full < 30*time.Millisecond {
+			t.Skipf("full render too fast to measure mid-tile cancellation (%s)", full)
+		}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			go func() {
-				time.Sleep(full / 20)
-				cancel()
-			}()
-			start = time.Now()
-			dm, err := k.RenderEpsCtx(ctx, res, eps)
-			elapsed := time.Since(start)
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			if dm != nil {
-				t.Error("cancelled render returned a map")
-			}
-			if elapsed > full/2 {
-				t.Errorf("cancelled render took %s of a %s render — tile interior did not poll ctx", elapsed, full)
-			}
-			if live := k.scratchLive.Load(); live != 0 {
-				t.Errorf("after cancelled render: %d render scratches still checked out", live)
-			}
-		})
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			time.Sleep(full / 20)
+			cancel()
+		}()
+		start = time.Now()
+		dm, err := k.RenderEpsCtx(ctx, res, eps)
+		elapsed := time.Since(start)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if dm != nil {
+			t.Error("cancelled render returned a map")
+		}
+		if elapsed > full/2 {
+			t.Errorf("cancelled render took %s of a %s render — tile interior did not poll ctx", elapsed, full)
+		}
+		if live := k.scratchLive.Load(); live != 0 {
+			t.Errorf("after cancelled render: %d render scratches still checked out", live)
+		}
+	})
 }

@@ -38,10 +38,9 @@ import (
 // dataset. WithShard(_, 1) is the identity partition: the full dataset with
 // the shard bookkeeping attached.
 //
-// Sharding composes with WithEngineLayout: each shard indexes its own point
-// slice in the configured layout (flat SoA by default), and a shard's render
-// is bit-identical across layouts — the conformance suite checks per-shard
-// flat-vs-pointer identity, so distributed merges never mix engine behaviors.
+// Each shard indexes only its own point slice, and a shard's render is
+// deterministic: the ledger pins per-shard raster bits (2-, 3- and 4-way)
+// and a 3-way merge, so distributed merges never mix engine behaviors.
 func WithShard(index, count int) Option {
 	return func(c *config) { c.sharded, c.shardIndex, c.shardCount = true, index, count }
 }

@@ -86,6 +86,11 @@ func (k *KDV) renderEpsSubIn(ctx context.Context, full Resolution, eps float64, 
 	if err := sub.validate(full); err != nil {
 		return nil, err
 	}
+	// Only the sub-rectangle is allocated: the full raster of a deep-zoom
+	// XYZ tile is far above maxRasterPixels by design.
+	if err := checkPixels(sub.W(), sub.H()); err != nil {
+		return nil, err
+	}
 	g, err := k.newGridIn(full, win)
 	if err != nil {
 		return nil, err

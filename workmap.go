@@ -151,6 +151,9 @@ func (k *KDV) RenderEpsWorkMap(res Resolution, eps float64) (*DensityMap, *WorkM
 // should keep it behind an explicit gate.
 func (k *KDV) RenderEpsWorkMapInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, *WorkMap, RenderStats, error) {
 	var st RenderStats
+	if err := checkPixels(res.W, res.H); err != nil {
+		return nil, nil, st, err
+	}
 	wm := newWorkMap(res)
 	start := time.Now()
 	dm, err := k.renderEpsIn(ctx, res, eps, win, &st, wm)
@@ -173,6 +176,9 @@ func (k *KDV) RenderTauWorkMap(res Resolution, tau float64) (*HotspotMap, *WorkM
 // explicit window (see RenderTauInCtx).
 func (k *KDV) RenderTauWorkMapInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, *WorkMap, RenderStats, error) {
 	var st RenderStats
+	if err := checkPixels(res.W, res.H); err != nil {
+		return nil, nil, st, err
+	}
 	wm := newWorkMap(res)
 	start := time.Now()
 	hm, err := k.renderTauIn(ctx, res, tau, win, &st, wm)
