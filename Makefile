@@ -19,13 +19,15 @@ fmt:
 test:
 	$(GO) test ./...
 
-# race runs every test under the race detector, then repeats the fork-join
-# kd-tree build's identity test ten times: its forked subtrees write
-# disjoint ranges of one buffer, and a data race there may show in only
-# some runs.
+# race runs every test under the race detector, then repeats two identity
+# tests ten times each, since a data race may show in only some runs: the
+# fork-join kd-tree build's, whose forked subtrees write disjoint ranges of
+# one buffer, and the render scheduler's, whose workers share a tile's
+# frontier and write disjoint pixels of one raster.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run BuildWorkers ./internal/kdtree
+	$(GO) test -race -count=10 -run WorkersDeterminism .
 
 # verify is the pre-merge gate: compile everything, lint, run the full test
 # suite — which includes the behaviour ledger (TestLedger: raster digests

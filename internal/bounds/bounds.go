@@ -73,6 +73,9 @@ type Evaluator struct {
 	useBall  bool
 	tChoice  TangentChoice
 	scratch  []float64
+	// profMax is Kern.ProfileMax(), the K(0) every bound is capped by,
+	// computed once: for the Gaussian and exponential kernels it is an exp.
+	profMax float64
 }
 
 // TangentChoice selects the tangent point t of the Gaussian lower-bound
@@ -131,6 +134,7 @@ func NewEvaluator(kern kernel.Kernel, gamma, weight float64, method Method, dim 
 		Weight:  weight,
 		Method:  method,
 		scratch: make([]float64, dim),
+		profMax: kern.ProfileMax(),
 	}
 	e.needGram = method == Quadratic && (kern == kernel.Gaussian || kern == kernel.Quartic)
 	return e, nil

@@ -13,7 +13,7 @@ import (
 // clampVals floors lb at 0, caps ub at w·|P|·K(0), and repairs any floating-
 // point inversion (lb marginally above ub) by widening to the safe side.
 func (e *Evaluator) clampVals(sumW, lb, ub float64) (float64, float64) {
-	cap := e.Weight * sumW * e.Kern.ProfileMax()
+	cap := e.Weight * sumW * e.profMax
 	if lb < 0 {
 		lb = 0
 	}

@@ -10,9 +10,12 @@ import "math"
 //
 // The algorithm is the Shibata/SLEEF polynomial that Go's amd64 assembly
 // math.Exp implements, in its plain multiply/add variant (no fused ops).
-// Accuracy matches libm-grade exp (~1 ulp). Exp1 returns the bits math.Exp
-// returns on an amd64 CPU without FMA. On one with AVX and FMA, math.Exp
-// takes a fused path and may differ in the last bit, so every exponential
+// Its error reaches about 1.5 ulps: results are within 2 ulps of e^x
+// correctly rounded (FuzzExpFastLanes), except that an x whose x·log2(e)
+// rounds to 1024 overflows to +Inf, as in math.Exp, although e^x may be
+// finite there. Exp1 returns the bits math.Exp returns on an amd64 CPU
+// without FMA. On one with AVX and FMA, math.Exp takes a fused path and
+// may differ in the last bit, so every exponential
 // behind a raster — bound coefficients, kernel profiles, leaf scans and,
 // through stats, the bandwidth — goes through Exp1. That makes rasters the
 // same on every amd64 host, which TestLedgerHostIndependent checks by

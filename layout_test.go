@@ -17,11 +17,14 @@ import (
 // bit-identical in its εKDV values and τKDV masks and in every RenderStats
 // work counter (the bench's count gates and the X-KDV-Stats-* headers read
 // them), and so is one default-worker KDV rendered from several goroutines
-// at once, which shares its engine and scratch pools between them. It also
-// pins the worker defaults: quad.New uses GOMAXPROCS, the paper harness
+// at once, which shares its engine and scratch pools between them. So is a
+// one-tile raster at 1, 2 and 8 workers, whose sub-tiles are the only work
+// to share: over the whole extent its tile refines pixels from the root,
+// over a narrow window it warm-starts them from sub-tile frontiers. It also
+// pins the worker count: min(workers, units), where a unit is a 4×4
+// sub-tile, with quad.New defaulting to GOMAXPROCS and the paper harness to
 // one. GOMAXPROCS is raised to 4 for the test so the default runs several
-// workers on any host. Run it with -race -count=10 after touching the
-// render scheduler.
+// workers on any host. make race runs it with -race -count=10.
 func TestFlatRenderWorkersDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	pts := dataset.Crime(6000, 7)
@@ -39,17 +42,18 @@ func TestFlatRenderWorkersDeterminism(t *testing.T) {
 		hot                []bool
 		epsStats, tauStats quad.RenderStats
 	}
-	render := func(k *quad.KDV) (result, error) {
-		dm, est, err := k.RenderEpsStatsInCtx(context.Background(), res, eps, quad.Window{})
+	renderIn := func(k *quad.KDV, res quad.Resolution, win quad.Window) (result, error) {
+		dm, est, err := k.RenderEpsStatsInCtx(context.Background(), res, eps, win)
 		if err != nil {
 			return result{}, err
 		}
-		hm, tst, err := k.RenderTauStatsInCtx(context.Background(), res, tau, quad.Window{})
+		hm, tst, err := k.RenderTauStatsInCtx(context.Background(), res, tau, win)
 		if err != nil {
 			return result{}, err
 		}
 		return result{dm.Values, hm.Hot, est, tst}, nil
 	}
+	render := func(k *quad.KDV) (result, error) { return renderIn(k, res, quad.Window{}) }
 	// work keeps the counters that must not depend on scheduling.
 	work := func(st quad.RenderStats) quad.RenderStats {
 		st.Workers, st.Elapsed, st.SharedElapsed = 0, 0, 0
@@ -83,10 +87,10 @@ func TestFlatRenderWorkersDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiles := base.epsStats.Tiles
-	if tiles != 12 || base.epsStats.NodesEvaluated == 0 {
+	if base.epsStats.Tiles != 12 || base.epsStats.NodesEvaluated == 0 {
 		t.Fatalf("base render stats implausible: %+v", base.epsStats)
 	}
+	const units = 12 * 16 // twelve 16×16 tiles of sixteen 4×4 sub-tiles
 	checkWorkers("workers=1", base, 1)
 	for _, w := range []int{3, 8} {
 		r, err := render(build(quad.WithWorkers(w)))
@@ -96,7 +100,34 @@ func TestFlatRenderWorkersDeterminism(t *testing.T) {
 		if d := diff(r, base); d != "" {
 			t.Fatalf("workers=%d vs workers=1: %s", w, d)
 		}
-		checkWorkers(fmt.Sprintf("workers=%d", w), r, min(w, tiles))
+		checkWorkers(fmt.Sprintf("workers=%d", w), r, min(w, units))
+	}
+
+	one := quad.Resolution{W: 16, H: 16}
+	full, err := build().DefaultWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx, cy := (full.MinX+full.MaxX)/2, (full.MinY+full.MaxY)/2
+	hw, hh := (full.MaxX-full.MinX)/64, (full.MaxY-full.MinY)/64
+	for _, win := range []quad.Window{{}, {MinX: cx - hw, MinY: cy - hh, MaxX: cx + hw, MaxY: cy + hh}} {
+		var oneBase result
+		for i, w := range []int{1, 2, 8} {
+			r, err := renderIn(build(quad.WithWorkers(w)), one, win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("one tile over %+v, workers=%d", win, w)
+			if i == 0 {
+				oneBase = r
+				if r.epsStats.Tiles != 1 || r.tauStats.Tiles != 1 {
+					t.Fatalf("%s: rendered %d and %d tiles", tag, r.epsStats.Tiles, r.tauStats.Tiles)
+				}
+			} else if d := diff(r, oneBase); d != "" {
+				t.Fatalf("%s vs workers=1: %s", tag, d)
+			}
+			checkWorkers(tag, r, min(w, 16))
+		}
 	}
 
 	shared := build()
@@ -119,7 +150,7 @@ func TestFlatRenderWorkersDeterminism(t *testing.T) {
 		if d := diff(r, base); d != "" {
 			t.Fatalf("concurrent default-worker render %d vs workers=1: %s", g, d)
 		}
-		checkWorkers("default workers", r, min(runtime.GOMAXPROCS(0), tiles))
+		checkWorkers("default workers", r, min(runtime.GOMAXPROCS(0), units))
 	}
 
 	ds := &harness.DS{Name: "crime", Pts: pts, N: pts.Len()}

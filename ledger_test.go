@@ -406,6 +406,32 @@ func ledgerLines(t *testing.T) []string {
 		l.cell("tau/"+name, big, nil, func(k *quad.KDV) (string, error) { return tauLine(k, win48, tau, win) })
 	}
 
+	// Rasters of one to four tiles, where the work workers share is a
+	// tile's 4×4 sub-tiles: a 16×16 render of the whole extent, whose tile
+	// refines every pixel from the root; a 16×16 render of a window 1/32 of
+	// the extent on a side, whose tile warm-starts pixels from sub-tile
+	// frontiers; a 20×20 render of that window, four warm-started tiles
+	// with 4-pixel ragged edges; and a 16×16 τ render whose tile the shared
+	// phase leaves undecided.
+	full, err := bigRef.DefaultWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cx, cy := (full.MinX+full.MaxX)/2, (full.MinY+full.MaxY)/2
+	hw, hh := (full.MaxX-full.MinX)/64, (full.MaxY-full.MinY)/64
+	narrow := quad.Window{MinX: cx - hw, MinY: cy - hh, MaxX: cx + hw, MaxY: cy + hh}
+	res16 := quad.Resolution{W: 16, H: 16}
+	tau16, err := meanEps(bigRef, res16, 0.05, quad.Window{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.cell("eps/one-tile/root", big, nil, func(k *quad.KDV) (string, error) { return epsLine(k, res16, 0.05, quad.Window{}) })
+	l.cell("eps/one-tile/warm", big, nil, func(k *quad.KDV) (string, error) { return epsLine(k, res16, 0.05, narrow) })
+	l.cell("eps/ragged/20x20", big, nil, func(k *quad.KDV) (string, error) {
+		return epsLine(k, quad.Resolution{W: 20, H: 20}, 0.05, narrow)
+	})
+	l.cell("tau/one-tile/undecided", big, nil, func(k *quad.KDV) (string, error) { return tauLine(k, res16, tau16, quad.Window{}) })
+
 	// n = 61: Scott's factor 61^(−1/6) is one of the exponents whose
 	// math.Pow result differs between FMA and non-FMA amd64 hosts.
 	tiny := dataset.Crime(61, 7)

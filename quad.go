@@ -187,13 +187,16 @@ func WithBandwidth(gamma, weight float64) Option {
 func WithLeafSize(n int) Option { return func(c *config) { c.leafSize = n } }
 
 // WithWorkers sets the number of goroutines a full-raster render spreads
-// its pixel tiles over (the paper's "parallel computation" future-work
-// knob), and bounds the goroutines New builds the kd-tree index on. The
-// default, also selected by 0 or negative, is runtime.GOMAXPROCS(0) read
-// at construction, so a build and a render use every core the process may
-// run on; WithWorkers(1) is the paper's single-threaded setting. The index,
-// rasters and RenderStats work counters are identical for every worker
-// count, because subtrees and tiles are built and evaluated independently.
+// its pixel tiles and their 4×4 sub-tiles over (the paper's "parallel
+// computation" future-work knob), and bounds the goroutines New builds the
+// kd-tree index on. A render starts min(n, units) of them, where a unit is
+// a sub-tile on tile-shared passes and a tile otherwise, so even a
+// one-tile raster runs on several. The default, also selected by 0 or
+// negative, is runtime.GOMAXPROCS(0) read at construction, so a build and
+// a render use every core the process may run on; WithWorkers(1) is the
+// paper's single-threaded setting. The index, rasters and RenderStats work
+// counters are identical for every worker count, because subtrees, tiles
+// and sub-tiles are built and evaluated independently.
 // Progressive renders and the per-query calls (Estimate, IsHot) run on one
 // goroutine regardless.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
@@ -271,6 +274,7 @@ type KDV struct {
 	engines      sync.Pool
 	tileScratch  sync.Pool    // *renderScratch for tile render workers
 	scratchLive  atomic.Int64 // render scratches checked out and not yet returned
+	frontiers    sync.Pool    // *engine.FlatFrontier, a render tile's coarse frontier
 
 	permOnce sync.Once
 	perm     []int // lazily-built Z-order permutation for OraclePartial

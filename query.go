@@ -26,11 +26,11 @@ func (k *KDV) acquireEngine() (*engine.FlatTileEngine, error) {
 func (k *KDV) releaseEngine(r *engine.FlatTileEngine) { k.engines.Put(r) }
 
 // renderScratch is the pooled per-worker state of a tile render: the
-// worker's render engine, reusable frontiers, and the query/rect buffers —
-// everything the hot path would otherwise allocate per tile.
+// worker's render engine, its sub-tile frontier, and the query/rect
+// buffers — everything the hot path would otherwise allocate per sub-tile.
+// A tile's coarse frontier is not here: workers share it (see tileJob).
 type renderScratch struct {
 	r                *engine.FlatTileEngine
-	frontier         *engine.FlatFrontier // tile-level frontier
 	sub              *engine.FlatFrontier // sub-tile frontier (second level)
 	q                []float64
 	rectMin, rectMax [2]float64
@@ -55,7 +55,7 @@ func (k *KDV) acquireRenderScratch() (*renderScratch, error) {
 	}
 	s, _ := k.tileScratch.Get().(*renderScratch)
 	if s == nil {
-		s = &renderScratch{q: make([]float64, 2), frontier: new(engine.FlatFrontier), sub: new(engine.FlatFrontier)}
+		s = &renderScratch{q: make([]float64, 2), sub: new(engine.FlatFrontier)}
 	}
 	s.r = r
 	k.scratchLive.Add(1)
@@ -67,6 +67,15 @@ func (k *KDV) releaseRenderScratch(s *renderScratch) {
 	s.r = nil
 	k.tileScratch.Put(s)
 	k.scratchLive.Add(-1)
+}
+
+// acquireFrontier hands out a pooled frontier for a render tile; the
+// tileSched returns it once the tile's last unit has run.
+func (k *KDV) acquireFrontier() *engine.FlatFrontier {
+	if f, ok := k.frontiers.Get().(*engine.FlatFrontier); ok {
+		return f
+	}
+	return new(engine.FlatFrontier)
 }
 
 func (k *KDV) checkQuery(q []float64) error {

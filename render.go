@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/quadkdv/quad/internal/bounds"
@@ -223,35 +223,140 @@ func (k *KDV) tileSize() int {
 	}
 }
 
-// tileSpan is one work unit of the render scheduler: the pixel block
-// [x0, x1) × [y0, y1).
+// tileSpan is the pixel block [x0, x1) × [y0, y1): a tile or a sub-tile.
 type tileSpan struct{ x0, y0, x1, y1 int }
 
-// tileSpans decomposes the raster into row-major size×size tiles (edge
+// subTiles is the number of subTileSize×subTileSize sub-tiles of t (edge
+// sub-tiles clipped).
+func subTiles(t tileSpan) int {
+	return ((t.x1 - t.x0 + subTileSize - 1) / subTileSize) *
+		((t.y1 - t.y0 + subTileSize - 1) / subTileSize)
+}
+
+// subSpan returns t's i-th sub-tile in row-major order.
+func subSpan(t tileSpan, i int) tileSpan {
+	cols := (t.x1 - t.x0 + subTileSize - 1) / subTileSize
+	x0 := t.x0 + i%cols*subTileSize
+	y0 := t.y0 + i/cols*subTileSize
+	return tileSpan{x0, y0, min(x0+subTileSize, t.x1), min(y0+subTileSize, t.y1)}
+}
+
+// tileJob is one tile of a render. The worker that claims it runs its
+// probe: the tile's coarse frontier and, for εKDV, the adaptive choice
+// between warm and root mode. The probe either finishes the tile or leaves
+// units, its sub-tiles, to whichever workers take them: a unit reads only
+// the coarse frontier, which nothing writes after the probe, and its own
+// worker's scratch, so its pixels come out the same on any worker.
+type tileJob struct {
+	span  tileSpan
+	f     *engine.FlatFrontier // coarse frontier; nil on paths without one
+	root  bool                 // εKDV root mode: units refine pixels from the root
+	units int                  // sub-tiles the probe left; 0 when it finished the tile
+	next  int                  // next unit to hand out (guarded by tileSched.mu)
+	left  int                  // units not yet finished (guarded by tileSched.mu)
+}
+
+// tileSched hands out a render's work. A worker takes a unit of a probed
+// tile if one is open, else the next tile to probe; with neither it waits
+// while some tile is still being probed, since that probe may publish
+// units. A tile is claimed only when no unit is open, so at most one coarse
+// frontier per worker is being probed and at most one more per worker has
+// units running: no more than 2×workers are live. The unit that finishes
+// last returns its tile's frontier to the pool.
+type tileSched struct {
+	mu        sync.Mutex
+	cond      sync.Cond
+	jobs      []tileJob
+	claimed   int        // tiles handed out to probe
+	probing   int        // claimed tiles whose probe has not published
+	open      []*tileJob // probed tiles with units not yet handed out
+	frontiers *sync.Pool // where finished tiles' frontiers go
+}
+
+// newTileSched decomposes the raster into row-major size×size tiles (edge
 // tiles clipped).
-func tileSpans(res grid.Resolution, size int) []tileSpan {
-	if size < 1 {
-		size = 1
-	}
+func newTileSched(res grid.Resolution, size int, frontiers *sync.Pool) *tileSched {
 	nx := (res.W + size - 1) / size
 	ny := (res.H + size - 1) / size
-	spans := make([]tileSpan, 0, nx*ny)
+	sc := &tileSched{jobs: make([]tileJob, 0, nx*ny), frontiers: frontiers}
+	sc.cond.L = &sc.mu
 	for ty := 0; ty < ny; ty++ {
 		y0 := ty * size
-		y1 := y0 + size
-		if y1 > res.H {
-			y1 = res.H
-		}
+		y1 := min(y0+size, res.H)
 		for tx := 0; tx < nx; tx++ {
 			x0 := tx * size
-			x1 := x0 + size
-			if x1 > res.W {
-				x1 = res.W
-			}
-			spans = append(spans, tileSpan{x0, y0, x1, y1})
+			sc.jobs = append(sc.jobs, tileJob{span: tileSpan{x0, y0, min(x0+size, res.W), y1}})
 		}
 	}
-	return spans
+	return sc
+}
+
+// next returns the caller's next piece of work: unit u ≥ 0 of a probed
+// tile, or a tile to probe (u < 0). ok is false once no work is left or ctx
+// is done.
+func (sc *tileSched) next(ctx context.Context) (j *tileJob, u int, ok bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	for ctx.Err() == nil {
+		switch {
+		case len(sc.open) > 0:
+			j = sc.open[0]
+			u = j.next
+			if j.next++; j.next == j.units {
+				sc.open = slices.Delete(sc.open, 0, 1)
+			}
+			return j, u, true
+		case sc.claimed < len(sc.jobs):
+			j = &sc.jobs[sc.claimed]
+			sc.claimed++
+			sc.probing++
+			return j, -1, true
+		case sc.probing == 0:
+			return nil, 0, false
+		}
+		sc.cond.Wait()
+	}
+	return nil, 0, false
+}
+
+// publish ends j's probe and opens its units to every worker. With keep,
+// unit 0 stays with the caller, which runs it and then calls done.
+func (sc *tileSched) publish(j *tileJob, keep bool) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	sc.probing--
+	j.left = j.units
+	if keep {
+		j.next = 1
+	}
+	if j.next < j.units {
+		sc.open = append(sc.open, j)
+	}
+	sc.finish(j)
+	sc.cond.Broadcast()
+}
+
+// done records that one of j's units has finished.
+func (sc *tileSched) done(j *tileJob) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	j.left--
+	sc.finish(j)
+}
+
+// finish returns j's frontier to the pool once no unit of j is left to run.
+func (sc *tileSched) finish(j *tileJob) {
+	if j.left == 0 && j.f != nil {
+		sc.frontiers.Put(j.f)
+		j.f = nil
+	}
+}
+
+// wake rouses every waiting worker, so each sees ctx's cancellation.
+func (sc *tileSched) wake() {
+	sc.mu.Lock()
+	sc.cond.Broadcast()
+	sc.mu.Unlock()
 }
 
 // valsPool recycles full-raster float64 buffers across renders, so repeated
@@ -308,8 +413,10 @@ type RenderStats struct {
 	// Tiles is the number of pixel tiles scheduled; TilesDecided counts the
 	// τKDV tiles classified whole by the shared phase (zero per-pixel work).
 	Tiles, TilesDecided int
-	// Workers is the number of goroutines that ran the render's tiles:
-	// min(WithWorkers, scheduled tiles), or 1 for a progressive render.
+	// Workers is the number of goroutines that ran the render:
+	// min(WithWorkers, units), where a unit is a 4×4 sub-tile on
+	// tile-shared passes (tile size above 4) and a tile otherwise, or 1 for
+	// a progressive render.
 	// Besides the timings, it is the only field that varies with the
 	// worker count.
 	Workers int
@@ -461,32 +568,42 @@ type renderPass struct {
 	work  *WorkMap
 }
 
-// renderValues evaluates every pixel of g into a pooled buffer. Workers
-// claim fixed-size pixel tiles from a shared cursor — a work-stealing queue,
-// so hotspot-heavy tiles don't stall the render the way static row ranges
-// did — and each tile is evaluated independently with the tile-shared
-// traversal (one shared kd-tree refinement per tile, per-pixel refinement
-// warm-started from the residual frontier). Tile results do not depend on
-// which worker computes them, so output is bit-identical for every worker
-// count. Each worker polls ctx between tiles and between pixel rows inside
-// a tile (large tiles would otherwise delay cancellation by a whole tile's
-// work); the first context error is returned after all workers have exited.
+// renderValues evaluates every pixel of g into a pooled buffer with the
+// tile-shared traversal: one shared kd-tree refinement per tile (its coarse
+// frontier), then per-pixel refinement warm-started from the residual
+// frontier. Workers share the raster through a tileSched, whose unit of
+// work is a tile until it is probed and its 4×4 sub-tiles after, so a
+// raster of one tile keeps every worker busy and a hotspot-heavy tile does
+// not stall the render. Tile and sub-tile results do not depend on which
+// worker computes them, so output is bit-identical for every worker count.
+// Workers poll ctx between pieces of work and between pixel rows inside
+// them, and a worker waiting on another's probe wakes on cancellation; the
+// first context error is returned after all workers have exited.
 func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) ([]float64, error) {
 	vals := getVals(g.Res.Pixels())
 	size := k.tileSize()
 	sched := size
 	if sched < 2 {
 		// Sharing disabled: tiles remain the scheduling unit, just bigger
-		// to keep cursor contention negligible.
+		// to keep scheduler contention negligible.
 		sched = 2 * defaultTileSize
 	}
-	spans := tileSpans(g.Res, sched)
-	workers := min(k.cfg.workers, len(spans))
+	sc := newTileSched(g.Res, sched, &k.frontiers)
+	units := len(sc.jobs)
+	if k.proto != nil && size > subTileSize {
+		// Two-level tiles: their sub-tiles are the units workers share.
+		units = 0
+		for i := range sc.jobs {
+			units += subTiles(sc.jobs[i].span)
+		}
+	}
+	workers := min(k.cfg.workers, units)
 	if pass.stats != nil {
 		pass.stats.Workers = workers
 	}
+	stop := context.AfterFunc(ctx, sc.wake)
+	defer stop()
 	var (
-		cursor   atomic.Int64
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
@@ -496,29 +613,34 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var local RenderStats
-			run, cleanup, err := k.newTileRunner(ctx, g, size, pass, &local)
+			w, err := k.newTileWorker(ctx, g, size, pass)
 			if err != nil {
 				errOnce.Do(func() { firstErr = err })
 				return
 			}
 			defer func() {
-				cleanup()
+				w.release()
 				if pass.stats != nil {
 					statsMu.Lock()
-					pass.stats.Add(local)
+					pass.stats.Add(w.local)
 					statsMu.Unlock()
 				}
 			}()
 			for {
-				if ctx.Err() != nil {
+				j, u, ok := sc.next(ctx)
+				if !ok {
 					return
 				}
-				i := int(cursor.Add(1)) - 1
-				if i >= len(spans) {
-					return
+				if u < 0 {
+					keep := w.probe(j, vals)
+					sc.publish(j, keep)
+					if !keep {
+						continue
+					}
+					u = 0
 				}
-				run(spans[i], vals)
+				w.unit(j, u, vals)
+				sc.done(j)
 			}
 		}()
 	}
@@ -537,258 +659,256 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 	return vals, nil
 }
 
-// newTileRunner builds one worker's tile evaluator for the pass. The
-// returned run writes every pixel of its span into vals; cleanup returns the
-// worker's pooled scratch. run polls ctx between pixel rows and returns
-// early once it is cancelled — partial tile output is fine because the
-// caller discards the raster on any context error.
-func (k *KDV) newTileRunner(ctx context.Context, g *grid.Grid, size int, pass renderPass, local *RenderStats) (run func(tileSpan, []float64), cleanup func(), err error) {
-	kern := k.cfg.kern.internal()
-	switch k.cfg.method {
-	case MethodExact, MethodZOrder:
-		pts, ws, wt := k.pts, k.weights, k.bw.Weight
-		if k.cfg.method == MethodZOrder {
-			pts, ws, wt = k.sample, nil, k.sampleWeight
-		}
-		q := make([]float64, 2)
-		run = func(t tileSpan, vals []float64) {
-			for y := t.y0; y < t.y1; y++ {
-				if ctx.Err() != nil {
-					return
-				}
-				for x := t.x0; x < t.x1; x++ {
-					g.Query(x, y, q)
-					v := bounds.ExactScan(pts, ws, kern, k.bw.Gamma, wt, q)
-					if pass.isTau {
-						if v >= pass.tau {
-							v = 1
-						} else {
-							v = 0
-						}
-					}
-					vals[g.Index(x, y)] = v
-				}
-			}
-		}
-		return run, func() {}, nil
+// tileWorker is one render goroutine: its pooled scratch (nil for the exact
+// and Z-order scans, which use no engine) and its share of the pass's work
+// counters. Its pixel loops poll ctx between rows and return early once it
+// is cancelled; partial output is fine because the caller discards the
+// raster on any context error.
+type tileWorker struct {
+	k     *KDV
+	ctx   context.Context
+	g     *grid.Grid
+	size  int
+	pass  renderPass
+	s     *renderScratch
+	local RenderStats
+	// timed measures shared-stage wall time, only when the caller asked
+	// for stats: plain renders skip every clock read.
+	timed bool
+}
+
+func (k *KDV) newTileWorker(ctx context.Context, g *grid.Grid, size int, pass renderPass) (*tileWorker, error) {
+	w := &tileWorker{k: k, ctx: ctx, g: g, size: size, pass: pass, timed: pass.stats != nil}
+	if k.proto == nil {
+		return w, nil
 	}
 	s, err := k.acquireRenderScratch()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cleanup = func() { k.releaseRenderScratch(s) }
-	// Shared-stage wall time is only measured when the caller asked for
-	// stats; plain renders skip every clock read.
-	timed := pass.stats != nil
-	if size < 2 {
+	w.s = s
+	return w, nil
+}
+
+// release returns the worker's pooled scratch.
+func (w *tileWorker) release() {
+	if w.s != nil {
+		w.k.releaseRenderScratch(w.s)
+	}
+}
+
+// shared accounts one shared-stage step that started at t0.
+func (w *tileWorker) shared(t0 time.Time, st engine.Stats) {
+	w.local.endShared(w.timed, t0)
+	w.local.addShared(st)
+}
+
+// probe runs j's tile-level work. On the paths without a second level it
+// renders the whole tile; otherwise it builds the coarse frontier into j.f
+// and leaves j.units sub-tiles to share. keep reports that unit 0
+// must run on this worker: warm mode's probe built unit 0's sub-frontier
+// into this worker's scratch and already counted a pixel's hits on it.
+func (w *tileWorker) probe(j *tileJob, vals []float64) (keep bool) {
+	t, s, pass, g := j.span, w.s, w.pass, w.g
+	switch {
+	case s == nil:
+		w.scanPixels(t, vals)
+		return false
+	case w.size < 2:
 		// Tile sharing disabled: the paper's per-pixel refinement from the
 		// root, kept as the WithTileSize(1) baseline.
-		run = func(t tileSpan, vals []float64) {
-			for y := t.y0; y < t.y1; y++ {
-				if ctx.Err() != nil {
-					return
-				}
-				for x := t.x0; x < t.x1; x++ {
-					g.Query(x, y, s.q)
-					var v float64
-					var st engine.Stats
-					if pass.isTau {
-						var hot bool
-						hot, st = s.r.EvalTau(s.q, pass.tau)
-						if hot {
-							v = 1
-						}
-					} else {
-						v, st = s.r.EvalEps(s.q, pass.eps)
-					}
-					vals[g.Index(x, y)] = v
-					local.addPixel(st)
-					if pass.work != nil {
-						pass.work.record(g.Index(x, y), st)
-					}
-				}
-			}
-		}
-		return run, cleanup, nil
+		w.rootPixels(t, vals)
+		return false
 	}
-	// runPixels evaluates a pixel span against one frontier. Serpentine
-	// pixel order keeps successive queries adjacent, which is what makes the
-	// frontier-promotion coherence signal meaningful.
-	runPixels := func(t tileSpan, f *engine.FlatFrontier, vals []float64) {
-		for y := t.y0; y < t.y1; y++ {
-			if ctx.Err() != nil {
-				return
-			}
-			x0, x1, dx := t.x0, t.x1-1, 1
-			if (y-t.y0)%2 == 1 {
-				x0, x1, dx = t.x1-1, t.x0, -1
-			}
-			for x := x0; ; x += dx {
-				g.Query(x, y, s.q)
-				var v float64
-				var st engine.Stats
-				if pass.isTau {
-					var hot bool
-					hot, st = s.r.EvalTauFrom(f, s.q, pass.tau)
-					if hot {
-						v = 1
-					}
+	j.f = w.k.acquireFrontier()
+	rect := s.tileRect(g, t)
+	w.local.Tiles++
+	if pass.isTau {
+		t0 := sharedStart(w.timed)
+		w.shared(t0, s.r.BuildFrontierTau(rect, pass.tau, j.f))
+		if decided, hot := j.f.State(); decided {
+			w.local.TilesDecided++
+			w.fill(t, hot, vals)
+			return false
+		}
+		if w.size <= subTileSize {
+			w.runPixels(t, j.f, vals)
+			return false
+		}
+		// Second level: each sub-tile tightens the tile frontier against
+		// its much smaller rectangle (rect-to-rect bounds shrink with the
+		// query rect), amortized over the sub-tile's pixels.
+		j.units = subTiles(t)
+		return false
+	}
+	if w.size <= subTileSize {
+		t0 := sharedStart(w.timed)
+		w.shared(t0, s.r.BuildFrontierEps(rect, pass.eps, j.f))
+		w.runPixels(t, j.f, vals)
+		return false
+	}
+	t0 := sharedStart(w.timed)
+	outSt := s.r.BuildFrontierEpsCoarse(rect, pass.eps, j.f)
+	w.shared(t0, outSt)
+	// Adaptive probe: build the first sub-frontier and evaluate the tile's
+	// first pixel both warm-started and from the root. Dense data under
+	// coarse pixels can leave frontiers that cost more to seed from than
+	// root refinement saves; the probe measures the actual per-pixel costs
+	// and the projected shared overhead, and picks the cheaper strategy for
+	// the whole tile. The decision depends only on deterministic per-tile
+	// state, so renders stay bit-identical across worker counts.
+	srect := s.tileRect(g, subSpan(t, 0))
+	t0 = sharedStart(w.timed)
+	subSt := s.r.BuildFrontierEpsFrom(j.f, srect, pass.eps, s.sub)
+	w.shared(t0, subSt)
+	g.Query(t.x0, t.y0, s.q)
+	_, warmSt := s.r.EvalEpsFrom(s.sub, s.q, pass.eps)
+	_, rootSt := s.r.EvalEps(s.q, pass.eps)
+	w.local.addShared(rootSt) // probe overhead, not pixel work
+	px := (t.x1 - t.x0) * (t.y1 - t.y0)
+	j.units = subTiles(t)
+	overhead := (outSt.NodesEvaluated + j.units*subSt.NodesEvaluated) / px
+	j.root = warmSt.NodesEvaluated+overhead > rootSt.NodesEvaluated
+	return !j.root
+}
+
+// unit runs sub-tile u of the probed tile j: in root mode it refines the
+// pixels from the root; otherwise it tightens the coarse frontier against
+// the sub-tile into s.sub and warm-starts the pixels from that, unless a
+// τKDV sub-frontier decides the whole sub-tile.
+func (w *tileWorker) unit(j *tileJob, u int, vals []float64) {
+	sub, s, pass := subSpan(j.span, u), w.s, w.pass
+	switch {
+	case j.root:
+		w.rootPixels(sub, vals)
+		return
+	case pass.isTau:
+		t0 := sharedStart(w.timed)
+		w.shared(t0, s.r.BuildFrontierTauFrom(j.f, s.tileRect(w.g, sub), pass.tau, s.sub))
+		if decided, hot := s.sub.State(); decided {
+			w.local.TilesDecided++
+			w.fill(sub, hot, vals)
+			return
+		}
+	case u > 0:
+		// Unit 0's sub-frontier is the one the probe built, still in s.sub.
+		t0 := sharedStart(w.timed)
+		w.shared(t0, s.r.BuildFrontierEpsFrom(j.f, s.tileRect(w.g, sub), pass.eps, s.sub))
+	}
+	w.runPixels(sub, s.sub, vals)
+}
+
+// pixel stores pixel i's value and accounts its work.
+func (w *tileWorker) pixel(i int, v float64, st engine.Stats, vals []float64) {
+	vals[i] = v
+	w.local.addPixel(st)
+	if w.pass.work != nil {
+		w.pass.work.record(i, st)
+	}
+}
+
+// scanPixels evaluates t's pixels by the exact scan, or MethodZOrder's
+// scan of its sample.
+func (w *tileWorker) scanPixels(t tileSpan, vals []float64) {
+	k, g, pass := w.k, w.g, w.pass
+	kern := k.cfg.kern.internal()
+	pts, ws, wt := k.pts, k.weights, k.bw.Weight
+	if k.cfg.method == MethodZOrder {
+		pts, ws, wt = k.sample, nil, k.sampleWeight
+	}
+	q := make([]float64, 2)
+	for y := t.y0; y < t.y1; y++ {
+		if w.ctx.Err() != nil {
+			return
+		}
+		for x := t.x0; x < t.x1; x++ {
+			g.Query(x, y, q)
+			v := bounds.ExactScan(pts, ws, kern, k.bw.Gamma, wt, q)
+			if pass.isTau {
+				if v >= pass.tau {
+					v = 1
 				} else {
-					v, st = s.r.EvalEpsFrom(f, s.q, pass.eps)
-				}
-				vals[g.Index(x, y)] = v
-				local.addPixel(st)
-				if pass.work != nil {
-					pass.work.record(g.Index(x, y), st)
-				}
-				local.addPromote(s.r.Promote(f))
-				if x == x1 {
-					break
+					v = 0
 				}
 			}
+			vals[g.Index(x, y)] = v
 		}
 	}
-	fill := func(t tileSpan, hot bool, vals []float64) {
-		var v float64
-		if hot {
-			v = 1
-		}
-		for y := t.y0; y < t.y1; y++ {
-			for x := t.x0; x < t.x1; x++ {
-				vals[g.Index(x, y)] = v
-			}
-		}
-	}
-	// rootPixels evaluates a pixel span with per-pixel root refinement — the
-	// fallback when a tile's shared frontier is measurably not worth seeding
-	// from.
-	rootPixels := func(t tileSpan, vals []float64) {
-		for y := t.y0; y < t.y1; y++ {
-			if ctx.Err() != nil {
-				return
-			}
-			for x := t.x0; x < t.x1; x++ {
-				g.Query(x, y, s.q)
-				v, st := s.r.EvalEps(s.q, pass.eps)
-				vals[g.Index(x, y)] = v
-				local.addPixel(st)
-				if pass.work != nil {
-					pass.work.record(g.Index(x, y), st)
-				}
-			}
-		}
-	}
-	run = func(t tileSpan, vals []float64) {
-		rect := s.tileRect(g, t)
-		local.Tiles++
-		if pass.isTau {
-			t0 := sharedStart(timed)
-			local.addShared(s.r.BuildFrontierTau(rect, pass.tau, s.frontier))
-			local.endShared(timed, t0)
-			if decided, hot := s.frontier.State(); decided {
-				local.TilesDecided++
-				fill(t, hot, vals)
-				return
-			}
-		} else if size <= subTileSize {
-			t0 := sharedStart(timed)
-			local.addShared(s.r.BuildFrontierEps(rect, pass.eps, s.frontier))
-			local.endShared(timed, t0)
-		} else {
-			t0 := sharedStart(timed)
-			outSt := s.r.BuildFrontierEpsCoarse(rect, pass.eps, s.frontier)
-			local.endShared(timed, t0)
-			local.addShared(outSt)
-			// Adaptive probe: build the first sub-frontier and evaluate the
-			// tile's first pixel both warm-started and from the root. Dense
-			// data under coarse pixels can leave frontiers that cost more to
-			// seed from than root refinement saves; the probe measures the
-			// actual per-pixel costs and the projected shared overhead, and
-			// picks the cheaper strategy for the whole tile. The decision
-			// depends only on deterministic per-tile state, so renders stay
-			// bit-identical across worker counts.
-			fx1, fy1 := t.x0+subTileSize, t.y0+subTileSize
-			if fx1 > t.x1 {
-				fx1 = t.x1
-			}
-			if fy1 > t.y1 {
-				fy1 = t.y1
-			}
-			first := tileSpan{t.x0, t.y0, fx1, fy1}
-			srect := s.tileRect(g, first)
-			t0 = sharedStart(timed)
-			subSt := s.r.BuildFrontierEpsFrom(s.frontier, srect, pass.eps, s.sub)
-			local.endShared(timed, t0)
-			local.addShared(subSt)
-			g.Query(t.x0, t.y0, s.q)
-			_, warmSt := s.r.EvalEpsFrom(s.sub, s.q, pass.eps)
-			_, rootSt := s.r.EvalEps(s.q, pass.eps)
-			local.addShared(rootSt) // probe overhead, not pixel work
-			px := (t.x1 - t.x0) * (t.y1 - t.y0)
-			nsub := ((t.x1 - t.x0 + subTileSize - 1) / subTileSize) *
-				((t.y1 - t.y0 + subTileSize - 1) / subTileSize)
-			overhead := (outSt.NodesEvaluated + nsub*subSt.NodesEvaluated) / px
-			if warmSt.NodesEvaluated+overhead > rootSt.NodesEvaluated {
-				rootPixels(t, vals)
-				return
-			}
-			runPixels(first, s.sub, vals)
-			for sy := t.y0; sy < t.y1; sy += subTileSize {
-				sy1 := sy + subTileSize
-				if sy1 > t.y1 {
-					sy1 = t.y1
-				}
-				for sx := t.x0; sx < t.x1; sx += subTileSize {
-					if sx == t.x0 && sy == t.y0 {
-						continue
-					}
-					sx1 := sx + subTileSize
-					if sx1 > t.x1 {
-						sx1 = t.x1
-					}
-					sub := tileSpan{sx, sy, sx1, sy1}
-					srect := s.tileRect(g, sub)
-					t0 := sharedStart(timed)
-					local.addShared(s.r.BuildFrontierEpsFrom(s.frontier, srect, pass.eps, s.sub))
-					local.endShared(timed, t0)
-					runPixels(sub, s.sub, vals)
-				}
-			}
+}
+
+// rootPixels refines each of t's pixels from the root: the paper's
+// per-pixel refinement, and the fallback when a tile's shared frontier is
+// measurably not worth seeding from.
+func (w *tileWorker) rootPixels(t tileSpan, vals []float64) {
+	s, g, pass := w.s, w.g, w.pass
+	for y := t.y0; y < t.y1; y++ {
+		if w.ctx.Err() != nil {
 			return
 		}
-		if size <= subTileSize {
-			runPixels(t, s.frontier, vals)
+		for x := t.x0; x < t.x1; x++ {
+			g.Query(x, y, s.q)
+			var v float64
+			var st engine.Stats
+			if pass.isTau {
+				var hot bool
+				hot, st = s.r.EvalTau(s.q, pass.tau)
+				if hot {
+					v = 1
+				}
+			} else {
+				v, st = s.r.EvalEps(s.q, pass.eps)
+			}
+			w.pixel(g.Index(x, y), v, st, vals)
+		}
+	}
+}
+
+// runPixels evaluates t's pixels warm-started from frontier f. Serpentine
+// pixel order keeps successive queries adjacent, which is what makes the
+// frontier-promotion coherence signal meaningful.
+func (w *tileWorker) runPixels(t tileSpan, f *engine.FlatFrontier, vals []float64) {
+	s, g, pass := w.s, w.g, w.pass
+	for y := t.y0; y < t.y1; y++ {
+		if w.ctx.Err() != nil {
 			return
 		}
-		// Second level (τKDV): tighten the tile frontier against each
-		// sub-tile's much smaller rectangle (rect-to-rect bounds shrink with
-		// the query rect), amortized over the sub-tile's pixels, and
-		// warm-start pixels from the sub-frontier.
-		for sy := t.y0; sy < t.y1; sy += subTileSize {
-			sy1 := sy + subTileSize
-			if sy1 > t.y1 {
-				sy1 = t.y1
+		x0, x1, dx := t.x0, t.x1-1, 1
+		if (y-t.y0)%2 == 1 {
+			x0, x1, dx = t.x1-1, t.x0, -1
+		}
+		for x := x0; ; x += dx {
+			g.Query(x, y, s.q)
+			var v float64
+			var st engine.Stats
+			if pass.isTau {
+				var hot bool
+				hot, st = s.r.EvalTauFrom(f, s.q, pass.tau)
+				if hot {
+					v = 1
+				}
+			} else {
+				v, st = s.r.EvalEpsFrom(f, s.q, pass.eps)
 			}
-			for sx := t.x0; sx < t.x1; sx += subTileSize {
-				sx1 := sx + subTileSize
-				if sx1 > t.x1 {
-					sx1 = t.x1
-				}
-				sub := tileSpan{sx, sy, sx1, sy1}
-				srect := s.tileRect(g, sub)
-				t0 := sharedStart(timed)
-				local.addShared(s.r.BuildFrontierTauFrom(s.frontier, srect, pass.tau, s.sub))
-				local.endShared(timed, t0)
-				if decided, hot := s.sub.State(); decided {
-					local.TilesDecided++
-					fill(sub, hot, vals)
-					continue
-				}
-				runPixels(sub, s.sub, vals)
+			w.pixel(g.Index(x, y), v, st, vals)
+			w.local.addPromote(s.r.Promote(f))
+			if x == x1 {
+				break
 			}
 		}
 	}
-	return run, cleanup, nil
+}
+
+// fill sets every pixel of t to the hot bit of a decided τKDV frontier.
+func (w *tileWorker) fill(t tileSpan, hot bool, vals []float64) {
+	var v float64
+	if hot {
+		v = 1
+	}
+	for y := t.y0; y < t.y1; y++ {
+		for x := t.x0; x < t.x1; x++ {
+			vals[w.g.Index(x, y)] = v
+		}
+	}
 }
 
 // progWarm warm-starts progressive εKDV evaluation with tile frontiers: the

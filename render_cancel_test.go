@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/quadkdv/quad/internal/dataset"
+	"github.com/quadkdv/quad/internal/engine"
 )
 
 // slowTiledKDV builds a KDV whose tile-shared renders are slow enough to
@@ -136,47 +139,77 @@ func TestRenderTauCancelMidTileNoLeak(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestRenderCancelMidTileBothLayouts re-runs the mid-tile cancellation
-// guarantee as a subtest named for the flat engine: its refinement loops
-// must reach the between-(sub-)tile poll points, and every pooled scratch
-// must come back.
-func TestRenderCancelMidTileBothLayouts(t *testing.T) {
-	t.Run("flat", func(t *testing.T) {
-		k := slowTiledKDV(t, 20000, 64, 4)
-		res := Resolution{W: 128, H: 128}
-		const eps = 0.001
+// TestRenderCancelOneTileWaitingHelpers cancels a one-tile render while
+// its leader is still probing the tile and the other three workers wait
+// for the probe to publish sub-tiles. The leader is held inside its probe
+// by the KDV's frontier pool, whose New blocks; the helpers must still
+// return on cancellation without it. Once the leader is let go, the render
+// returns context.Canceled with every scratch back in its pool and no
+// goroutine left behind.
+func TestRenderCancelOneTileWaitingHelpers(t *testing.T) {
+	k := slowTiledKDV(t, 2000, 16, 4)
+	probing, resume := make(chan struct{}), make(chan struct{})
+	k.frontiers.New = func() any {
+		close(probing)
+		<-resume
+		return new(engine.FlatFrontier)
+	}
+	release := sync.OnceFunc(func() { close(resume) })
+	defer release() // a failed check must not leave the leader blocked
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type outcome struct {
+		dm  *DensityMap
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		dm, err := k.RenderEpsCtx(ctx, Resolution{W: 16, H: 16}, 0.01)
+		done <- outcome{dm, err}
+	}()
+	<-probing
+	waitParked(t, 3)
+	cancel()
+	waitParked(t, 0)
+	select {
+	case o := <-done:
+		t.Fatalf("render returned (%v) while its leader was still probing", o.err)
+	default:
+	}
+	release()
+	o := <-done
+	if !errors.Is(o.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", o.err)
+	}
+	if o.dm != nil {
+		t.Error("cancelled render returned a map")
+	}
+	if live := k.scratchLive.Load(); live != 0 {
+		t.Errorf("after cancelled render: %d render scratches still checked out", live)
+	}
+	waitGoroutines(t, base)
+}
 
-		start := time.Now()
-		if _, err := k.RenderEps(res, eps); err != nil {
-			t.Fatal(err)
+// waitParked polls until exactly n goroutines wait inside the render
+// scheduler for a probe to publish, failing after a deadline.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		parked := 0
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "(*tileSched).next") {
+				parked++
+			}
 		}
-		full := time.Since(start)
-		if live := k.scratchLive.Load(); live != 0 {
-			t.Fatalf("after full render: %d render scratches still checked out", live)
+		if parked == n {
+			return
 		}
-		if full < 30*time.Millisecond {
-			t.Skipf("full render too fast to measure mid-tile cancellation (%s)", full)
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers wait for a probe, want %d", parked, n)
 		}
-
-		ctx, cancel := context.WithCancel(context.Background())
-		go func() {
-			time.Sleep(full / 20)
-			cancel()
-		}()
-		start = time.Now()
-		dm, err := k.RenderEpsCtx(ctx, res, eps)
-		elapsed := time.Since(start)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-		if dm != nil {
-			t.Error("cancelled render returned a map")
-		}
-		if elapsed > full/2 {
-			t.Errorf("cancelled render took %s of a %s render — tile interior did not poll ctx", elapsed, full)
-		}
-		if live := k.scratchLive.Load(); live != 0 {
-			t.Errorf("after cancelled render: %d render scratches still checked out", live)
-		}
-	})
+		time.Sleep(time.Millisecond)
+	}
 }
