@@ -21,9 +21,10 @@ test:
 
 # race runs every test under the race detector, then repeats two identity
 # tests ten times each, since a data race may show in only some runs: the
-# fork-join kd-tree build's, whose forked subtrees write disjoint ranges of
-# one buffer, and the render scheduler's, whose workers share a tile's
-# frontier and write disjoint pixels of one raster.
+# level-order kd-tree build's, whose goroutines reorder disjoint ranges of
+# one buffer and fill disjoint nodes of its arrays, and the render
+# scheduler's, whose workers share a tile's frontier and write disjoint
+# pixels of one raster.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run BuildWorkers ./internal/kdtree

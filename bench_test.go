@@ -19,7 +19,6 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/pca"
 	"github.com/quadkdv/quad/internal/stats"
@@ -395,8 +394,8 @@ func BenchmarkAblationWorkers(b *testing.B) {
 // BenchmarkIndexBuild: kd-tree construction cost (offline stage of the
 // Table 6 indexing methods), on one goroutine and on the default
 // GOMAXPROCS. Run with -cpu 1,2: workers=1 times the serial build alone,
-// and the workers=GOMAXPROCS cell over it is the fork-join build's
-// parallel efficiency.
+// and the workers=GOMAXPROCS cell over it is the level-order build's
+// parallel efficiency (the root level runs on one goroutine).
 func BenchmarkIndexBuild(b *testing.B) {
 	coords, dim := getData(b, "crime", benchN)
 	for _, c := range []struct {
@@ -504,11 +503,7 @@ func BenchmarkAblationTangent(b *testing.B) {
 	coords, dim := getData(b, "crime", benchN)
 	pts := geom.NewPoints(append([]float64(nil), coords...), dim)
 	bw := stats.ScottsRule(pts, kernel.Gaussian)
-	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tree, err := flat.FromTree(kt)
+	tree, err := kdtree.Build(pts, kdtree.Options{Gram: true})
 	if err != nil {
 		b.Fatal(err)
 	}

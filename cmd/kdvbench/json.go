@@ -341,11 +341,10 @@ func measureTelemetryOverhead(k *quad.KDV, res quad.Resolution, eps float64, rou
 func runJSONBench(path string, seed int64, n int) error {
 	const eps = 0.05
 	const tauSigma = 1.0
-	pts, err := dataset.Generate("crime", n, seed)
+	pts, err := dataset.Generate2D("crime", n, seed)
 	if err != nil {
 		return err
 	}
-	pts = dataset.First2D(pts)
 
 	workers := runtime.GOMAXPROCS(0)
 	build := func(tile int) (*quad.KDV, error) {

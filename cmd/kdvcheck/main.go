@@ -136,12 +136,9 @@ func loadPoints(csvPath, dsName string, n int, seed int64) (geom.Points, string,
 		}
 		return pts, csvPath, nil
 	}
-	pts, err := dataset.Generate(dsName, n, seed)
+	pts, err := dataset.Generate2D(dsName, n, seed)
 	if err != nil {
 		return geom.Points{}, "", err
-	}
-	if pts.Dim > 2 {
-		pts = dataset.First2D(pts)
 	}
 	return pts, dsName, nil
 }

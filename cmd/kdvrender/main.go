@@ -212,11 +212,10 @@ func loadPoints(dataPath, gen string, n int, seed int64) (struct {
 		pts = dataset.First2D(pts)
 		out.Coords, out.Dim = pts.Coords, pts.Dim
 	case gen != "":
-		pts, err := dataset.Generate(gen, n, seed)
+		pts, err := dataset.Generate2D(gen, n, seed)
 		if err != nil {
 			return out, err
 		}
-		pts = dataset.First2D(pts)
 		out.Coords, out.Dim = pts.Coords, pts.Dim
 	default:
 		return out, fmt.Errorf("one of -data or -gen is required")

@@ -83,11 +83,10 @@ func TestCloneCopiesBallFlag(t *testing.T) {
 func TestZeroSumWNode(t *testing.T) {
 	pts := geom.NewPoints([]float64{0, 0, 1, 1, 2, 2, 3, 3}, 2)
 	ws := []float64{0, 0, 0, 0}
-	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
+	tr, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := flatten(t, kt)
 	for _, m := range []Method{MinMax, Linear, Quadratic} {
 		ev, err := NewEvaluator(kernel.Gaussian, 1, 1, m, 2)
 		if err != nil {
@@ -104,11 +103,10 @@ func TestZeroSumWNode(t *testing.T) {
 func TestExactNodeWeighted(t *testing.T) {
 	pts := geom.NewPoints([]float64{0, 0, 1, 0, 0, 1}, 2)
 	ws := []float64{2, 0, 3}
-	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
+	tr, err := kdtree.Build(pts, kdtree.Options{Gram: true, Weights: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := flatten(t, kt)
 	ev, err := NewEvaluator(kernel.Gaussian, 1, 0.5, Quadratic, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -130,11 +128,10 @@ func TestExactNodeWeighted(t *testing.T) {
 func TestCosineBeyondSupportFallbacks(t *testing.T) {
 	// Points spread wide enough that the root interval crosses the support.
 	pts := geom.NewPoints([]float64{0, 0, 10, 10, 5, 0, 0, 5, 10, 0, 0, 10}, 2)
-	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true, LeafSize: 2})
+	tr, err := kdtree.Build(pts, kdtree.Options{Gram: true, LeafSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := flatten(t, kt)
 	ev, err := NewEvaluator(kernel.Cosine, 0.3, 1, Quadratic, 2)
 	if err != nil {
 		t.Fatal(err)

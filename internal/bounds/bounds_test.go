@@ -8,24 +8,13 @@ import (
 
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
 // fixture bundles a built tree with brute-force helpers.
 type fixture struct {
-	tree *flat.Tree
+	tree *kdtree.Tree
 	pts  geom.Points
-}
-
-// flatten converts a built kd-tree to the flat layout the evaluator reads.
-func flatten(t *testing.T, tr *kdtree.Tree) *flat.Tree {
-	t.Helper()
-	ft, err := flat.FromTree(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft
 }
 
 func newFixture(t *testing.T, rng *rand.Rand, n, dim int, clustered bool) *fixture {
@@ -43,11 +32,10 @@ func newFixture(t *testing.T, rng *rand.Rand, n, dim int, clustered bool) *fixtu
 			}
 		}
 	}
-	kt, err := kdtree.Build(geom.NewPoints(coords, dim), kdtree.Options{LeafSize: 8, Gram: true})
+	tr, err := kdtree.Build(geom.NewPoints(coords, dim), kdtree.Options{LeafSize: 8, Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := flatten(t, kt)
 	return &fixture{tree: tr, pts: tr.Pts}
 }
 
@@ -314,11 +302,10 @@ func TestBoundsQuickGaussian(t *testing.T) {
 // radius must get lb = ub = 0 under quadratic bounds.
 func TestZeroSupportNodes(t *testing.T) {
 	pts := geom.NewPoints([]float64{100, 100, 101, 101, 100, 101, 102, 100, 101, 100, 102, 102}, 2)
-	kt, err := kdtree.Build(pts, kdtree.Options{LeafSize: 2, Gram: true})
+	tr, err := kdtree.Build(pts, kdtree.Options{LeafSize: 2, Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := flatten(t, kt)
 	q := []float64{0, 0}
 	for _, kern := range []kernel.Kernel{kernel.Triangular, kernel.Cosine, kernel.Epanechnikov, kernel.Quartic} {
 		ev, err := NewEvaluator(kern, 1, 1, Quadratic, 2)

@@ -4,17 +4,17 @@ import (
 	"math"
 
 	"github.com/quadkdv/quad/internal/geom"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
+	"github.com/quadkdv/quad/internal/kdtree"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
-// This file is the evaluator's node front end: each method fetches a flat
-// (SoA) tree node's statistics from the tree's arrays, derives the
-// distance/moment aggregates through the flat package, and feeds them to the
-// scalar bound cores in vals.go.
+// This file is the evaluator's node front end: each method fetches a
+// kd-tree node's statistics from the tree's (SoA) arrays, derives the
+// distance/moment aggregates through the tree's query methods, and feeds
+// them to the scalar bound cores in vals.go.
 
 // FlatBounds returns LB_R(q) ≤ F_R(q) ≤ UB_R(q) for node id.
-func (e *Evaluator) FlatBounds(t *flat.Tree, id int32, q []float64) (lb, ub float64) {
+func (e *Evaluator) FlatBounds(t *kdtree.Tree, id int32, q []float64) (lb, ub float64) {
 	sumW := t.SumW[id]
 	if sumW == 0 {
 		// All-zero weights contribute nothing (and would otherwise produce
@@ -60,7 +60,7 @@ func (e *Evaluator) FlatBounds(t *flat.Tree, id int32, q []float64) (lb, ub floa
 // envelopes assume 0 ≤ x ≤ π/2, exactly as the paper's construction does,
 // so a node whose distance interval leaves the support falls back to
 // min-max bounds.
-func (e *Evaluator) flatQuadratic(t *flat.Tree, id int32, q []float64, xmin, xmax float64) (lb, ub float64) {
+func (e *Evaluator) flatQuadratic(t *kdtree.Tree, id int32, q []float64, xmin, xmax float64) (lb, ub float64) {
 	sumW := t.SumW[id]
 	switch e.Kern {
 	case kernel.Gaussian:
@@ -118,13 +118,13 @@ func (e *Evaluator) flatQuadratic(t *flat.Tree, id int32, q []float64, xmin, xma
 // ball-tightening setting. For the Gaussian kernel under an envelope method
 // (Linear or Quadratic) the bounds are then tightened with the KARL
 // chord/tangent envelopes: those aggregate through Σdist²(q) alone, and
-// flat.Tree.RectSumDist2 gives that statistic's exact range over the
+// kdtree.Tree.RectSumDist2 gives that statistic's exact range over the
 // rectangle, so the envelope evaluated at the adversarial end of the range
 // is valid for every q in the rect. (The O(d²) quadratic envelopes
 // additionally need Σdist⁴(q), whose rect-range is not available in closed
 // form; the linear tightening is the shared-phase analogue of the method
 // hierarchy.)
-func (e *Evaluator) FlatRectBounds(t *flat.Tree, id int32, rect geom.Rect) (lb, ub float64) {
+func (e *Evaluator) FlatRectBounds(t *kdtree.Tree, id int32, rect geom.Rect) (lb, ub float64) {
 	sumW := t.SumW[id]
 	if sumW == 0 {
 		return 0, 0
@@ -163,7 +163,7 @@ func (e *Evaluator) FlatRectBounds(t *flat.Tree, id int32, rect geom.Rect) (lb, 
 // It returns false (accumulating nothing) when the evaluator has no linear
 // envelopes to share: the MinMax method, or a kernel without KARL bounds.
 // center must have the query dimension.
-func (e *Evaluator) FlatAccumulateRectEnvelope(t *flat.Tree, id int32, rect geom.Rect, center []float64, lbEnv, ubEnv *TileEnvelope) bool {
+func (e *Evaluator) FlatAccumulateRectEnvelope(t *kdtree.Tree, id int32, rect geom.Rect, center []float64, lbEnv, ubEnv *TileEnvelope) bool {
 	if !e.SupportsEnvelope() {
 		return false
 	}
@@ -191,7 +191,7 @@ func (e *Evaluator) FlatAccumulateRectEnvelope(t *flat.Tree, id int32, rect geom
 // Second order in the x-interval width, it is far smaller than the node's
 // rect-uniform min-max gap, which is what lets the shared phase settle most
 // of the frontier into the envelope within a fraction of the ε budget.
-func (e *Evaluator) FlatRectEnvelopeGap(t *flat.Tree, id int32, rect geom.Rect) (float64, bool) {
+func (e *Evaluator) FlatRectEnvelopeGap(t *kdtree.Tree, id int32, rect geom.Rect) (float64, bool) {
 	if !e.SupportsEnvelope() {
 		return 0, false
 	}
@@ -210,7 +210,7 @@ func (e *Evaluator) FlatRectEnvelopeGap(t *flat.Tree, id int32, rect geom.Rect) 
 // scanning its point range — the leaf-refinement step of the indexing
 // framework, with the batched 2-D Gaussian fast path of leafscan.go. The
 // tree supplies the per-point weights (uniform 1 when unweighted).
-func (e *Evaluator) FlatExactNode(t *flat.Tree, id int32, q []float64) float64 {
+func (e *Evaluator) FlatExactNode(t *kdtree.Tree, id int32, q []float64) float64 {
 	pts := t.Pts
 	d := pts.Dim
 	coords := pts.Coords

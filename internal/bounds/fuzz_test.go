@@ -34,11 +34,10 @@ func FuzzEvaluatorBounds(f *testing.F) {
 			coords[i] = 10 * rng.NormFloat64()
 		}
 		pts := geom.NewPoints(coords, 2)
-		kt, err := kdtree.Build(pts, kdtree.Options{Gram: true})
+		tree, err := kdtree.Build(pts, kdtree.Options{Gram: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := flatten(t, kt)
 		q := []float64{math.Mod(qx, 50), math.Mod(qy, 50)}
 		weight := 1.0 / float64(n)
 
@@ -88,11 +87,10 @@ func FuzzRectBounds(f *testing.F) {
 		for i := range coords {
 			coords[i] = 10 * rng.NormFloat64()
 		}
-		kt, err := kdtree.Build(geom.NewPoints(coords, 2), kdtree.Options{Gram: true})
+		tree, err := kdtree.Build(geom.NewPoints(coords, 2), kdtree.Options{Gram: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree := flatten(t, kt)
 		rect := geom.Rect{
 			Min: []float64{math.Min(math.Mod(ax, 40), math.Mod(bx, 40)), math.Min(math.Mod(ay, 40), math.Mod(by, 40))},
 			Max: []float64{math.Max(math.Mod(ax, 40), math.Mod(bx, 40)), math.Max(math.Mod(ay, 40), math.Mod(by, 40))},

@@ -21,11 +21,10 @@ func TestRectBoundsBracketAllQueries(t *testing.T) {
 		coords = append(coords, cx+rng.NormFloat64(), cy+rng.NormFloat64())
 	}
 	pts := geom.NewPoints(coords, 2)
-	kt, err := kdtree.Build(pts, kdtree.Options{LeafSize: 8, Gram: true})
+	tree, err := kdtree.Build(pts, kdtree.Options{LeafSize: 8, Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := flatten(t, kt)
 	rects := []geom.Rect{
 		{Min: []float64{0, 0}, Max: []float64{2, 2}},
 		{Min: []float64{-5, -5}, Max: []float64{-4, -4}},

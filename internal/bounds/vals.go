@@ -147,7 +147,7 @@ func (e *Evaluator) quadQuarticVals(sumW, sumX2, sumX4, xmin, xmax float64) (lb,
 // x_i(q) = γ·dist(q, p_i)² stays inside [xmin, xmax] for q in the rect, so
 // the chord/tangent envelopes hold pointwise; their aggregates are linear in
 // sumX(q) = γ·Σ w·dist²(q), whose exact rect-range γ·[s2lo, s2hi] comes from
-// flat.Tree.RectSumDist2. Both envelope slopes are ≤ 0 (the profile
+// kdtree.Tree.RectSumDist2. Both envelope slopes are ≤ 0 (the profile
 // decreases), so the upper bound is worst at the low end and the lower bound
 // at the high end; the tangent sits at the worst case's mean so the lower
 // envelope is tight exactly where it binds.

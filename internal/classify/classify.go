@@ -21,7 +21,6 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -87,11 +86,7 @@ func New(classes map[string]geom.Points, cfg Config) (*Classifier, error) {
 		if err != nil {
 			return nil, err
 		}
-		ftree, err := flat.FromTree(tree)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := engine.NewFlat(ftree, ev)
+		eng, err := engine.NewFlat(tree, ev)
 		if err != nil {
 			return nil, err
 		}

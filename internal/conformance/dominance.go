@@ -10,7 +10,6 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/oracle"
 )
@@ -19,7 +18,7 @@ import (
 // interface (satisfied by *bounds.Evaluator) so the mutation self-tests can
 // inject a deliberately broken implementation and prove the checks catch it.
 type Bounder interface {
-	FlatBounds(t *flat.Tree, id int32, q []float64) (lb, ub float64)
+	FlatBounds(t *kdtree.Tree, id int32, q []float64) (lb, ub float64)
 }
 
 // boundTol is the floating-point slack granted to a bound violation check:
@@ -37,7 +36,7 @@ func boundTol(vals ...float64) float64 {
 // CheckNodeBounds walks every node of the tree and asserts the sandwich
 // invariant LB_R(q) ≤ F_R(q) ≤ UB_R(q) for each query, with F from the
 // Kahan-summed oracle.
-func CheckNodeBounds(name string, t *flat.Tree, b Bounder, o *oracle.Oracle, queries [][]float64) Check {
+func CheckNodeBounds(name string, t *kdtree.Tree, b Bounder, o *oracle.Oracle, queries [][]float64) Check {
 	var worst float64
 	var detail string
 	bad := 0
@@ -67,7 +66,7 @@ func CheckNodeBounds(name string, t *flat.Tree, b Bounder, o *oracle.Oracle, que
 // CheckBoundHierarchy asserts the paper's dominance chain on every node: the
 // tight method's interval nests inside the loose one's,
 // [lbT, ubT] ⊆ [lbL, ubL] up to floating-point slack.
-func CheckBoundHierarchy(name string, t *flat.Tree, tight, loose Bounder, queries [][]float64) Check {
+func CheckBoundHierarchy(name string, t *kdtree.Tree, tight, loose Bounder, queries [][]float64) Check {
 	var worst float64
 	var detail string
 	bad := 0
@@ -97,7 +96,7 @@ func CheckBoundHierarchy(name string, t *flat.Tree, tight, loose Bounder, querie
 // CheckRectBounds asserts the tile-uniform contract: FlatRectBounds(t, id,
 // rect) brackets F_R(q) for every query inside rect — the invariant the
 // tile-shared render phase rests on. All queries must lie inside rect.
-func CheckRectBounds(name string, t *flat.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
+func CheckRectBounds(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
 	bad := 0
 	var detail string
 	t.Walk(func(id int32) bool {
@@ -124,7 +123,7 @@ func CheckRectBounds(name string, t *flat.Tree, ev *bounds.Evaluator, o *oracle.
 // checkEnvelope accumulates the rect envelopes of a covering node set and
 // asserts lbEnv(q) ≤ F_P(q) ≤ ubEnv(q) for every query in the rect — the
 // aggregate form the tile-shared phase evaluates per pixel.
-func checkEnvelope(name string, t *flat.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
+func checkEnvelope(name string, t *kdtree.Tree, ev *bounds.Evaluator, o *oracle.Oracle, rect geom.Rect, queries [][]float64) Check {
 	cover := coverNodes(t, 2)
 	var lbEnv, ubEnv bounds.TileEnvelope
 	lbEnv.Reset(t.Dim())
@@ -160,7 +159,7 @@ func checkEnvelope(name string, t *flat.Tree, ev *bounds.Evaluator, o *oracle.Or
 
 // coverNodes returns a set of nodes at the given depth (or shallower leaves)
 // that partitions the point set.
-func coverNodes(t *flat.Tree, depth int) []int32 {
+func coverNodes(t *kdtree.Tree, depth int) []int32 {
 	var out []int32
 	var rec func(id int32, d int)
 	rec = func(id int32, d int) {
@@ -186,11 +185,7 @@ func runDominance(cfg *Config, rep *Report) error {
 	queries := sampleQueries(g, rng)
 	rect, rectQueries := centralRect(g)
 
-	ptree, err := kdtree.Build(cfg.Pts, kdtree.Options{Gram: true})
-	if err != nil {
-		return fmt.Errorf("conformance: dominance tree: %w", err)
-	}
-	tree, err := flat.FromTree(ptree)
+	tree, err := kdtree.Build(cfg.Pts, kdtree.Options{Gram: true})
 	if err != nil {
 		return fmt.Errorf("conformance: dominance tree: %w", err)
 	}

@@ -12,19 +12,14 @@ import (
 	"github.com/quadkdv/quad/internal/dataset"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/oracle"
 )
 
-func mutationFixture(t *testing.T) (*flat.Tree, *bounds.Evaluator, *oracle.Oracle, [][]float64, []float64) {
+func mutationFixture(t *testing.T) (*kdtree.Tree, *bounds.Evaluator, *oracle.Oracle, [][]float64, []float64) {
 	t.Helper()
 	pts := dataset.Crime(600, 3)
-	kt, err := kdtree.Build(pts, kdtree.Options{Gram: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := flat.FromTree(kt)
+	tree, err := kdtree.Build(pts, kdtree.Options{Gram: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +86,7 @@ func TestMaskChecksRejectFlippedBit(t *testing.T) {
 // catch it.
 type brokenBounder struct{ ev *bounds.Evaluator }
 
-func (b brokenBounder) FlatBounds(t *flat.Tree, id int32, q []float64) (float64, float64) {
+func (b brokenBounder) FlatBounds(t *kdtree.Tree, id int32, q []float64) (float64, float64) {
 	lb, ub := b.ev.FlatBounds(t, id, q)
 	return lb, lb + 0.5*(ub-lb)
 }

@@ -29,7 +29,7 @@ func Names() []string { return []string{"elnino", "crime", "home", "hep"} }
 
 // Generate produces the named dataset analogue with n points. n ≤ 0 selects
 // the paper's cardinality. hep is generated with its full 10 dimensions;
-// use First2D to obtain the 2-attribute projection used for visualization.
+// Generate2D returns the 2-attribute projection used for visualization.
 func Generate(name string, n int, seed int64) (geom.Points, error) {
 	if n <= 0 {
 		n = PaperSizes[name]
@@ -46,6 +46,20 @@ func Generate(name string, n int, seed int64) (geom.Points, error) {
 	default:
 		return geom.Points{}, fmt.Errorf("dataset: unknown dataset %q (want one of %v)", name, Names())
 	}
+}
+
+// Generate2D returns First2D(Generate(name, n, seed)) without generating
+// the columns First2D drops: hep draws the same random stream as Generate
+// but keeps only the first two coordinates of each point, so the 10-d
+// buffer is never allocated.
+func Generate2D(name string, n int, seed int64) (geom.Points, error) {
+	if name != "hep" {
+		return Generate(name, n, seed)
+	}
+	if n <= 0 {
+		n = PaperSizes[name]
+	}
+	return hep(n, 10, 2, seed), nil
 }
 
 // ElNino models the El Niño buoy readings (sea surface temperature at depth
@@ -178,6 +192,12 @@ func Hep(n, dim int, seed int64) geom.Points {
 	if dim < 2 {
 		dim = 2
 	}
+	return hep(n, dim, dim, seed)
+}
+
+// hep generates Hep(n, dim, seed) and keeps the first keep coordinates of
+// each point, drawing the whole stream either way.
+func hep(n, dim, keep int, seed int64) geom.Points {
 	rng := rand.New(rand.NewSource(seed))
 	const comps = 12
 	centers := make([][]float64, comps)
@@ -201,7 +221,7 @@ func Hep(n, dim int, seed int64) geom.Points {
 		}
 		totalW += weights[c]
 	}
-	coords := make([]float64, 0, n*dim)
+	coords := make([]float64, 0, n*keep)
 	for i := 0; i < n; i++ {
 		r := rng.Float64() * totalW
 		c := 0
@@ -211,10 +231,13 @@ func Hep(n, dim int, seed int64) geom.Points {
 			}
 		}
 		for j := 0; j < dim; j++ {
-			coords = append(coords, centers[c][j]+rng.NormFloat64()*scales[c])
+			v := centers[c][j] + rng.NormFloat64()*scales[c]
+			if j < keep {
+				coords = append(coords, v)
+			}
 		}
 	}
-	return geom.NewPoints(coords, dim)
+	return geom.NewPoints(coords, keep)
 }
 
 // First2D projects a dataset onto its first two attributes — the

@@ -141,3 +141,62 @@ func TestGeneratorsPrefix(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerate2DGolden: Generate2D is First2D(Generate) bit for bit, for
+// every analogue at several sizes and seeds — hep's 2-d path must draw the
+// same random stream as its 10-d one.
+func TestGenerate2DGolden(t *testing.T) {
+	for _, name := range Names() {
+		for _, c := range []struct {
+			n    int
+			seed int64
+		}{{1, 1}, {64, 42}, {1000, 7}, {5001, 31}} {
+			want, err := Generate(name, c.n, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = First2D(want)
+			got, err := Generate2D(name, c.n, c.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Dim != 2 || len(got.Coords) != len(want.Coords) {
+				t.Fatalf("%s n=%d seed=%d: dim %d, %d coords; want 2, %d",
+					name, c.n, c.seed, got.Dim, len(got.Coords), len(want.Coords))
+			}
+			for i := range want.Coords {
+				if math.Float64bits(got.Coords[i]) != math.Float64bits(want.Coords[i]) {
+					t.Fatalf("%s n=%d seed=%d: coordinate %d is %v, want %v",
+						name, c.n, c.seed, i, got.Coords[i], want.Coords[i])
+				}
+			}
+		}
+	}
+	if _, err := Generate2D("nope", 10, 1); err == nil {
+		t.Error("Generate2D accepted an unknown name")
+	}
+}
+
+// BenchmarkGenerate2D times the 2-d hep projection a server builds a KDV
+// from, generated directly and through the 10-d buffer.
+func BenchmarkGenerate2D(b *testing.B) {
+	const n, seed = 50000, 7
+	b.Run("hep/Generate2D", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Generate2D("hep", n, seed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("hep/First2D(Generate)", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pts, err := Generate("hep", n, seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			First2D(pts)
+		}
+	})
+}

@@ -12,10 +12,10 @@
 // The engine is shared by every bound method (MinMax/aKDE, MinMax/tKDC,
 // Linear/KARL, Quadratic/QUAD), mirroring the paper's "same framework,
 // different bound functions" methodology. It walks the struct-of-arrays
-// kd-tree of internal/kdtree/flat.
+// kd-tree of internal/kdtree.
 package engine
 
-import "github.com/quadkdv/quad/internal/kdtree/flat"
+import "github.com/quadkdv/quad/internal/kdtree"
 
 // Stats aggregates per-query work counters.
 type Stats struct {
@@ -83,7 +83,7 @@ func (e *FlatEngine) BoundTrace(q []float64, eps float64) []TracePoint {
 		iter++
 		it := e.heapPop()
 		id := it.id
-		if left := t.Left[id]; left == flat.NoChild {
+		if left := t.Left[id]; left == kdtree.NoChild {
 			exactAcc += e.Ev.FlatExactNode(t, id, q)
 			lbPend -= it.lb
 			ubPend -= it.ub

@@ -8,7 +8,6 @@ import (
 	"github.com/quadkdv/quad/internal/bounds"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -19,16 +18,6 @@ func clusteredPoints(rng *rand.Rand, n int) geom.Points {
 		coords = append(coords, cx+rng.NormFloat64()*0.5, cy+rng.NormFloat64()*0.5)
 	}
 	return geom.NewPoints(coords, 2)
-}
-
-// flatten converts a built kd-tree to the flat layout the engine runs on.
-func flatten(t *testing.T, tr *kdtree.Tree) *flat.Tree {
-	t.Helper()
-	ft, err := flat.FromTree(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft
 }
 
 func buildEngine(t *testing.T, pts geom.Points, kern kernel.Kernel, gamma float64, m bounds.Method) *FlatEngine {
@@ -42,7 +31,7 @@ func buildEngine(t *testing.T, pts geom.Points, kern kernel.Kernel, gamma float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewFlat(flatten(t, tr), ev)
+	e, err := NewFlat(tr, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +53,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFlat(flatten(t, tr), ev); err == nil {
+	if _, err := NewFlat(tr, ev); err == nil {
 		t.Error("NewFlat with Gram-less tree and Gaussian quadratic bounds should fail")
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"github.com/quadkdv/quad/internal/bounds"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
+	"github.com/quadkdv/quad/internal/kdtree"
 )
 
 // This file is the per-pixel refinement engine: the Table 3 loop over the
@@ -32,7 +32,7 @@ func fgap(it fitem) float64 { return it.ub - it.lb }
 // bound evaluator. It reuses its internal queue across queries and therefore
 // must not be shared between goroutines; use Clone for parallel workers.
 type FlatEngine struct {
-	Tree *flat.Tree
+	Tree *kdtree.Tree
 	Ev   *bounds.Evaluator
 
 	heap []fitem
@@ -40,7 +40,7 @@ type FlatEngine struct {
 
 // NewFlat validates that the flat tree carries the statistics the evaluator
 // needs and returns an engine.
-func NewFlat(tree *flat.Tree, ev *bounds.Evaluator) (*FlatEngine, error) {
+func NewFlat(tree *kdtree.Tree, ev *bounds.Evaluator) (*FlatEngine, error) {
 	if tree == nil || tree.NumNodes() == 0 {
 		return nil, fmt.Errorf("engine: nil or empty flat tree")
 	}
@@ -192,7 +192,7 @@ func (e *FlatEngine) refine(q []float64, done func(lb, ub float64) bool) (flb, f
 		it := e.heapPop()
 		id := it.id
 		left := t.Left[id]
-		if left == flat.NoChild {
+		if left == kdtree.NoChild {
 			exactAcc += e.Ev.FlatExactNode(t, id, q)
 			st.LeafScans++
 			st.PointsScanned += t.Size(id)

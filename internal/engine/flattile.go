@@ -29,7 +29,7 @@ import (
 
 	"github.com/quadkdv/quad/internal/bounds"
 	"github.com/quadkdv/quad/internal/geom"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
+	"github.com/quadkdv/quad/internal/kdtree"
 )
 
 const (
@@ -279,7 +279,7 @@ func (te *FlatTileEngine) sharedExpand(tile geom.Rect, seeds []fitem, baseLB, ba
 		it := te.heapPopTile()
 		id := it.id
 		left := t.Left[id]
-		if left == flat.NoChild {
+		if left == kdtree.NoChild {
 			te.scratch = append(te.scratch, it)
 			leafLB += it.lb
 			leafUB += it.ub
@@ -556,12 +556,12 @@ func (te *FlatTileEngine) buildEnvelope(f *FlatFrontier, st *Stats) {
 // ascending gap, tie-broken on the node's point range. The comparator is a
 // total order over a disjoint node cover (Start values are unique across the
 // cover), so the settle split is fully deterministic.
-func sortFlatCandidatesByGap(t *flat.Tree, cands []fitem, gaps []float64) {
+func sortFlatCandidatesByGap(t *kdtree.Tree, cands []fitem, gaps []float64) {
 	sort.Sort(&flatCandGapSorter{t, cands, gaps})
 }
 
 type flatCandGapSorter struct {
-	tree  *flat.Tree
+	tree  *kdtree.Tree
 	items []fitem
 	gaps  []float64
 }
@@ -580,7 +580,7 @@ func (s *flatCandGapSorter) Swap(i, j int) {
 
 // sortFlatCandidates orders items by ascending gap, tie-broken on the node's
 // point range so the settle split is fully deterministic.
-func sortFlatCandidates(t *flat.Tree, items []fitem) {
+func sortFlatCandidates(t *kdtree.Tree, items []fitem) {
 	sort.Slice(items, func(i, j int) bool {
 		gi, gj := fgap(items[i]), fgap(items[j])
 		if gi != gj {
@@ -714,7 +714,7 @@ func (e *FlatEngine) refineFrom(f *FlatFrontier, q []float64, done func(lb, ub f
 		it := e.heapPop()
 		id := it.id
 		left := t.Left[id]
-		if left == flat.NoChild {
+		if left == kdtree.NoChild {
 			if it.seed >= 0 {
 				// A leaf seed still carries its loose tile-uniform bounds.
 				// Tighten with this pixel's bounds before committing to an

@@ -1,6 +1,6 @@
 package engine
 
-import "github.com/quadkdv/quad/internal/kdtree/flat"
+import "github.com/quadkdv/quad/internal/kdtree"
 
 // Refiner exposes the Table 3 refinement loop one step at a time, so callers
 // can interleave the refinement of several aggregates and stop on conditions
@@ -72,7 +72,7 @@ func (r *Refiner) Step() bool {
 	r.st.Iterations++
 	it := r.pop()
 	t := r.e.Tree
-	if left := t.Left[it.id]; left == flat.NoChild {
+	if left := t.Left[it.id]; left == kdtree.NoChild {
 		r.exactAcc += r.e.Ev.FlatExactNode(t, it.id, r.q)
 		r.st.LeafScans++
 		r.st.PointsScanned += t.Size(it.id)

@@ -8,12 +8,11 @@ import (
 	"github.com/quadkdv/quad/internal/bounds"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
 // weightedExact computes the weighted ground truth by brute force.
-func weightedExact(tr *flat.Tree, kern kernel.Kernel, gamma, w float64, q []float64) float64 {
+func weightedExact(tr *kdtree.Tree, kern kernel.Kernel, gamma, w float64, q []float64) float64 {
 	var sum float64
 	for i := 0; i < tr.Pts.Len(); i++ {
 		sum += tr.WeightAt(i) * kern.Eval(gamma, geom.Dist2(q, tr.Pts.At(i)))
@@ -45,11 +44,10 @@ func TestWeightedEpsGuarantee(t *testing.T) {
 		}
 		for _, m := range methods {
 			ws := append([]float64(nil), weights...)
-			kt, err := kdtree.Build(pts.Clone(), kdtree.Options{LeafSize: 8, Gram: true, Weights: ws})
+			tr, err := kdtree.Build(pts.Clone(), kdtree.Options{LeafSize: 8, Gram: true, Weights: ws})
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr := flatten(t, kt)
 			ev, err := bounds.NewEvaluator(kern, 0.4, 1e-3, m, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -85,11 +83,10 @@ func TestWeightedMatchesScaledUniform(t *testing.T) {
 	for i := range ws {
 		ws[i] = 3
 	}
-	kt, err := kdtree.Build(pts.Clone(), kdtree.Options{Gram: true, Weights: ws})
+	tr, err := kdtree.Build(pts.Clone(), kdtree.Options{Gram: true, Weights: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := flatten(t, kt)
 	ev, err := bounds.NewEvaluator(kernel.Gaussian, 0.5, 1, bounds.Quadratic, 2)
 	if err != nil {
 		t.Fatal(err)

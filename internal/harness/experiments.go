@@ -14,7 +14,6 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/pca"
 	"github.com/quadkdv/quad/internal/stats"
@@ -245,11 +244,10 @@ func RunFig16(c *Config) error {
 
 // RunFig17 times εKDV and τKDV on hep across cardinalities.
 func RunFig17(c *Config) error {
-	full, err := dataset.Generate("hep", maxInt(c.HepSizes), c.Seed)
+	full, err := dataset.Generate2D("hep", maxInt(c.HepSizes), c.Seed)
 	if err != nil {
 		return err
 	}
-	full = dataset.First2D(full)
 	headers := []string{"method"}
 	for _, n := range c.HepSizes {
 		headers = append(headers, fmt.Sprintf("%dk", n/1000))
@@ -771,12 +769,8 @@ func RunTightness(c *Config) error {
 
 // buildFlat indexes a copy of pts with the Gram statistic, as the bound
 // experiments need it for every method.
-func buildFlat(pts geom.Points) (*flat.Tree, error) {
-	tree, err := kdtree.Build(pts.Clone(), kdtree.Options{Gram: true})
-	if err != nil {
-		return nil, err
-	}
-	return flat.FromTree(tree)
+func buildFlat(pts geom.Points) (*kdtree.Tree, error) {
+	return kdtree.Build(pts.Clone(), kdtree.Options{Gram: true})
 }
 
 func percentile(sorted []float64, p float64) float64 {

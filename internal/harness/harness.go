@@ -100,11 +100,10 @@ func (c *Config) LoadDataset(name string) (*DS, error) {
 	if c.Sizes != nil {
 		n = c.Sizes[name]
 	}
-	pts, err := dataset.Generate(name, n, c.Seed)
+	pts, err := dataset.Generate2D(name, n, c.Seed)
 	if err != nil {
 		return nil, err
 	}
-	pts = dataset.First2D(pts)
 	return &DS{Name: name, Pts: pts, N: pts.Len()}, nil
 }
 

@@ -7,11 +7,10 @@ import (
 
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 )
 
-// The node moments a build accumulates are read through the flat tree's
-// query methods; these tests check those against brute force.
+// The node moments a build accumulates are read through the tree's query
+// methods; these tests check those against brute force.
 
 func randomPoints(rng *rand.Rand, n, dim int, scale float64) geom.Points {
 	coords := make([]float64, n*dim)
@@ -28,18 +27,14 @@ func relErr(got, want float64) float64 {
 	return math.Abs(got-want) / math.Abs(want)
 }
 
-// buildFlat builds a kd-tree over pts and flattens it.
-func buildFlat(t *testing.T, pts geom.Points, opt kdtree.Options) *flat.Tree {
+// buildFlat builds a kd-tree over pts.
+func buildFlat(t *testing.T, pts geom.Points, opt kdtree.Options) *kdtree.Tree {
 	t.Helper()
 	tr, err := kdtree.Build(pts, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := flat.FromTree(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft
+	return tr
 }
 
 // TestNodeStatsMatchBruteForce is the load-bearing test: every node's

@@ -9,13 +9,15 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 )
 
-// TestBuildWorkersIdentity: the fork-join build must be the serial build,
-// bit for bit, and the d == 2 loops must be the generic loops. Every row is
-// built once serially with the generic loops (the reference) and then by
-// Build at each worker count; all must agree on the node count, the point
-// and weight order and every node field's Float64bits. Sizes straddle the
-// fork cutoff, and the lattice rows put thousands of copies of each point in
-// the data, so the single-point-leaf guard fires inside forked subtrees.
+// TestBuildWorkersIdentity: the level-order build must be the reference
+// build (a serial, depth-first recursion with the generic loops and the
+// textbook Hoare partition), bit for bit, at every worker count. Every row
+// is built once by refBuild and then by Build at each worker count; all
+// must agree on the node count and height, the point and weight order and
+// every array's bits. Sizes straddle the goroutine grain and the partition
+// block, and the lattice rows put thousands of copies of each point in the
+// data, so the single-point-leaf guard fires on levels the build spreads
+// over goroutines.
 func TestBuildWorkersIdentity(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -65,13 +67,9 @@ func TestBuildWorkersIdentity(t *testing.T) {
 				return geom.NewPoints(append([]float64(nil), coords...), c.dim), opt
 			}
 
-			pts, opt := input(1)
-			ref, err := build(pts, opt, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.lattice && c.n >= forkCutoff && oversizedLeaves(ref.Root.Left) == 0 {
-				t.Fatal("no single-point leaf below the root's left child: the guard never fires in a forked subtree")
+			ref := refBuild(input(1))
+			if c.lattice && oversizedLeaves(ref) == 0 {
+				t.Fatal("no single-point leaf: the degenerate guard never fires")
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				got, err := Build(input(workers))
@@ -80,32 +78,20 @@ func TestBuildWorkersIdentity(t *testing.T) {
 				}
 				requireIdentical(t, fmt.Sprintf("workers=%d", workers), ref, got)
 			}
-			if c.dim == 2 {
-				// The generic loops under fork-join, too.
-				pts, opt := input(8)
-				got, err := build(pts, opt, false)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, "generic loops, workers=8", ref, got)
-			}
 		})
 	}
 }
 
-// oversizedLeaves counts the leaves under n holding more than one point
-// when every point in them is the same: the nodes the degenerate guard kept.
-func oversizedLeaves(n *Node) int {
-	if n == nil {
-		return 0
-	}
-	if n.IsLeaf() {
-		if n.Size() > 1 && rectIsPoint(n.Rect) {
-			return 1
+// oversizedLeaves counts the leaves holding more than one point when every
+// point in them is the same: the nodes the degenerate guard kept.
+func oversizedLeaves(t *Tree) int {
+	count := 0
+	for id := int32(0); id < int32(t.NumNodes()); id++ {
+		if t.IsLeaf(id) && t.Size(id) > 1 && rectIsPoint(t.Rect(id)) {
+			count++
 		}
-		return 0
 	}
-	return oversizedLeaves(n.Left) + oversizedLeaves(n.Right)
+	return count
 }
 
 func rectIsPoint(r geom.Rect) bool {
@@ -117,58 +103,52 @@ func rectIsPoint(r geom.Rect) bool {
 	return true
 }
 
-// requireIdentical fails unless got is want bit for bit: node count, point
-// and weight order, and every node's range, shape and statistics.
+// requireIdentical fails unless got is want bit for bit: node count and
+// height, point and weight order, and every array of the tree.
 func requireIdentical(t *testing.T, label string, want, got *Tree) {
 	t.Helper()
-	if got.NumNodes() != want.NumNodes() {
-		t.Fatalf("%s: %d nodes, want %d", label, got.NumNodes(), want.NumNodes())
+	if got.NumNodes() != want.NumNodes() || got.Height() != want.Height() {
+		t.Fatalf("%s: %d nodes of height %d, want %d of height %d",
+			label, got.NumNodes(), got.Height(), want.NumNodes(), want.Height())
 	}
-	same := func(what string, i int, a, b float64) {
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("%s: %s[%d] = %v (%#x), want %v (%#x)",
-				label, what, i, a, math.Float64bits(a), b, math.Float64bits(b))
-		}
+	if got.LeafSize != want.LeafSize || got.Dim() != want.Dim() {
+		t.Fatalf("%s: leaf size %d, dim %d; want %d, %d", label, got.LeafSize, got.Dim(), want.LeafSize, want.Dim())
 	}
-	sameBits := func(what string, a, b []float64) {
+	sameInts := func(what string, a, b []int32) {
 		if len(a) != len(b) {
 			t.Fatalf("%s: %s has %d values, want %d", label, what, len(a), len(b))
 		}
 		for i := range a {
-			same(what, i, a[i], b[i])
+			if a[i] != b[i] {
+				t.Fatalf("%s: %s[%d] = %d, want %d", label, what, i, a[i], b[i])
+			}
+		}
+	}
+	sameBits := func(what string, a, b []float64) {
+		if len(a) != len(b) || (a == nil) != (b == nil) {
+			t.Fatalf("%s: %s has %d values (nil %v), want %d (nil %v)", label, what, len(a), a == nil, len(b), b == nil)
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: %s[%d] = %v (%#x), want %v (%#x)",
+					label, what, i, a[i], math.Float64bits(a[i]), b[i], math.Float64bits(b[i]))
+			}
 		}
 	}
 	sameBits("point coordinates", got.Pts.Coords, want.Pts.Coords)
 	sameBits("weights", got.Weights, want.Weights)
-
-	nodes := 0
-	var walk func(g, w *Node)
-	walk = func(g, w *Node) {
-		nodes++
-		if g.Start != w.Start || g.End != w.End || g.IsLeaf() != w.IsLeaf() {
-			t.Fatalf("%s: node [%d,%d) leaf=%v, want [%d,%d) leaf=%v",
-				label, g.Start, g.End, g.IsLeaf(), w.Start, w.End, w.IsLeaf())
-		}
-		sameBits("Rect.Min", g.Rect.Min, w.Rect.Min)
-		sameBits("Rect.Max", g.Rect.Max, w.Rect.Max)
-		sameBits("Center", g.Center, w.Center)
-		sameBits("SumP", g.SumP, w.SumP)
-		sameBits("SumNorm2P", g.SumNorm2P, w.SumNorm2P)
-		sameBits("Gram", g.Gram, w.Gram)
-		same("SumW", g.Start, g.SumW, w.SumW)
-		same("SumNorm2", g.Start, g.SumNorm2, w.SumNorm2)
-		same("SumNorm4", g.Start, g.SumNorm4, w.SumNorm4)
-		same("Radius", g.Start, g.Radius, w.Radius)
-		if (g.Gram == nil) != (w.Gram == nil) {
-			t.Fatalf("%s: node [%d,%d) Gram presence differs", label, g.Start, g.End)
-		}
-		if !g.IsLeaf() {
-			walk(g.Left, w.Left)
-			walk(g.Right, w.Right)
-		}
-	}
-	walk(got.Root, want.Root)
-	if nodes != got.NumNodes() {
-		t.Fatalf("%s: walked %d nodes, NumNodes reports %d", label, nodes, got.NumNodes())
-	}
+	sameInts("Left", got.Left, want.Left)
+	sameInts("Right", got.Right, want.Right)
+	sameInts("Start", got.Start, want.Start)
+	sameInts("End", got.End, want.End)
+	sameBits("RectMin", got.RectMin, want.RectMin)
+	sameBits("RectMax", got.RectMax, want.RectMax)
+	sameBits("Center", got.Center, want.Center)
+	sameBits("SumP", got.SumP, want.SumP)
+	sameBits("SumNorm2P", got.SumNorm2P, want.SumNorm2P)
+	sameBits("SumW", got.SumW, want.SumW)
+	sameBits("SumNorm2", got.SumNorm2, want.SumNorm2)
+	sameBits("SumNorm4", got.SumNorm4, want.SumNorm4)
+	sameBits("Radius", got.Radius, want.Radius)
+	sameBits("Gram", got.Gram, want.Gram)
 }

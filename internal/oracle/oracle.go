@@ -21,7 +21,7 @@ import (
 
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
+	"github.com/quadkdv/quad/internal/kdtree"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -100,7 +100,7 @@ func (o *Oracle) Density(q []float64) float64 {
 // quantity every bound method's [LB_R(q), UB_R(q)] interval must bracket.
 // The tree's (reordered) points and per-point weights are used, so the value
 // is comparable with bounds computed against the same tree.
-func (o *Oracle) NodeDensity(t *flat.Tree, id int32, q []float64) float64 {
+func (o *Oracle) NodeDensity(t *kdtree.Tree, id int32, q []float64) float64 {
 	return o.rangeDensity(t.Pts, t.Weights, int(t.Start[id]), int(t.End[id]), q)
 }
 

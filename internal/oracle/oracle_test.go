@@ -10,7 +10,6 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -104,11 +103,7 @@ func TestDensityWeighted(t *testing.T) {
 // tree's point buffer).
 func TestNodeDensityPartition(t *testing.T) {
 	pts := dataset.ElNino(1500, 11)
-	kt, err := kdtree.Build(pts, kdtree.Options{LeafSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := flat.FromTree(kt)
+	tree, err := kdtree.Build(pts, kdtree.Options{LeafSize: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

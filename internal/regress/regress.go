@@ -26,7 +26,6 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 )
 
@@ -98,11 +97,7 @@ func New(x geom.Points, y []float64, cfg Config) (*Regressor, error) {
 		if err != nil {
 			return nil, err
 		}
-		ftree, err := flat.FromTree(tree)
-		if err != nil {
-			return nil, err
-		}
-		return engine.NewFlat(ftree, ev)
+		return engine.NewFlat(tree, ev)
 	}
 	var err error
 	if r.den, err = build(nil); err != nil {

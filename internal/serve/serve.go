@@ -564,11 +564,10 @@ func (s *Server) kdvFor(ctx context.Context, p *renderParams) (*quad.KDV, error)
 	key := cacheKey(p)
 	sp, ctx := trace.StartSpan(ctx, "cache")
 	k, outcome, err := s.cache.getOutcome(ctx, key, func() (*quad.KDV, error) {
-		pts, err := dataset.Generate(p.name, p.n, p.seed)
+		pts, err := dataset.Generate2D(p.name, p.n, p.seed)
 		if err != nil {
 			return nil, err
 		}
-		pts = dataset.First2D(pts)
 		opts := []quad.Option{
 			quad.WithKernel(p.kern), quad.WithMethod(p.method), quad.WithZOrderGuarantee(p.eps, 0.2),
 		}

@@ -8,6 +8,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"os/exec"
 	"runtime"
@@ -22,7 +23,6 @@ import (
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/stats"
 )
@@ -471,7 +471,93 @@ func ledgerLines(t *testing.T) []string {
 	classifyCells(l, queries)
 	regressCells(l, queries)
 	boundTraceCells(l, big, queries)
+	indexCells(l)
 	return l.lines
+}
+
+// indexCells pin the kd-tree index itself: the point and weight order and
+// every array of the tree, for the serving shape (crime 50k, Gram) and for
+// weighted, Gram-free, small-leaf, duplicate-heavy, 3-d, 10-d and tiny
+// inputs. Each is built at workers 1 and 4, which must agree.
+func indexCells(l *ledger) {
+	rng := rand.New(rand.NewSource(20))
+	weightsFor := func(n int) []float64 {
+		ws := make([]float64, n)
+		for i := range ws {
+			ws[i] = rng.Float64()
+		}
+		return ws
+	}
+	lattice := make([]float64, 2*5000)
+	for i := range lattice {
+		lattice[i] = math.Floor(8*rng.Float64()) / 8
+	}
+	crime20k := dataset.Crime(20000, 7)
+	cells := []struct {
+		name string
+		pts  geom.Points
+		opt  kdtree.Options
+	}{
+		{"crime/n50000/gram", dataset.Crime(50000, 7), kdtree.Options{Gram: true}},
+		{"crime/n20000/weighted/gram", crime20k, kdtree.Options{Gram: true, Weights: weightsFor(20000)}},
+		{"crime/n20000/leaf4", crime20k, kdtree.Options{LeafSize: 4}},
+		{"lattice8/n5000/weighted/gram", geom.NewPoints(lattice, 2), kdtree.Options{Gram: true, Weights: weightsFor(5000)}},
+		{"hep3/n5000/gram", dataset.Hep(5000, 3, 7), kdtree.Options{Gram: true}},
+		{"hep10/n5000/gram", dataset.Hep(5000, 10, 7), kdtree.Options{Gram: true}},
+		{"crime/n1/gram", dataset.Crime(1, 7), kdtree.Options{Gram: true}},
+		{"crime/n31/gram", dataset.Crime(31, 7), kdtree.Options{Gram: true}},
+	}
+	for _, c := range cells {
+		var first string
+		for _, workers := range []int{1, 4} {
+			opt := c.opt
+			opt.Workers = workers
+			if opt.Weights != nil {
+				opt.Weights = append([]float64(nil), opt.Weights...)
+			}
+			got, err := indexLine(c.pts.Clone(), opt)
+			if err != nil {
+				l.t.Fatalf("index/%s: %v", c.name, err)
+			}
+			if first == "" {
+				first = got
+			} else if got != first {
+				l.t.Errorf("index/%s: workers=%d gives\n  %s\nworkers=1 gives\n  %s", c.name, workers, got, first)
+			}
+		}
+		l.add("index/"+c.name, first)
+	}
+}
+
+// indexLine builds the index over pts and returns the sha256 of its point
+// order, weights and every array, with its node count and height.
+func indexLine(pts geom.Points, opt kdtree.Options) (string, error) {
+	t, err := kdtree.Build(pts, opt)
+	if err != nil {
+		return "", err
+	}
+	h := sha256.New()
+	ints := func(vs []int32) {
+		binary.Write(h, binary.LittleEndian, int64(len(vs)))
+		binary.Write(h, binary.LittleEndian, vs)
+	}
+	floats := func(vs []float64) {
+		binary.Write(h, binary.LittleEndian, int64(len(vs)))
+		for _, v := range vs {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
+	}
+	floats(t.Pts.Coords)
+	floats(t.Weights)
+	ints(t.Left)
+	ints(t.Right)
+	ints(t.Start)
+	ints(t.End)
+	for _, a := range [][]float64{t.RectMin, t.RectMax, t.Center, t.SumP, t.SumNorm2P,
+		t.SumW, t.SumNorm2, t.SumNorm4, t.Radius, t.Gram} {
+		floats(a)
+	}
+	return fmt.Sprintf("sha256=%x nodes=%d height=%d", h.Sum(nil), t.NumNodes(), t.Height()), nil
 }
 
 // ledgerQueries are 25 points on a 5×5 lattice over pts' bounding box and
@@ -566,11 +652,7 @@ func regressCells(l *ledger, queries [][]float64) {
 // query.
 func boundTraceCells(l *ledger, pts geom.Points, queries [][]float64) {
 	bw := stats.ScottsRule(pts, kernel.Gaussian)
-	kt, err := kdtree.Build(pts.Clone(), kdtree.Options{Gram: true})
-	if err != nil {
-		l.t.Fatal(err)
-	}
-	tree, err := flat.FromTree(kt)
+	tree, err := kdtree.Build(pts.Clone(), kdtree.Options{Gram: true})
 	if err != nil {
 		l.t.Fatal(err)
 	}

@@ -56,7 +56,6 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
-	"github.com/quadkdv/quad/internal/kdtree/flat"
 	"github.com/quadkdv/quad/internal/kernel"
 	"github.com/quadkdv/quad/internal/stats"
 	"github.com/quadkdv/quad/internal/zorder"
@@ -191,12 +190,14 @@ func WithLeafSize(n int) Option { return func(c *config) { c.leafSize = n } }
 // computation" future-work knob), and bounds the goroutines New builds the
 // kd-tree index on. A render starts min(n, units) of them, where a unit is
 // a sub-tile on tile-shared passes and a tile otherwise, so even a
-// one-tile raster runs on several. The default, also selected by 0 or
-// negative, is runtime.GOMAXPROCS(0) read at construction, so a build and
-// a render use every core the process may run on; WithWorkers(1) is the
-// paper's single-threaded setting. The index, rasters and RenderStats work
-// counters are identical for every worker count, because subtrees, tiles
-// and sub-tiles are built and evaluated independently.
+// one-tile raster runs on several; a build spreads the nodes of each tree
+// level, then the nodes' moment sums, over them. The default, also
+// selected by 0 or negative, is runtime.GOMAXPROCS(0) read at
+// construction, so a build and a render use every core the process may
+// run on; WithWorkers(1) is the paper's single-threaded setting. The index,
+// rasters and RenderStats work counters are identical for every worker
+// count, because the nodes of a level, the tiles and the sub-tiles are
+// built and evaluated independently.
 // Progressive renders and the per-query calls (Estimate, IsHot) run on one
 // goroutine regardless.
 func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
@@ -263,9 +264,9 @@ func WithPointWeights(ws []float64) Option {
 // internal pool.
 type KDV struct {
 	pts          geom.Points
-	weights      []float64  // per-point weights, nil = uniform
-	fullRect     geom.Rect  // full-dataset bounds when sharded (WithShard)
-	ftree        *flat.Tree // SoA kd-tree index (bound-based methods)
+	weights      []float64    // per-point weights, nil = uniform
+	fullRect     geom.Rect    // full-dataset bounds when sharded (WithShard)
+	ftree        *kdtree.Tree // SoA kd-tree index (bound-based methods)
 	cfg          config
 	bw           stats.Bandwidth
 	proto        *bounds.Evaluator // nil for MethodExact / MethodZOrder
@@ -425,13 +426,7 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 			return nil, err
 		}
 		kdv.proto = ev
-		// Keep only the flat tree the engine reads: the pointer tree it was
-		// built from would be most of a default KDV's heap.
-		ftree, err := flat.FromTree(tree)
-		if err != nil {
-			return nil, err
-		}
-		kdv.ftree = ftree
+		kdv.ftree = tree
 		// Construct one renderer eagerly so configuration errors surface here
 		// rather than on the first query.
 		r, err := kdv.newRenderer()
