@@ -43,21 +43,24 @@ verify: build vet fmt test
 		-json results/kdvcheck.json > /dev/null
 
 # fuzz runs every native fuzz target for FUZZTIME each (Go allows one
-# -fuzz target per invocation). Corpora seeds live under each package's
-# testdata/fuzz/ and also run as plain tests in `make test`.
+# -fuzz target per invocation), as package:target pairs. It runs them all
+# even after one fails, then fails if any did, naming them. Corpora seeds
+# live under each package's testdata/fuzz/ and also run as plain tests in
+# `make test`.
+FUZZ_TARGETS = kernel:FuzzExpEnvelopes kernel:FuzzDistKernelEnvelopes \
+	dataset:FuzzReadCSV geom:FuzzRectDistBounds geom:FuzzRectRectDistBounds \
+	kernel:FuzzExpFastLanes kdtree:FuzzBuildInvariants kdtree:FuzzFlatTreeInvariants \
+	bounds:FuzzEvaluatorBounds bounds:FuzzRectBounds trace:FuzzParseTraceparent \
+	tiles:FuzzTileRecord
+
 fuzz:
-	$(GO) test ./internal/kernel -run='^$$' -fuzz='^FuzzExpEnvelopes$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/kernel -run='^$$' -fuzz='^FuzzDistKernelEnvelopes$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/dataset -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/geom -run='^$$' -fuzz='^FuzzRectDistBounds$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/geom -run='^$$' -fuzz='^FuzzRectRectDistBounds$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/kernel -run='^$$' -fuzz='^FuzzExpFastLanes$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/kdtree -run='^$$' -fuzz='^FuzzBuildInvariants$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/kdtree -run='^$$' -fuzz='^FuzzFlatTreeInvariants$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/bounds -run='^$$' -fuzz='^FuzzEvaluatorBounds$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/bounds -run='^$$' -fuzz='^FuzzRectBounds$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/trace -run='^$$' -fuzz='^FuzzParseTraceparent$$' -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/tiles -run='^$$' -fuzz='^FuzzTileRecord$$' -fuzztime=$(FUZZTIME)
+	@failed=""; \
+	for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t#*:}; \
+		echo "$(GO) test ./internal/$$pkg -run='^$$' -fuzz='^$$fn\$$' -fuzztime=$(FUZZTIME)"; \
+		$(GO) test ./internal/$$pkg -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) || failed="$$failed $$pkg:$$fn"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz targets failed:$$failed"; exit 1; fi
 
 # bench regenerates BENCH_PR10.json: the render benchmark (εKDV + τKDV,
 # crime analogue at 30k points, 256² and 512², tile-shared vs per-pixel),

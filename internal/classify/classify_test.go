@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"github.com/quadkdv/quad/internal/bounds"
+	"github.com/quadkdv/quad/internal/dataset"
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/kernel"
+	"github.com/quadkdv/quad/internal/oracle"
 )
 
 // twoBlobs builds two Gaussian classes centered apart.
@@ -255,5 +257,63 @@ func TestThreeClasses(t *testing.T) {
 		if res.Label != want {
 			t.Errorf("Classify(%v) = %s, want %s", q, res.Label, want)
 		}
+	}
+}
+
+// TestClassifyTailMatchesOracle races two hep classes at queries 6–14 units
+// from the origin, where both densities are deep kernel tails, far below
+// the root bounds each race starts from. Every label must be the Kahan
+// oracle's argmax: a decision drawn from pending sums whose rounding drift
+// exceeds the densities themselves picks the wrong class.
+func TestClassifyTailMatchesOracle(t *testing.T) {
+	const gamma, n, queries = 1.7, 20000, 400
+	seeds := int64(10)
+	if raceEnabled {
+		seeds = 1
+	}
+	wrong, total := 0, 0
+	for seed := int64(500); seed < 500+seeds; seed++ {
+		classes := map[string]geom.Points{}
+		var oracles []*oracle.Oracle
+		for i, label := range []string{"a", "b"} {
+			pts, err := dataset.Generate2D("hep", n, seed+int64(i)*1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o, err := oracle.New(pts, nil, kernel.Gaussian, gamma, 0.5/n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			classes[label] = pts.Clone()
+			oracles = append(oracles, o)
+		}
+		c, err := New(classes, Config{Kernel: kernel.Gaussian, Gamma: gamma, Method: bounds.Quadratic})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < queries; i++ {
+			r, theta := 6+8*rng.Float64(), 2*math.Pi*rng.Float64()
+			q := []float64{r * math.Cos(theta), r * math.Sin(theta)}
+			fa, fb := oracles[0].Density(q), oracles[1].Density(q)
+			want := "a"
+			if fb > fa {
+				want = "b"
+			}
+			res, err := c.Classify(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total++
+			if res.Label != want {
+				wrong++
+				if wrong <= 5 {
+					t.Errorf("seed %d, q=%v: labelled %s, oracle f_a=%g, f_b=%g", seed, q, res.Label, fa, fb)
+				}
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d tail labels differ from the oracle's argmax", wrong, total)
 	}
 }

@@ -6,10 +6,12 @@ package conformance
 // corresponding check rejects it.
 
 import (
+	"math"
 	"testing"
 
 	"github.com/quadkdv/quad/internal/bounds"
 	"github.com/quadkdv/quad/internal/dataset"
+	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kdtree"
 	"github.com/quadkdv/quad/internal/kernel"
@@ -135,5 +137,61 @@ func TestScaledAndMonotoneChecksReject(t *testing.T) {
 	}
 	if c := checkMonotone("self", doubled, exact); c.Pass {
 		t.Error("anti-monotone rasters accepted")
+	}
+}
+
+// TestRasterChecksSeeTheTail plants a defect that touches only far nodes: a
+// raster missing the contribution of every point farther than x = γ·dist² =
+// 50 from the pixel, which is what refinement returns when an upper bound
+// drops the nodes whose x_min exceeds 50. Over a window that runs from the
+// data to three widths east of it, the dropped mass is below 1e-12 of the
+// raster maximum everywhere, yet it is all the density of the far pixels.
+// Both raster checks must reject it.
+func TestRasterChecksSeeTheTail(t *testing.T) {
+	pts := dataset.Crime(600, 3)
+	const gamma, weight = 0.5, 1.0 / 600
+	o, err := oracle.New(pts, nil, kernel.Gaussian, gamma, weight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := geom.BoundingRect(pts)
+	r.Max[0] += 3 * (r.Max[0] - r.Min[0])
+	g, err := grid.New(grid.Resolution{W: 40, H: 10}, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := o.Raster(g)
+	near := make([]float64, len(exact))
+	q := make([]float64, 2)
+	for py := 0; py < g.Res.H; py++ {
+		for px := 0; px < g.Res.W; px++ {
+			g.Query(px, py, q)
+			var sum oracle.Sum
+			for i := 0; i < pts.Len(); i++ {
+				p := pts.At(i)
+				dx, dy := q[0]-p[0], q[1]-p[1]
+				if x := gamma * (dx*dx + dy*dy); x <= 50 {
+					sum.Add(weight * kernel.Gaussian.Profile(x))
+				}
+			}
+			near[g.Index(px, py)] = sum.Value()
+		}
+	}
+	var maxExact, maxDropped float64
+	for i := range exact {
+		maxExact = math.Max(maxExact, exact[i])
+		maxDropped = math.Max(maxDropped, exact[i]-near[i])
+	}
+	if maxDropped <= 0 || maxDropped >= 1e-12*maxExact {
+		t.Fatalf("fixture: dropped mass peaks at %g against a raster maximum of %g; want it positive and below 1e-12 of it", maxDropped, maxExact)
+	}
+	if c := CheckEpsRaster("self", exact, exact, 0.05); !c.Pass {
+		t.Fatalf("exact raster rejected: %s", c.Detail)
+	}
+	if c := CheckEpsRaster("self", near, exact, 0.05); c.Pass {
+		t.Error("εKDV check accepted a raster without the far nodes' mass")
+	}
+	if c := CheckRastersWithin("self", near, exact, 0.1); c.Pass {
+		t.Error("pairwise check accepted a raster without the far nodes' mass")
 	}
 }

@@ -62,44 +62,41 @@ type TracePoint struct {
 
 // BoundTrace runs an εKDV query recording (lb, ub) after every iteration,
 // including iteration 0 (root bounds). It stops at the εKDV termination
-// condition and returns the trace.
+// condition and returns the trace. The recorded pending sums are the
+// incremental ones, replaced by recomputed sums only when the stop trigger
+// (pending.trigger) or a negative sum recomputes them.
 func (e *FlatEngine) BoundTrace(q []float64, eps float64) []TracePoint {
-	e.heapReset()
-	t := e.Tree
+	t, h := e.Tree, &e.q
 	blb, bub := e.Ev.FlatBounds(t, 0, q)
-	e.heapPush(fitem{id: 0, seed: -1, lb: blb, ub: bub})
+	p := h.start(fitem{id: 0, seed: -1, lb: blb, ub: bub})
 	trace := []TracePoint{{Iteration: 0, LB: blb, UB: bub}}
+	done := func(lb, ub float64) bool { return ub <= (1+eps)*lb }
 
 	var exactAcc float64
-	lbPend, ubPend := blb, bub
-	iter := 0
-	for len(e.heap) > 0 {
-		if lbPend < 0 || ubPend < 0 || exactAcc+ubPend <= (1+eps)*(exactAcc+lbPend) {
-			lbPend, ubPend = e.recomputePending()
-			if exactAcc+ubPend <= (1+eps)*(exactAcc+lbPend) {
+	for iter := 1; len(h.items) > 0; iter++ {
+		if p.trigger(len(h.items), exactAcc, exactAcc, done) {
+			if p = h.sums(); done(exactAcc+p.lb, exactAcc+p.ub) {
 				break
 			}
 		}
-		iter++
-		it := e.heapPop()
+		it := h.pop()
 		id := it.id
 		if left := t.Left[id]; left == kdtree.NoChild {
 			exactAcc += e.Ev.FlatExactNode(t, id, q)
-			lbPend -= it.lb
-			ubPend -= it.ub
+			p = p.drop(it)
 		} else {
 			right := t.Right[id]
 			llb, lub := e.Ev.FlatBounds(t, left, q)
 			rlb, rub := e.Ev.FlatBounds(t, right, q)
-			lbPend += llb + rlb - it.lb
-			ubPend += lub + rub - it.ub
-			e.heapPush(fitem{id: left, seed: -1, lb: llb, ub: lub})
-			e.heapPush(fitem{id: right, seed: -1, lb: rlb, ub: rub})
+			l, r := fitem{id: left, seed: -1, lb: llb, ub: lub}, fitem{id: right, seed: -1, lb: rlb, ub: rub}
+			h.push(l)
+			h.push(r)
+			p = p.split(it, l, r)
 		}
-		if lbPend < 0 || ubPend < 0 {
-			lbPend, ubPend = e.recomputePending()
+		if p.lb < 0 || p.ub < 0 {
+			p = h.sums()
 		}
-		trace = append(trace, TracePoint{Iteration: iter, LB: exactAcc + lbPend, UB: exactAcc + ubPend})
+		trace = append(trace, TracePoint{Iteration: iter, LB: exactAcc + p.lb, UB: exactAcc + p.ub})
 	}
 	return trace
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/quadkdv/quad/internal/bounds"
 	"github.com/quadkdv/quad/internal/kdtree"
@@ -35,7 +36,7 @@ type FlatEngine struct {
 	Tree *kdtree.Tree
 	Ev   *bounds.Evaluator
 
-	heap []fitem
+	q queue
 }
 
 // NewFlat validates that the flat tree carries the statistics the evaluator
@@ -57,73 +58,6 @@ func NewFlat(tree *kdtree.Tree, ev *bounds.Evaluator) (*FlatEngine, error) {
 // scratch and queue, safe for a separate goroutine.
 func (e *FlatEngine) Clone() *FlatEngine {
 	return &FlatEngine{Tree: e.Tree, Ev: e.Ev.Clone()}
-}
-
-// --- internal max-heap on gap = ub − lb (hand-rolled: container/heap's
-// interface indirection costs ~2x on this hot path). ---
-
-func (e *FlatEngine) heapReset() { e.heap = e.heap[:0] }
-
-func (e *FlatEngine) heapPush(it fitem) {
-	e.heap = append(e.heap, it)
-	i := len(e.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if fgap(e.heap[parent]) >= fgap(e.heap[i]) {
-			break
-		}
-		e.heap[parent], e.heap[i] = e.heap[i], e.heap[parent]
-		i = parent
-	}
-}
-
-func (e *FlatEngine) heapPop() fitem {
-	h := e.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	e.heap = h[:last]
-	h = e.heap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && fgap(h[l]) > fgap(h[big]) {
-			big = l
-		}
-		if r < len(h) && fgap(h[r]) > fgap(h[big]) {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return top
-}
-
-// heapify restores the max-gap heap property over the whole slice in O(n) —
-// used when a pixel's queue is bulk-seeded from a tile frontier.
-func (e *FlatEngine) heapify() {
-	h := e.heap
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		for j := i; ; {
-			l, r := 2*j+1, 2*j+2
-			big := j
-			if l < len(h) && fgap(h[l]) > fgap(h[big]) {
-				big = l
-			}
-			if r < len(h) && fgap(h[r]) > fgap(h[big]) {
-				big = r
-			}
-			if big == j {
-				break
-			}
-			h[j], h[big] = h[big], h[j]
-			j = big
-		}
-	}
 }
 
 // EvalEps answers an εKDV query: a value within relative error ε of F_P(q).
@@ -160,75 +94,216 @@ func (e *FlatEngine) RootBounds(q []float64) (lb, ub float64) {
 }
 
 // refine runs the Table 3 loop until done(lb, ub) holds or the bounds are
-// exact (queue empty). It returns the final aggregate bounds.
-//
-// The aggregates are maintained as exactAcc (sum of refined leaf
-// contributions, exact) plus lbPend/ubPend (incremental sums of the bound
-// contributions of nodes still in the queue). The incremental updates
-// accumulate absolute rounding drift on the order of an ulp of the ROOT
-// bounds, which can dwarf tiny tail densities and corrupt the relative
-// termination test — so whenever the test is about to fire, or a pending
-// sum dips negative (impossible for true sums of non-negative bounds), the
-// pending sums are recomputed exactly from the live queue before the
-// decision is trusted.
+// exact (queue empty). It returns the final aggregate bounds: exactAcc, the
+// sum of refined leaf contributions, plus the queue's pending sums, which
+// are recomputed before any stop is trusted (pending.trigger).
 func (e *FlatEngine) refine(q []float64, done func(lb, ub float64) bool) (flb, fub float64, st Stats) {
-	e.heapReset()
-	t := e.Tree
+	t, h := e.Tree, &e.q
 	rlb, rub := e.Ev.FlatBounds(t, 0, q)
 	st.NodesEvaluated++
-	e.heapPush(fitem{id: 0, seed: -1, lb: rlb, ub: rub})
+	p := h.start(fitem{id: 0, seed: -1, lb: rlb, ub: rub})
 
 	var exactAcc float64
-	lbPend, ubPend := rlb, rub
-
-	for len(e.heap) > 0 {
-		if lbPend < 0 || ubPend < 0 || done(exactAcc+lbPend, exactAcc+ubPend) {
-			lbPend, ubPend = e.recomputePending()
-			if done(exactAcc+lbPend, exactAcc+ubPend) {
+	for len(h.items) > 0 {
+		if p.trigger(len(h.items), exactAcc, exactAcc, done) {
+			if p = h.sums(); done(exactAcc+p.lb, exactAcc+p.ub) {
 				break
 			}
 		}
 		st.Iterations++
-		it := e.heapPop()
+		it := h.pop()
 		id := it.id
 		left := t.Left[id]
 		if left == kdtree.NoChild {
 			exactAcc += e.Ev.FlatExactNode(t, id, q)
 			st.LeafScans++
 			st.PointsScanned += t.Size(id)
-			lbPend -= it.lb
-			ubPend -= it.ub
+			p = p.drop(it)
 			continue
 		}
 		right := t.Right[id]
 		llb, lub := e.Ev.FlatBounds(t, left, q)
 		rlb, rub := e.Ev.FlatBounds(t, right, q)
 		st.NodesEvaluated += 2
-		lbPend += llb + rlb - it.lb
-		ubPend += lub + rub - it.ub
-		e.heapPush(fitem{id: left, seed: -1, lb: llb, ub: lub})
-		e.heapPush(fitem{id: right, seed: -1, lb: rlb, ub: rub})
+		l, r := fitem{id: left, seed: -1, lb: llb, ub: lub}, fitem{id: right, seed: -1, lb: rlb, ub: rub}
+		h.push(l)
+		h.push(r)
+		p = p.split(it, l, r)
 	}
-	if len(e.heap) == 0 {
-		// Fully refined: the pending sums are pure rounding residue.
-		return exactAcc, exactAcc, st
+	flb, fub = h.bounds(p, exactAcc, exactAcc)
+	return flb, fub, st
+}
+
+// queue is a refinement loop's max-gap priority queue of nodes.
+type queue struct{ items []fitem }
+
+// pending is a refinement loop's pending sums: lb and ub are the summed
+// bounds of the queued nodes, kept incrementally as nodes are split and
+// dropped. Every bound is clamped to 0 ≤ lb ≤ ub, so the exact sums are
+// non-negative and lb's never exceeds ub's. The incremental sums drift
+// from the exact ones by rounding, on the scale of the largest values they
+// ever held — the root bounds — which can dwarf a tail pixel's density.
+// drift bounds that error since the sums were last recomputed, and resid
+// the error of that recompute itself (or of the sequential sum that seeded
+// the queue). Stops are decided only on recomputed sums; see trigger and
+// DESIGN.md ("Pending sums"). Its methods return the updated value, so a
+// loop keeps it in registers.
+type pending struct {
+	lb, ub float64
+	drift  float64
+	resid  float64
+}
+
+// driftUnit scales the magnitudes an update touches into a bound on its
+// rounding error. An update rounds at most three times, each by at most
+// half an ulp (2⁻⁵³) of a value those magnitudes dominate; 2⁻⁵¹ leaves a
+// factor of two for the rounding of the bound itself.
+const driftUnit = 0x1p-51
+
+// sumErr bounds the rounding error of a sequential sum of m non-negative
+// bounds whose exact sum is at most ub: γ_{m−1}·ub ≤ m·2⁻⁵²·ub.
+func sumErr(m int, ub float64) float64 { return float64(m) * 0x1p-52 * ub }
+
+// split replaces popped item it by its pushed children l and r.
+func (p pending) split(it, l, r fitem) pending {
+	p.lb += l.lb + r.lb - it.lb
+	p.ub += l.ub + r.ub - it.ub
+	p.drift += driftUnit * (l.ub + r.ub + it.ub + math.Abs(p.lb) + math.Abs(p.ub))
+	return p
+}
+
+// replace swaps popped item it's bounds for those of its pushed re-bound n.
+func (p pending) replace(it, n fitem) pending {
+	p.lb += n.lb - it.lb
+	p.ub += n.ub - it.ub
+	p.drift += driftUnit * (n.ub + it.ub + math.Abs(p.lb) + math.Abs(p.ub))
+	return p
+}
+
+// drop removes popped item it's bounds from the sums.
+func (p pending) drop(it fitem) pending {
+	p.lb -= it.lb
+	p.ub -= it.ub
+	p.drift += driftUnit * (math.Abs(p.lb) + math.Abs(p.ub))
+	return p
+}
+
+// start empties the queue and queues it alone; its sums are exact.
+func (q *queue) start(it fitem) pending {
+	q.items = append(q.items[:0], it)
+	return pending{lb: it.lb, ub: it.ub}
+}
+
+// seed refills the queue with items whose bounds sum to lb and ub, summed
+// sequentially in items' order.
+func (q *queue) seed(items []fitem, lb, ub float64) pending {
+	q.items = append(q.items[:0], items...)
+	q.heapify()
+	return pending{lb: lb, ub: ub, resid: sumErr(len(items), ub)}
+}
+
+// sums recomputes the pending sums from the queued items.
+func (q *queue) sums() pending {
+	var lb, ub float64
+	for _, it := range q.items {
+		lb += it.lb
+		ub += it.ub
 	}
-	lb, ub := exactAcc+lbPend, exactAcc+ubPend
+	return pending{lb: lb, ub: ub, resid: sumErr(len(q.items), ub)}
+}
+
+// trigger reports whether the loop must recompute its pending sums and
+// check done on them (each added to its base): a sum has turned negative,
+// or done holds on p moved toward a stop by its distance bound to the sums
+// a recompute of m queued items would return now — the error since the
+// last recompute, that recompute's own, and the error of a recompute now.
+// done is monotone (it holds for a larger lb or a smaller ub when it holds
+// at all), so no stop the recomputed sums allow is missed; a stop is still
+// decided only on the recomputed sums.
+func (p pending) trigger(m int, baseLB, baseUB float64, done func(lb, ub float64) bool) bool {
+	e := p.resid + p.drift
+	e += sumErr(m, p.ub+e)
+	return p.lb < 0 || p.ub < 0 || done(baseLB+(p.lb+e), baseUB+(p.ub-e))
+}
+
+// bounds returns the aggregate interval: the bases plus the pending sums,
+// or the bases alone once the queue is empty (every node refined exactly).
+func (q *queue) bounds(p pending, baseLB, baseUB float64) (lb, ub float64) {
+	if len(q.items) == 0 {
+		return baseLB, baseUB
+	}
+	lb, ub = baseLB+p.lb, baseUB+p.ub
 	if lb > ub {
 		// Within an ulp of each other after the fresh recompute.
 		mid := (lb + ub) / 2
 		lb, ub = mid, mid
 	}
-	return lb, ub, st
+	return lb, ub
 }
 
-// recomputePending re-derives the pending bound sums directly from the
-// queue's items, discarding accumulated incremental drift. The true sums of
-// clamped node bounds are non-negative by construction.
-func (e *FlatEngine) recomputePending() (lbPend, ubPend float64) {
-	for _, it := range e.heap {
-		lbPend += it.lb
-		ubPend += it.ub
+// --- max-heap on gap = ub − lb (hand-rolled: container/heap's interface
+// indirection costs ~2x on this hot path). ---
+
+func (q *queue) push(it fitem) {
+	q.items = append(q.items, it)
+	h := q.items
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if fgap(h[parent]) >= fgap(h[i]) {
+			break
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
 	}
-	return lbPend, ubPend
+}
+
+func (q *queue) pop() fitem {
+	h := q.items
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	q.items = h
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		big := i
+		if l < len(h) && fgap(h[l]) > fgap(h[big]) {
+			big = l
+		}
+		if r < len(h) && fgap(h[r]) > fgap(h[big]) {
+			big = r
+		}
+		if big == i {
+			break
+		}
+		h[i], h[big] = h[big], h[i]
+		i = big
+	}
+	return top
+}
+
+// heapify restores the heap property over the whole slice in O(n) — used
+// when a pixel's queue is bulk-seeded from a tile frontier. Like pop, it
+// sifts in place rather than through a shared helper: a call per node, or
+// per pop, shows in the render time.
+func (q *queue) heapify() {
+	h := q.items
+	for top := len(h)/2 - 1; top >= 0; top-- {
+		for i := top; ; {
+			l, r := 2*i+1, 2*i+2
+			big := i
+			if l < len(h) && fgap(h[l]) > fgap(h[big]) {
+				big = l
+			}
+			if r < len(h) && fgap(h[r]) > fgap(h[big]) {
+				big = r
+			}
+			if big == i {
+				break
+			}
+			h[i], h[big] = h[big], h[i]
+			i = big
+		}
+	}
 }

@@ -132,6 +132,26 @@ func (f *FlatFrontier) Size() int { return len(f.seeds) }
 // Settled returns the tile-wide settled contribution interval.
 func (f *FlatFrontier) Settled() (lb, ub float64) { return f.SettledLB, f.SettledUB }
 
+// base returns the settled contribution at q that every pixel query seeded
+// from f starts from.
+func (f *FlatFrontier) base(q []float64) (lb, ub float64) {
+	lb, ub = f.SettledLB, f.SettledUB
+	if f.envOK && f.envSettled {
+		// The settled envelope is part of this pixel's base: one O(d)
+		// evaluation per side covers every node folded into it.
+		lb += f.envLB.Eval(q, f.envCenter)
+		ub += f.envUB.Eval(q, f.envCenter)
+		if lb < 0 {
+			lb = 0
+		}
+		if ub < lb {
+			mid := (lb + ub) / 2
+			lb, ub = mid, mid
+		}
+	}
+	return lb, ub
+}
+
 // envBounds evaluates the collapsed frontier envelope at q, including the
 // settled contribution. Valid only when envOK.
 func (f *FlatFrontier) envBounds(q []float64) (lb, ub float64) {
@@ -208,7 +228,7 @@ type FlatTileEngine struct {
 	// MaxFrontier caps the residual frontier (0 means DefaultMaxFrontier).
 	MaxFrontier int
 
-	theap   []fitem   // shared-phase max-gap heap
+	tq      queue     // shared-phase queue
 	scratch []fitem   // candidate staging for settle/promote passes
 	gapbuf  []float64 // per-candidate envelope gaps for the settle sort
 }
@@ -239,70 +259,59 @@ func (te *FlatTileEngine) Saturated(f *FlatFrontier) bool {
 // root — the former is the second level of the two-level traversal, where a
 // coarse tile frontier is tightened against a sub-tile rectangle. It
 // returns the surviving candidate items (a disjoint node cover of the
-// un-settled dataset) in te.scratch and the exact candidate bound sums.
-// stop receives the tile-uniform aggregate bounds including base, the
-// already-settled contribution interval (valid for every pixel of the
-// tile).
+// un-settled dataset) in te.scratch and the candidate bound sums, with the
+// pending part recomputed. stop receives the tile-uniform aggregate bounds
+// including base, the already-settled contribution interval (valid for
+// every pixel of the tile). It must be a pure, monotone predicate: it also
+// sees incremental sums widened toward it (pending.trigger), so callers
+// decide from the returned sums, which are the ones its last confirmed
+// check saw.
 func (te *FlatTileEngine) sharedExpand(tile geom.Rect, seeds []fitem, baseLB, baseUB float64, fcap, budget int, st *Stats, stop func(lb, ub float64) bool) (cands []fitem, sumLB, sumUB float64) {
-	te.theap = te.theap[:0]
-	t := te.Tree
-	var pendLB, pendUB float64
+	t, h := te.Tree, &te.tq
+	h.items = h.items[:0]
 	if seeds == nil {
 		rlb, rub := te.Ev.FlatRectBounds(t, 0, tile)
 		st.NodesEvaluated++
-		te.heapPushTile(fitem{id: 0, seed: -1, lb: rlb, ub: rub})
-		pendLB, pendUB = rlb, rub
-	} else {
-		for _, it := range seeds {
-			lb, ub := te.Ev.FlatRectBounds(t, it.id, tile)
-			st.NodesEvaluated++
-			te.heapPushTile(fitem{id: it.id, seed: -1, lb: lb, ub: ub})
-			pendLB += lb
-			pendUB += ub
-		}
+		h.push(fitem{id: 0, seed: -1, lb: rlb, ub: rub})
 	}
+	for _, it := range seeds {
+		lb, ub := te.Ev.FlatRectBounds(t, it.id, tile)
+		st.NodesEvaluated++
+		h.push(fitem{id: it.id, seed: -1, lb: lb, ub: ub})
+	}
+	p := h.sums()
 	// Popped leaves can't expand; they go straight to the candidate list.
 	te.scratch = te.scratch[:0]
 	leafLB, leafUB := baseLB, baseUB
 
-	for pops := 0; len(te.theap) > 0 && len(te.theap)+len(te.scratch) < fcap && pops < budget; pops++ {
-		// The pending sums are maintained incrementally; before trusting a
-		// stop decision (or whenever accumulated float drift turns a sum
-		// negative) they are recomputed exactly, mirroring the per-pixel
-		// refinement loop.
-		if pendLB < 0 || pendUB < 0 || stop(leafLB+pendLB, leafUB+pendUB) {
-			pendLB, pendUB = te.tilePending()
-			if stop(leafLB+pendLB, leafUB+pendUB) {
+	for pops := 0; len(h.items) > 0 && len(h.items)+len(te.scratch) < fcap && pops < budget; pops++ {
+		if p.trigger(len(h.items), leafLB, leafUB, stop) {
+			if p = h.sums(); stop(leafLB+p.lb, leafUB+p.ub) {
 				break
 			}
 		}
-		it := te.heapPopTile()
+		it := h.pop()
 		id := it.id
 		left := t.Left[id]
 		if left == kdtree.NoChild {
 			te.scratch = append(te.scratch, it)
 			leafLB += it.lb
 			leafUB += it.ub
-			pendLB -= it.lb
-			pendUB -= it.ub
+			p = p.drop(it)
 			continue
 		}
 		right := t.Right[id]
 		llb, lub := te.Ev.FlatRectBounds(t, left, tile)
 		rlb, rub := te.Ev.FlatRectBounds(t, right, tile)
 		st.NodesEvaluated += 2
-		te.heapPushTile(fitem{id: left, seed: -1, lb: llb, ub: lub})
-		te.heapPushTile(fitem{id: right, seed: -1, lb: rlb, ub: rub})
-		pendLB += llb + rlb - it.lb
-		pendUB += lub + rub - it.ub
+		l, r := fitem{id: left, seed: -1, lb: llb, ub: lub}, fitem{id: right, seed: -1, lb: rlb, ub: rub}
+		h.push(l)
+		h.push(r)
+		p = p.split(it, l, r)
 	}
-	te.scratch = append(te.scratch, te.theap...)
-	pendLB, pendUB = te.tilePending()
-	sumLB, sumUB = leafLB+pendLB, leafUB+pendUB
-	// One final check so a decision reached exactly at the frontier cap
-	// (τKDV tiles in particular) is not lost.
-	stop(sumLB, sumUB)
-	return te.scratch, sumLB, sumUB
+	te.scratch = append(te.scratch, h.items...)
+	p = h.sums()
+	return te.scratch, leafLB + p.lb, leafUB + p.ub
 }
 
 // BuildFrontierEps runs the shared phase for an εKDV tile: expand until the
@@ -452,18 +461,11 @@ func (te *FlatTileEngine) buildTau(tile geom.Rect, seeds []fitem, baseLB, baseUB
 	if seeds != nil && budgetPops > subExpandBudget {
 		budgetPops = subExpandBudget
 	}
-	cands, _, _ := te.sharedExpand(tile, seeds, baseLB, baseUB, fcap, budgetPops, &st, func(lb, ub float64) bool {
-		if lb >= tau {
-			f.Decided, f.Hot = true, true
-			return true
-		}
-		if ub < tau {
-			f.Decided, f.Hot = true, false
-			return true
-		}
-		return false
+	cands, sumLB, sumUB := te.sharedExpand(tile, seeds, baseLB, baseUB, fcap, budgetPops, &st, func(lb, ub float64) bool {
+		return lb >= tau || ub < tau
 	})
-	if f.Decided {
+	if sumLB >= tau || sumUB < tau {
+		f.Decided, f.Hot = true, sumLB >= tau
 		return st
 	}
 	rest := cands[:0]
@@ -590,55 +592,6 @@ func sortFlatCandidates(t *kdtree.Tree, items []fitem) {
 	})
 }
 
-// --- shared-phase heap (same max-gap ordering as the per-pixel queue) ---
-
-func (te *FlatTileEngine) heapPushTile(it fitem) {
-	te.theap = append(te.theap, it)
-	i := len(te.theap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if fgap(te.theap[parent]) >= fgap(te.theap[i]) {
-			break
-		}
-		te.theap[parent], te.theap[i] = te.theap[i], te.theap[parent]
-		i = parent
-	}
-}
-
-func (te *FlatTileEngine) heapPopTile() fitem {
-	h := te.theap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	te.theap = h[:last]
-	h = te.theap
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && fgap(h[l]) > fgap(h[big]) {
-			big = l
-		}
-		if r < len(h) && fgap(h[r]) > fgap(h[big]) {
-			big = r
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return top
-}
-
-func (te *FlatTileEngine) tilePending() (lb, ub float64) {
-	for _, it := range te.theap {
-		lb += it.lb
-		ub += it.ub
-	}
-	return lb, ub
-}
-
 // EvalEpsFrom answers an εKDV query for a pixel inside the frontier's tile,
 // warm-started from the shared frontier. The guarantee is the same as
 // EvalEps: the returned value is within relative error ε of F_P(q).
@@ -681,37 +634,21 @@ func (e *FlatEngine) EvalTauFrom(f *FlatFrontier, q []float64, tau float64) (boo
 // bounds (no bound evaluations — they were computed once per tile) plus the
 // settled contribution as a constant base, and per-query bounds are spent
 // only on the nodes this pixel actually needs refined. Expansions of seed
-// items are recorded in the frontier's hit counters for Promote.
+// items are recorded in the frontier's hit counters for Promote. As in
+// refine, stops are decided on recomputed pending sums (pending.trigger).
 func (e *FlatEngine) refineFrom(f *FlatFrontier, q []float64, done func(lb, ub float64) bool) (flb, fub float64, st Stats) {
-	e.heap = append(e.heap[:0], f.seeds...)
-	e.heapify()
-	t := e.Tree
-	baseLB, baseUB := f.SettledLB, f.SettledUB
-	if f.envOK && f.envSettled {
-		// The settled envelope is part of this pixel's base: one O(d)
-		// evaluation per side covers every node folded into it.
-		baseLB += f.envLB.Eval(q, f.envCenter)
-		baseUB += f.envUB.Eval(q, f.envCenter)
-		if baseLB < 0 {
-			baseLB = 0
-		}
-		if baseUB < baseLB {
-			mid := (baseLB + baseUB) / 2
-			baseLB, baseUB = mid, mid
-		}
-	}
-
+	t, h := e.Tree, &e.q
+	p := h.seed(f.seeds, f.seedLB, f.seedUB)
+	baseLB, baseUB := f.base(q)
 	var exactAcc float64
-	lbPend, ubPend := f.seedLB, f.seedUB
-	for len(e.heap) > 0 {
-		if lbPend < 0 || ubPend < 0 || done(baseLB+exactAcc+lbPend, baseUB+exactAcc+ubPend) {
-			lbPend, ubPend = e.recomputePending()
-			if done(baseLB+exactAcc+lbPend, baseUB+exactAcc+ubPend) {
+	for len(h.items) > 0 {
+		if p.trigger(len(h.items), baseLB+exactAcc, baseUB+exactAcc, done) {
+			if p = h.sums(); done(baseLB+exactAcc+p.lb, baseUB+exactAcc+p.ub) {
 				break
 			}
 		}
 		st.Iterations++
-		it := e.heapPop()
+		it := h.pop()
 		id := it.id
 		left := t.Left[id]
 		if left == kdtree.NoChild {
@@ -722,16 +659,15 @@ func (e *FlatEngine) refineFrom(f *FlatFrontier, q []float64, done func(lb, ub f
 				// enough that the scan is never needed.
 				llb, lub := e.Ev.FlatBounds(t, id, q)
 				st.NodesEvaluated++
-				lbPend += llb - it.lb
-				ubPend += lub - it.ub
-				e.heapPush(fitem{id: id, seed: -1, lb: llb, ub: lub})
+				n := fitem{id: id, seed: -1, lb: llb, ub: lub}
+				h.push(n)
+				p = p.replace(it, n)
 				continue
 			}
 			exactAcc += e.Ev.FlatExactNode(t, id, q)
 			st.LeafScans++
 			st.PointsScanned += t.Size(id)
-			lbPend -= it.lb
-			ubPend -= it.ub
+			p = p.drop(it)
 			continue
 		}
 		if it.seed >= 0 {
@@ -741,19 +677,12 @@ func (e *FlatEngine) refineFrom(f *FlatFrontier, q []float64, done func(lb, ub f
 		llb, lub := e.Ev.FlatBounds(t, left, q)
 		rlb, rub := e.Ev.FlatBounds(t, right, q)
 		st.NodesEvaluated += 2
-		lbPend += llb + rlb - it.lb
-		ubPend += lub + rub - it.ub
-		e.heapPush(fitem{id: left, seed: -1, lb: llb, ub: lub})
-		e.heapPush(fitem{id: right, seed: -1, lb: rlb, ub: rub})
+		l, r := fitem{id: left, seed: -1, lb: llb, ub: lub}, fitem{id: right, seed: -1, lb: rlb, ub: rub}
+		h.push(l)
+		h.push(r)
+		p = p.split(it, l, r)
 	}
-	if len(e.heap) == 0 {
-		// Fully refined: only the settled tile-wide gap remains.
-		return baseLB + exactAcc, baseUB + exactAcc, st
-	}
-	lb, ub := baseLB+exactAcc+lbPend, baseUB+exactAcc+ubPend
-	if lb > ub {
-		mid := (lb + ub) / 2
-		lb, ub = mid, mid
-	}
-	return lb, ub, st
+	// Fully refined, only the settled tile-wide gap remains.
+	flb, fub = h.bounds(p, baseLB+exactAcc, baseUB+exactAcc)
+	return flb, fub, st
 }

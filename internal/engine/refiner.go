@@ -15,11 +15,16 @@ type Refiner struct {
 	e *FlatEngine
 	q []float64
 
-	exactAcc       float64
-	lbPend, ubPend float64
-	st             Stats
-	heap           []fitem
+	exactAcc float64
+	st       Stats
+	h        queue
+	p        pending
 }
+
+// negligibleDrift is the share of the reported lower bound that the pending
+// sums' drift since their last recompute may reach before Bounds recomputes
+// them.
+const negligibleDrift = 0x1p-30
 
 // StartRefine begins refining F_P(q)'s bounds. The returned Refiner starts
 // with the root bounds already evaluated.
@@ -27,20 +32,22 @@ func (e *FlatEngine) StartRefine(q []float64) *Refiner {
 	r := &Refiner{e: e, q: q}
 	lb, ub := e.Ev.FlatBounds(e.Tree, 0, q)
 	r.st.NodesEvaluated++
-	r.push(fitem{id: 0, seed: -1, lb: lb, ub: ub})
-	r.lbPend, r.ubPend = lb, ub
+	r.p = r.h.start(fitem{id: 0, seed: -1, lb: lb, ub: ub})
 	return r
 }
 
-// Bounds returns the current certified interval [lb, ub] around F_P(q).
+// Bounds returns the current certified interval [lb, ub] around F_P(q). It
+// recomputes the pending sums whenever their drift is not negligible against
+// the lower bound it reports, so a density far below the root bounds is not
+// reported through the root's rounding error.
 func (r *Refiner) Bounds() (lb, ub float64) {
-	if len(r.heap) == 0 {
+	if len(r.h.items) == 0 {
 		return r.exactAcc, r.exactAcc
 	}
-	if r.lbPend < 0 || r.ubPend < 0 {
-		r.recompute()
+	if p := r.p; p.lb < 0 || p.ub < 0 || p.drift > negligibleDrift*(r.exactAcc+p.lb) {
+		r.p = r.h.sums()
 	}
-	lb, ub = r.exactAcc+r.lbPend, r.exactAcc+r.ubPend
+	lb, ub = r.exactAcc+r.p.lb, r.exactAcc+r.p.ub
 	if lb < 0 {
 		lb = 0
 	}
@@ -58,7 +65,7 @@ func (r *Refiner) Gap() float64 {
 }
 
 // Exhausted reports whether the bounds are exact (nothing left to refine).
-func (r *Refiner) Exhausted() bool { return len(r.heap) == 0 }
+func (r *Refiner) Exhausted() bool { return len(r.h.items) == 0 }
 
 // Stats returns the work counters accumulated so far.
 func (r *Refiner) Stats() Stats { return r.st }
@@ -66,39 +73,40 @@ func (r *Refiner) Stats() Stats { return r.st }
 // Step performs one refinement iteration (pop + split or leaf scan) and
 // reports whether further refinement is possible.
 func (r *Refiner) Step() bool {
-	if len(r.heap) == 0 {
+	h := &r.h
+	if len(h.items) == 0 {
 		return false
 	}
 	r.st.Iterations++
-	it := r.pop()
+	it := h.pop()
 	t := r.e.Tree
 	if left := t.Left[it.id]; left == kdtree.NoChild {
 		r.exactAcc += r.e.Ev.FlatExactNode(t, it.id, r.q)
 		r.st.LeafScans++
 		r.st.PointsScanned += t.Size(it.id)
-		r.lbPend -= it.lb
-		r.ubPend -= it.ub
+		r.p = r.p.drop(it)
 	} else {
 		right := t.Right[it.id]
 		llb, lub := r.e.Ev.FlatBounds(t, left, r.q)
 		rlb, rub := r.e.Ev.FlatBounds(t, right, r.q)
 		r.st.NodesEvaluated += 2
-		r.lbPend += llb + rlb - it.lb
-		r.ubPend += lub + rub - it.ub
-		r.push(fitem{id: left, seed: -1, lb: llb, ub: lub})
-		r.push(fitem{id: right, seed: -1, lb: rlb, ub: rub})
+		l, rt := fitem{id: left, seed: -1, lb: llb, ub: lub}, fitem{id: right, seed: -1, lb: rlb, ub: rub}
+		h.push(l)
+		h.push(rt)
+		r.p = r.p.split(it, l, rt)
 	}
-	return len(r.heap) > 0
+	return len(h.items) > 0
 }
 
 // RefineUntil steps until cond(lb, ub) holds or the bounds are exact, and
-// returns the final bounds. The condition is re-verified on drift-free
-// recomputed pending sums before it is trusted (see FlatEngine.refine).
+// returns the final bounds. cond is decided only on recomputed pending
+// sums, recomputed under the same widened trigger as FlatEngine.refine
+// (pending.trigger), so cond must be monotone: if it holds at (lb, ub), it
+// holds for every larger lb and smaller ub.
 func (r *Refiner) RefineUntil(cond func(lb, ub float64) bool) (lb, ub float64) {
 	for {
-		if r.lbPend < 0 || r.ubPend < 0 || cond(r.rawBounds()) {
-			r.recompute()
-			if cond(r.rawBounds()) {
+		if r.p.trigger(len(r.h.items), r.exactAcc, r.exactAcc, cond) {
+			if r.p = r.h.sums(); cond(r.exactAcc+r.p.lb, r.exactAcc+r.p.ub) {
 				return r.Bounds()
 			}
 		}
@@ -106,57 +114,4 @@ func (r *Refiner) RefineUntil(cond func(lb, ub float64) bool) (lb, ub float64) {
 			return r.Bounds()
 		}
 	}
-}
-
-func (r *Refiner) rawBounds() (float64, float64) {
-	return r.exactAcc + r.lbPend, r.exactAcc + r.ubPend
-}
-
-func (r *Refiner) recompute() {
-	r.lbPend, r.ubPend = 0, 0
-	for _, it := range r.heap {
-		r.lbPend += it.lb
-		r.ubPend += it.ub
-	}
-}
-
-// --- Refiner-local heap (same max-gap ordering as the engine's). ---
-
-func (r *Refiner) push(it fitem) {
-	r.heap = append(r.heap, it)
-	i := len(r.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if fgap(r.heap[parent]) >= fgap(r.heap[i]) {
-			break
-		}
-		r.heap[parent], r.heap[i] = r.heap[i], r.heap[parent]
-		i = parent
-	}
-}
-
-func (r *Refiner) pop() fitem {
-	h := r.heap
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	r.heap = h[:last]
-	h = r.heap
-	i := 0
-	for {
-		l, rc := 2*i+1, 2*i+2
-		big := i
-		if l < len(h) && fgap(h[l]) > fgap(h[big]) {
-			big = l
-		}
-		if rc < len(h) && fgap(h[rc]) > fgap(h[big]) {
-			big = rc
-		}
-		if big == i {
-			break
-		}
-		h[i], h[big] = h[big], h[i]
-		i = big
-	}
-	return top
 }

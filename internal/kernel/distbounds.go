@@ -13,6 +13,19 @@ import "math"
 // form cannot be applied on the given interval (the caller then falls back
 // to the min-max bounds of Equations 5–6).
 
+// chordDen returns den = xmax² − xmin², the x² width of the interval the
+// upper envelopes below interpolate their profile across, and whether it is
+// wide enough to do so. Below degenerateX, or below 2⁻²⁰·xmax², it is not:
+// den then carries a rounding error of about an ulp of xmax², a large share
+// of it, and the slope (f(xmax)−f(xmin))/den and c_u cancel
+// catastrophically, which can put the envelope below the profile. The
+// caller falls back to the min-max bounds, which are nearly tight on so
+// narrow an interval.
+func chordDen(xmin, xmax float64) (den float64, ok bool) {
+	den = xmax*xmax - xmin*xmin
+	return den, den >= degenerateX && den > 0x1p-20*(xmax*xmax)
+}
+
 // AxC is a restricted quadratic a·x² + c (the b coefficient is fixed at 0).
 type AxC struct{ A, C float64 }
 
@@ -26,8 +39,8 @@ func (q AxC) Eval(x float64) float64 { return q.A*x*x + q.C }
 // profile on the interval, and it is tighter than the min-max upper bound
 // max(1−xmin, 0) (Lemma 5).
 func TriangularQuadUpper(xmin, xmax float64) (AxC, bool) {
-	den := xmax*xmax - xmin*xmin
-	if den < degenerateX {
+	den, ok := chordDen(xmin, xmax)
+	if !ok {
 		return AxC{}, false
 	}
 	fMin := math.Max(1-xmin, 0)
@@ -65,8 +78,8 @@ func CosineQuadUpper(xmin, xmax float64) (AxC, bool) {
 	if xmax > math.Pi/2 {
 		return AxC{}, false
 	}
-	den := xmax*xmax - xmin*xmin
-	if den < degenerateX {
+	den, ok := chordDen(xmin, xmax)
+	if !ok {
 		return AxC{}, false
 	}
 	cMin := math.Cos(xmin)
@@ -96,8 +109,8 @@ func CosineQuadLower(xmin, xmax float64) (AxC, bool) {
 // the concave parabola a_u·x² + c_u through (xmin, e^{−xmin}) and
 // (xmax, e^{−xmax}), which dominates the chord and hence the convex profile.
 func ExpDistQuadUpper(xmin, xmax float64) (AxC, bool) {
-	den := xmax*xmax - xmin*xmin
-	if den < degenerateX {
+	den, ok := chordDen(xmin, xmax)
+	if !ok {
 		return AxC{}, false
 	}
 	eMin := Exp1(-xmin)

@@ -432,6 +432,21 @@ func ledgerLines(t *testing.T) []string {
 	})
 	l.cell("tau/one-tile/undecided", big, nil, func(k *quad.KDV) (string, error) { return tauLine(k, res16, tau16, quad.Window{}) })
 
+	// kdvperf dataset-churn's render shape: one 16×16 tile over the whole
+	// extent of a 50k-point analogue at ε = 0.1. Its corner pixels are
+	// tails many orders of magnitude below the root bounds.
+	for _, key := range []struct {
+		name string
+		seed int64
+	}{{"elnino", 500}, {"elnino", 501}, {"home", 500}, {"home", 501}, {"hep", 500}, {"hep", 501}, {"crime", 500}} {
+		pts, err := dataset.Generate2D(key.name, 50000, key.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.cell(fmt.Sprintf("eps/churn/%s/seed=%d", key.name, key.seed), pts, nil,
+			func(k *quad.KDV) (string, error) { return epsLine(k, res16, 0.1, quad.Window{}) })
+	}
+
 	// n = 61: Scott's factor 61^(−1/6) is one of the exponents whose
 	// math.Pow result differs between FMA and non-FMA amd64 hosts.
 	tiny := dataset.Crime(61, 7)

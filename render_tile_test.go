@@ -3,9 +3,16 @@ package quad
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+
+	"github.com/quadkdv/quad/internal/dataset"
+	"github.com/quadkdv/quad/internal/grid"
+	"github.com/quadkdv/quad/internal/kernel"
+	"github.com/quadkdv/quad/internal/oracle"
 )
 
 // uniformCloud builds an unclustered dataset — the adversarial case for
@@ -358,4 +365,70 @@ func TestMapRelease(t *testing.T) {
 	if hm.Hot != nil {
 		t.Fatal("Release did not clear Hot")
 	}
+}
+
+// TestRenderTauTailMatchesOracle renders τKDV over windows 0.5, 1 and 2
+// widths east of the data, where every density is a kernel tail, at τ
+// values between the oracle's tail densities. The hot mask must be the
+// Kahan oracle's exactly: a tile decided on pending sums that were never
+// confirmed by a recompute fills every pixel of it with one bit.
+func TestRenderTauTailMatchesOracle(t *testing.T) {
+	pts := dataset.Crime(8000, 7)
+	k, err := New(pts.Coords, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := oracle.New(pts, nil, kernel.Gaussian, k.Gamma(), k.Weight())
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := k.DefaultWindow()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := Resolution{W: 48, H: 48}
+	for _, off := range []float64{0.5, 1, 2} {
+		win := full
+		shift := off * (full.MaxX - full.MinX)
+		win.MinX += shift
+		win.MaxX += shift
+		g, err := grid.New(res.internal(), geomRect(win))
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := o.Raster(g)
+		for _, tau := range tailTaus(exact, 9) {
+			hm, err := k.RenderTauIn(res, tau, win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := 0
+			for i, hot := range hm.Hot {
+				if hot != (exact[i] >= tau) {
+					bad++
+				}
+			}
+			if bad > 0 {
+				t.Errorf("off=%g τ=%g: %d of %d pixels differ from the oracle's hot mask", off, tau, bad, len(exact))
+			}
+		}
+	}
+}
+
+// tailTaus returns up to n thresholds spread over the quantiles of vals,
+// each halfway (geometrically) across a gap between consecutive distinct
+// values wide enough that no density lies within rounding of it.
+func tailTaus(vals []float64, n int) []float64 {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	var taus []float64
+	for i := 1; i <= n; i++ {
+		for j := i * len(s) / (n + 1); j+1 < len(s); j++ {
+			if lo, hi := s[j], s[j+1]; lo > 0 && hi > lo*(1+1e-6) {
+				taus = append(taus, math.Sqrt(lo)*math.Sqrt(hi))
+				break
+			}
+		}
+	}
+	return taus
 }
