@@ -43,11 +43,12 @@ verify: build vet fmt test
 		-json results/kdvcheck.json > /dev/null
 
 # fuzz runs every native fuzz target for FUZZTIME each (Go allows one
-# -fuzz target per invocation), as package:target pairs. It runs them all
+# -fuzz target per invocation), as package:target pairs, where package is
+# a directory under internal/ or . for the root package. It runs them all
 # even after one fails, then fails if any did, naming them. Corpora seeds
 # live under each package's testdata/fuzz/ and also run as plain tests in
 # `make test`.
-FUZZ_TARGETS = kernel:FuzzExpEnvelopes kernel:FuzzDistKernelEnvelopes \
+FUZZ_TARGETS = .:FuzzRenderRequest kernel:FuzzExpEnvelopes kernel:FuzzDistKernelEnvelopes \
 	dataset:FuzzReadCSV geom:FuzzRectDistBounds geom:FuzzRectRectDistBounds \
 	kernel:FuzzExpFastLanes kdtree:FuzzBuildInvariants kdtree:FuzzFlatTreeInvariants \
 	bounds:FuzzEvaluatorBounds bounds:FuzzRectBounds trace:FuzzParseTraceparent \
@@ -56,9 +57,10 @@ FUZZ_TARGETS = kernel:FuzzExpEnvelopes kernel:FuzzDistKernelEnvelopes \
 fuzz:
 	@failed=""; \
 	for t in $(FUZZ_TARGETS); do \
-		pkg=$${t%%:*}; fn=$${t#*:}; \
-		echo "$(GO) test ./internal/$$pkg -run='^$$' -fuzz='^$$fn\$$' -fuzztime=$(FUZZTIME)"; \
-		$(GO) test ./internal/$$pkg -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) || failed="$$failed $$pkg:$$fn"; \
+		pkg=$${t%%:*}; fn=$${t#*:}; dir=./internal/$$pkg; \
+		if [ "$$pkg" = . ]; then dir=.; fi; \
+		echo "$(GO) test $$dir -run='^$$' -fuzz='^$$fn\$$' -fuzztime=$(FUZZTIME)"; \
+		$(GO) test $$dir -run='^$$' -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) || failed="$$failed $$pkg:$$fn"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz targets failed:$$failed"; exit 1; fi
 

@@ -7,6 +7,7 @@
 package quad_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func getTau(tb testing.TB, name string, kern quad.Kernel, n int) float64 {
 	if tau, ok := benchTaus[key]; ok {
 		return tau
 	}
-	mu, _, err := k.ThresholdStats(benchRes, 4, 0.01)
+	mu, _, err := k.ThresholdStatsCtx(context.Background(), benchRes, 4, 0.01)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func BenchmarkFig20Progressive(b *testing.B) {
 			var evaluated int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r, err := k.RenderProgressive(res, 0.01, budget, 0)
+				r, err := k.Render(context.Background(), quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.01, Budget: budget})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -566,53 +567,15 @@ func BenchmarkRender(b *testing.B) {
 			b.ResetTimer()
 			var st quad.RenderStats
 			for i := 0; i < b.N; i++ {
-				dm, s, err := k.RenderEpsStats(res, renderEps)
+				r, err := k.Render(context.Background(), quad.Request{Res: res, Eps: renderEps})
 				if err != nil {
 					b.Fatal(err)
 				}
-				dm.Release()
-				st = s
+				r.Density.Release()
+				st = r.Stats
 			}
 			b.ReportMetric(st.NodesPerPixel(), "nodes/px")
 			b.ReportMetric(float64(st.SharedNodeEvals)/float64(st.Pixels), "shared/px")
 		})
 	}
-}
-
-// BenchmarkTelemetryOverhead is the PR 4 acceptance benchmark: the same
-// εKDV render through the plain entry point (nil stats recorder — the
-// disabled-telemetry hot path) and through the stats-collecting one. The
-// two sub-bench times must stay within 2% of each other; BENCH_PR4.json
-// records the measured delta (regenerate with `make bench`).
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	const (
-		renderN   = 30000
-		renderEps = 0.05
-	)
-	res := quad.Resolution{W: 256, H: 256}
-	coords, dim := getData(b, "crime", renderN)
-	k, err := quad.New(coords, dim,
-		quad.WithKernel(quad.Gaussian),
-		quad.WithMethod(quad.MethodQuadratic))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("nostats", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dm, err := k.RenderEps(res, renderEps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dm.Release()
-		}
-	})
-	b.Run("stats", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dm, _, err := k.RenderEpsStats(res, renderEps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dm.Release()
-		}
-	})
 }

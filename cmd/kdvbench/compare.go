@@ -173,13 +173,6 @@ func compareReports(out io.Writer, oldRep, newRep *jsonReport, minSpeedup, minTi
 		}
 	}
 
-	if o := newRep.TelemetryOverhead; o != nil {
-		if o.DeltaPct > overheadBudgetPct {
-			fail("telemetry overhead %+.2f%% exceeds the %.0f%% budget", o.DeltaPct, overheadBudgetPct)
-		} else {
-			fmt.Fprintf(out, "ok   telemetry overhead %+.2f%% (budget %.0f%%)\n", o.DeltaPct, overheadBudgetPct)
-		}
-	}
 	if o := newRep.TracingOverhead; o != nil {
 		if o.OffDeltaPct > overheadBudgetPct {
 			fail("tracing disabled-path overhead %+.2f%% exceeds the %.0f%% budget", o.OffDeltaPct, overheadBudgetPct)

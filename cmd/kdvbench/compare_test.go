@@ -13,8 +13,7 @@ func baselineReport() *jsonReport {
 			{Variant: "eps", Res: "256x256", Mode: "perpixel", NsPerPixel: 4000, NodesPerPixel: 40.0},
 			{Variant: "tau", Res: "256x256", Mode: "tile", NsPerPixel: 800, NodesPerPixel: 6.0},
 		},
-		TelemetryOverhead: &telemetryOverhead{DeltaPct: 0.5},
-		TracingOverhead:   &tracingOverhead{OffDeltaPct: 0.5},
+		TracingOverhead: &tracingOverhead{OffDeltaPct: 0.5},
 	}
 }
 
@@ -42,7 +41,6 @@ func TestComparePlantedRegressions(t *testing.T) {
 		{"timing", func(rep *jsonReport) { rep.Cells[0].NsPerPixel *= 1.50 }, "ns_per_pixel"},
 		{"work", func(rep *jsonReport) { rep.Cells[1].NodesPerPixel *= 1.10 }, "nodes_per_pixel"},
 		{"lost cell", func(rep *jsonReport) { rep.Cells = rep.Cells[:2] }, "missing from the new report"},
-		{"telemetry overhead", func(rep *jsonReport) { rep.TelemetryOverhead.DeltaPct = 3.1 }, "telemetry overhead"},
 		{"tracing overhead", func(rep *jsonReport) { rep.TracingOverhead.OffDeltaPct = 2.5 }, "tracing disabled-path overhead"},
 		{"config mismatch", func(rep *jsonReport) { rep.N = 12345 }, "not comparable"},
 	}

@@ -52,9 +52,6 @@ type jsonReport struct {
 	// the cells).
 	Speedups       map[string]float64 `json:"speedups"`
 	NodeReductions map[string]float64 `json:"node_reductions"`
-	// TelemetryOverhead measures stats collection against the no-op path —
-	// the PR4 acceptance number (delta must stay ≤ 2%).
-	TelemetryOverhead *telemetryOverhead `json:"telemetry_overhead,omitempty"`
 	// TracingOverhead measures the span-instrumented render entry points
 	// under a disabled trace (plain context, nil *trace.Trace) against a
 	// trace-carrying context. The disabled delta is the PR5 acceptance
@@ -179,7 +176,7 @@ func measureAuditOverhead(k *quad.KDV, res quad.Resolution, eps float64, rounds 
 		func() error { return render(sampled, &o.OnMS) },
 		func() error { return render(forced, &o.ForcedMS) },
 	}
-	// Rotate which side goes first each round — see measureTelemetryOverhead
+	// Rotate which side goes first each round — see measureTracingOverhead
 	// for why a fixed order biases the deltas under sustained load.
 	for i := 0; i < rounds; i++ {
 		for j := range sides {
@@ -193,26 +190,13 @@ func measureAuditOverhead(k *quad.KDV, res quad.Resolution, eps float64, rounds 
 	return o, nil
 }
 
-// telemetryOverhead compares the plain render entry point (nil stats
-// recorder compiled into the hot path) with the stats-collecting one on an
-// identical render. Best-of-rounds on each side, interleaved, so scheduler
-// noise hits both alike.
-type telemetryOverhead struct {
-	Res       string  `json:"res"`
-	Rounds    int     `json:"rounds"`
-	NoStatsMS float64 `json:"render_ms_nostats"`
-	StatsMS   float64 `json:"render_ms_stats"`
-	// DeltaPct is (stats − nostats)/nostats × 100; negative means noise
-	// favored the stats side.
-	DeltaPct float64 `json:"delta_pct"`
-}
-
-// tracingOverhead compares three render paths on an identical render:
-// the stats entry point without a context (the PR4 shape), the
-// context-aware entry point with a plain context (tracing present but
-// disabled — the default serving path), and the same entry point under a
-// trace-carrying context (every span recorded). Best-of-rounds on each
-// side, interleaved, so scheduler noise hits all three alike.
+// tracingOverhead compares three sides of an identical render: Render
+// under context.Background() (the PR4 shape), under a plain request
+// context (tracing present but disabled — the default serving path), and
+// under a trace-carrying context (every span recorded). The first two run
+// the same code, so their delta is the measurement's own noise.
+// Best-of-rounds on each side, interleaved, so scheduler noise hits all
+// three alike.
 type tracingOverhead struct {
 	Res      string  `json:"res"`
 	Rounds   int     `json:"rounds"`
@@ -238,42 +222,45 @@ func measureTracingOverhead(k *quad.KDV, res quad.Resolution, eps float64, round
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
 	o := &tracingOverhead{Res: res.String(), Rounds: rounds}
+	req := quad.Request{Res: res, Eps: eps}
 	plain := context.Background()
 	sides := []func() error{
 		func() error {
 			start := time.Now()
-			dm, _, err := k.RenderEpsStats(res, eps)
+			r, err := k.Render(context.Background(), req)
 			if err != nil {
 				return err
 			}
-			dm.Release()
+			r.Density.Release()
 			o.StatsMS = best(o.StatsMS, ms(time.Since(start)))
 			return nil
 		},
 		func() error {
 			start := time.Now()
-			dm, _, err := k.RenderEpsStatsInCtx(plain, res, eps, quad.Window{})
+			r, err := k.Render(plain, req)
 			if err != nil {
 				return err
 			}
-			dm.Release()
+			r.Density.Release()
 			o.OffMS = best(o.OffMS, ms(time.Since(start)))
 			return nil
 		},
 		func() error {
 			traced := trace.NewContext(context.Background(), trace.New())
 			start := time.Now()
-			dm, _, err := k.RenderEpsStatsInCtx(traced, res, eps, quad.Window{})
+			r, err := k.Render(traced, req)
 			if err != nil {
 				return err
 			}
-			dm.Release()
+			r.Density.Release()
 			o.TracedMS = best(o.TracedMS, ms(time.Since(start)))
 			return nil
 		},
 	}
-	// Rotate which side goes first each round — see measureTelemetryOverhead
-	// for why a fixed order biases the deltas under sustained load.
+	// Rotate which side goes first each round: sustained load ramps the
+	// CPU's thermal/frequency state within a round, so a fixed order would
+	// systematically favor whichever side runs on the cooler core — an
+	// apparent overhead of several percent with no code difference at all.
 	for i := 0; i < rounds; i++ {
 		for j := range sides {
 			if err := sides[(i+j)%len(sides)](); err != nil {
@@ -283,56 +270,6 @@ func measureTracingOverhead(k *quad.KDV, res quad.Resolution, eps float64, round
 	}
 	o.OffDeltaPct = (o.OffMS - o.StatsMS) / o.StatsMS * 100
 	o.TracedDeltaPct = (o.TracedMS - o.StatsMS) / o.StatsMS * 100
-	return o, nil
-}
-
-// measureTelemetryOverhead interleaves rounds of the two entry points and
-// keeps each side's best time.
-func measureTelemetryOverhead(k *quad.KDV, res quad.Resolution, eps float64, rounds int) (*telemetryOverhead, error) {
-	best := func(cur, v float64) float64 {
-		if cur == 0 || v < cur {
-			return v
-		}
-		return cur
-	}
-	o := &telemetryOverhead{Res: res.String(), Rounds: rounds}
-	runNoStats := func() error {
-		start := time.Now()
-		dm, err := k.RenderEps(res, eps)
-		if err != nil {
-			return err
-		}
-		dm.Release()
-		o.NoStatsMS = best(o.NoStatsMS, float64(time.Since(start).Microseconds())/1e3)
-		return nil
-	}
-	runStats := func() error {
-		start := time.Now()
-		dm, _, err := k.RenderEpsStats(res, eps)
-		if err != nil {
-			return err
-		}
-		dm.Release()
-		o.StatsMS = best(o.StatsMS, float64(time.Since(start).Microseconds())/1e3)
-		return nil
-	}
-	// Alternate which side runs first each round: sustained load ramps the
-	// CPU's thermal/frequency state within a round, so a fixed order would
-	// systematically favor whichever side runs on the cooler core — an
-	// apparent overhead of several percent with no code difference at all.
-	for i := 0; i < rounds; i++ {
-		first, second := runNoStats, runStats
-		if i%2 == 1 {
-			first, second = runStats, runNoStats
-		}
-		if err := first(); err != nil {
-			return nil, err
-		}
-		if err := second(); err != nil {
-			return nil, err
-		}
-	}
-	o.DeltaPct = (o.StatsMS - o.NoStatsMS) / o.NoStatsMS * 100
 	return o, nil
 }
 
@@ -377,7 +314,7 @@ func runJSONBench(path string, seed int64, n int) error {
 	}
 	for _, res := range []quad.Resolution{{W: 256, H: 256}, {W: 512, H: 512}} {
 		// τ from the map statistics, as the paper's thresholds are defined.
-		mu, sigma, err := tiled.ThresholdStats(res, 8, 0.05)
+		mu, sigma, err := tiled.ThresholdStatsCtx(context.Background(), res, 8, 0.05)
 		if err != nil {
 			return err
 		}
@@ -396,23 +333,22 @@ func runJSONBench(path string, seed int64, n int) error {
 				const cellRounds = 3
 				var st quad.RenderStats
 				var elapsed time.Duration
+				req := quad.Request{Res: res, Eps: eps}
+				if variant == "tau" {
+					req = quad.Request{Variant: quad.TauKDV, Res: res, Tau: tau}
+				}
 				for r := 0; r < cellRounds; r++ {
 					start := time.Now()
-					if variant == "eps" {
-						dm, s, err := mode.k.RenderEpsStats(res, eps)
-						if err != nil {
-							return err
-						}
-						dm.Release()
-						st = s
-					} else {
-						hm, s, err := mode.k.RenderTauStats(res, tau)
-						if err != nil {
-							return err
-						}
-						hm.Release()
-						st = s
+					out, err := mode.k.Render(context.Background(), req)
+					if err != nil {
+						return err
 					}
+					if out.Density != nil {
+						out.Density.Release()
+					} else {
+						out.Hot.Release()
+					}
+					st = out.Stats
 					if d := time.Since(start); r == 0 || d < elapsed {
 						elapsed = d
 					}
@@ -444,18 +380,10 @@ func runJSONBench(path string, seed int64, n int) error {
 			rep.Cells = append(rep.Cells, cells[:]...)
 		}
 	}
-	// 6 rounds for both overhead pairs: the sides differ only in stats
-	// aggregation outside the hot loop (the tracing sides run identical
-	// machine code outright), so the true deltas are ~0 and best-of needs
-	// enough samples for scheduler noise — observed at ±5% per round on
-	// the bench hosts — to wash out of a 2%-budget measurement.
-	over, err := measureTelemetryOverhead(tiled, quad.Resolution{W: 512, H: 512}, eps, 6)
-	if err != nil {
-		return err
-	}
-	rep.TelemetryOverhead = over
-	fmt.Printf("telemetry overhead @ %s: nostats %.1f ms, stats %.1f ms (%+.2f%%)\n",
-		over.Res, over.NoStatsMS, over.StatsMS, over.DeltaPct)
+	// 6 rounds: the untraced sides run identical machine code, so the true
+	// delta is ~0 and best-of needs enough samples for scheduler noise —
+	// observed at ±5% per round on the bench hosts — to wash out of a
+	// 2%-budget measurement.
 	tro, err := measureTracingOverhead(tiled, quad.Resolution{W: 512, H: 512}, eps, 6)
 	if err != nil {
 		return err

@@ -92,9 +92,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *progress > 0 {
-			fatal(fmt.Errorf("-workmap needs a full render; drop -progressive"))
-		}
 		if *workmapO == "" {
 			*workmapO = strings.TrimSuffix(*out, ".png") + ".workmap.png"
 		}
@@ -107,60 +104,45 @@ func main() {
 	}
 
 	start := time.Now()
-	switch {
-	case *tauSpec != "":
+	req := quad.Request{Res: res, Window: window, Eps: *eps, WorkMap: layer != ""}
+	if *progress > 0 {
+		// Streaming form so a trace decomposes the run into per-level spans.
+		req.Variant, req.Budget, req.Emit = quad.ProgressiveKDV, *progress, func(quad.Snapshot) bool { return true }
+	}
+	if *tauSpec != "" {
 		tau, err := resolveTau(k, res, *tauSpec, *eps)
 		if err != nil {
 			fatal(err)
 		}
-		var hm *quad.HotspotMap
-		if layer != "" {
-			var wm *quad.WorkMap
-			hm, wm, _, err = k.RenderTauWorkMapInCtx(ctx, res, tau, window)
-			if err == nil {
-				err = saveWorkMap(wm, layer, *workmapO)
-			}
-		} else {
-			hm, _, err = k.RenderTauStatsInCtx(ctx, res, tau, window)
-		}
-		if err != nil {
+		req.Variant, req.Eps, req.Tau = quad.TauKDV, 0, tau
+	}
+	r, err := k.Render(ctx, req)
+	if err != nil {
+		fatal(err)
+	}
+	if r.Work != nil {
+		if err := saveWorkMap(r.Work, layer, *workmapO); err != nil {
 			fatal(err)
 		}
-		if err := hm.SavePNG(*out); err != nil {
+	}
+	elapsed := time.Since(start).Round(time.Millisecond).String()
+	switch req.Variant {
+	case quad.TauKDV:
+		if err := r.Hot.SavePNG(*out); err != nil {
 			fatal(err)
 		}
-		logger.Info("tau render done", "tau", tau, "hot_fraction", hm.HotFraction(),
-			"elapsed", time.Since(start).Round(time.Millisecond).String(), "out", *out)
-	case *progress > 0:
-		// Streaming form so a trace decomposes the run into per-level spans.
-		r, err := k.RenderProgressiveStreamCtx(ctx, res, *eps, *progress, func(quad.Snapshot) bool { return true })
-		if err != nil {
-			fatal(err)
-		}
-		if err := r.Map.SavePNG(*out, *logScale); err != nil {
+		logger.Info("tau render done", "tau", req.Tau, "hot_fraction", r.Hot.HotFraction(), "elapsed", elapsed, "out", *out)
+	case quad.ProgressiveKDV:
+		if err := r.Density.SavePNG(*out, *logScale); err != nil {
 			fatal(err)
 		}
 		logger.Info("progressive render done", "evaluated", r.Evaluated, "pixels", res.W*res.H,
-			"elapsed", r.Elapsed.Round(time.Millisecond).String(), "out", *out)
+			"elapsed", r.Stats.Elapsed.Round(time.Millisecond).String(), "out", *out)
 	default:
-		var dm *quad.DensityMap
-		if layer != "" {
-			var wm *quad.WorkMap
-			dm, wm, _, err = k.RenderEpsWorkMapInCtx(ctx, res, *eps, window)
-			if err == nil {
-				err = saveWorkMap(wm, layer, *workmapO)
-			}
-		} else {
-			dm, _, err = k.RenderEpsStatsInCtx(ctx, res, *eps, window)
-		}
-		if err != nil {
+		if err := r.Density.SavePNG(*out, *logScale); err != nil {
 			fatal(err)
 		}
-		if err := dm.SavePNG(*out, *logScale); err != nil {
-			fatal(err)
-		}
-		logger.Info("eps render done", "eps", *eps,
-			"elapsed", time.Since(start).Round(time.Millisecond).String(), "out", *out)
+		logger.Info("eps render done", "eps", *eps, "elapsed", elapsed, "out", *out)
 	}
 	if tr != nil {
 		if err := saveTrace(tr, *traceOut); err != nil {
@@ -240,7 +222,7 @@ func resolveTau(k *quad.KDV, res quad.Resolution, spec string, eps float64) (flo
 		mult = v
 	}
 	stride := 1 + res.W*res.H/4096
-	mu, sigma, err := k.ThresholdStats(res, stride, eps)
+	mu, sigma, err := k.ThresholdStatsCtx(context.Background(), res, stride, eps)
 	if err != nil {
 		return 0, err
 	}

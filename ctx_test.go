@@ -51,12 +51,12 @@ func TestRenderEpsCtxCancelPromptly(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	dm, err := k.RenderEpsCtx(ctx, res, 0.05)
+	r, err := k.Render(ctx, quad.Request{Res: res, Eps: 0.05})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if dm != nil {
+	if r.Density != nil {
 		t.Error("cancelled render returned a map")
 	}
 	if elapsed > full/2 {
@@ -70,26 +70,18 @@ func TestRenderCtxAlreadyCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := k.RenderEpsCtx(ctx, res, 0.05); !errors.Is(err, context.Canceled) {
-		t.Errorf("RenderEpsCtx err = %v, want Canceled", err)
-	}
-	if _, err := k.RenderTauCtx(ctx, res, 0.01); !errors.Is(err, context.Canceled) {
-		t.Errorf("RenderTauCtx err = %v, want Canceled", err)
-	}
-	if _, err := k.RenderProgressiveCtx(ctx, res, 0.05, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("RenderProgressiveCtx err = %v, want Canceled", err)
+	for _, req := range []quad.Request{
+		{Res: res, Eps: 0.05},
+		{Variant: quad.TauKDV, Res: res, Tau: 0.01},
+		{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.05},
+		{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.05, Emit: func(quad.Snapshot) bool { return true }},
+	} {
+		if r, err := k.Render(ctx, req); !errors.Is(err, context.Canceled) || r.Density != nil || r.Hot != nil {
+			t.Errorf("%s render (emit %v): err = %v, want Canceled and no map", req.Variant, req.Emit != nil, err)
+		}
 	}
 	if _, _, err := k.ThresholdStatsCtx(ctx, res, 1, 0.05); !errors.Is(err, context.Canceled) {
 		t.Errorf("ThresholdStatsCtx err = %v, want Canceled", err)
-	}
-	if _, err := k.EstimateCtx(ctx, []float64{0, 0}, 0.05); !errors.Is(err, context.Canceled) {
-		t.Errorf("EstimateCtx err = %v, want Canceled", err)
-	}
-	if _, err := k.IsHotCtx(ctx, []float64{0, 0}, 0.01); !errors.Is(err, context.Canceled) {
-		t.Errorf("IsHotCtx err = %v, want Canceled", err)
-	}
-	if _, err := k.RenderProgressiveStreamCtx(ctx, res, 0.05, 0, func(quad.Snapshot) bool { return true }); !errors.Is(err, context.Canceled) {
-		t.Errorf("RenderProgressiveStreamCtx err = %v, want Canceled", err)
 	}
 }
 
@@ -107,7 +99,24 @@ func TestRenderCtxDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err = k.RenderEpsCtx(ctx, quad.Resolution{W: 64, H: 64}, 0.05)
+	_, err = k.Render(ctx, quad.Request{Res: quad.Resolution{W: 64, H: 64}, Eps: 0.05})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestThresholdStatsCtxDeadline pins ThresholdStatsCtx's cancellation
+// inside a sample row: on a one-row raster whose row of exact scans takes
+// seconds, a 50 ms deadline must stop it promptly with DeadlineExceeded.
+func TestThresholdStatsCtxDeadline(t *testing.T) {
+	k := slowKDV(t, 10000)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, _, err := k.ThresholdStatsCtx(ctx, quad.Resolution{W: 1 << 16, H: 1}, 1, 0.05)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("ThresholdStatsCtx took %s under a 50ms deadline", elapsed)
+	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -122,24 +131,25 @@ func TestRenderProgressiveWindow(t *testing.T) {
 	res := quad.Resolution{W: 24, H: 16}
 	win := quad.Window{MinX: 10, MinY: 10, MaxX: 40, MaxY: 40}
 
-	want, err := k.RenderEpsIn(res, 0.05, win)
+	r, err := k.Render(context.Background(), quad.Request{Res: res, Window: win, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := k.RenderProgressiveIn(res, 0.05, 0, 0, win)
+	pr, err := k.Render(context.Background(), quad.Request{Variant: quad.ProgressiveKDV, Res: res, Window: win, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pr.Complete {
 		t.Fatal("unbudgeted progressive render did not complete")
 	}
-	if pr.Map.WindowMin != want.WindowMin || pr.Map.WindowMax != want.WindowMax {
+	want, got := r.Density, pr.Density
+	if got.WindowMin != want.WindowMin || got.WindowMax != want.WindowMax {
 		t.Errorf("window mismatch: progressive %v..%v, render %v..%v",
-			pr.Map.WindowMin, pr.Map.WindowMax, want.WindowMin, want.WindowMax)
+			got.WindowMin, got.WindowMax, want.WindowMin, want.WindowMax)
 	}
 	for i := range want.Values {
-		if pr.Map.Values[i] != want.Values[i] {
-			t.Fatalf("pixel %d: progressive %g, render %g", i, pr.Map.Values[i], want.Values[i])
+		if got.Values[i] != want.Values[i] {
+			t.Fatalf("pixel %d: progressive %g, render %g", i, got.Values[i], want.Values[i])
 		}
 	}
 }
@@ -151,7 +161,8 @@ func TestRenderProgressiveCtxBudgetVsCancel(t *testing.T) {
 	k := slowKDV(t, 10000)
 	res := quad.Resolution{W: 48, H: 48}
 
-	pr, err := k.RenderProgressiveCtx(context.Background(), res, 0.05, 30*time.Millisecond, 0)
+	req := quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.05, Budget: 30 * time.Millisecond}
+	pr, err := k.Render(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +178,8 @@ func TestRenderProgressiveCtxBudgetVsCancel(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 		cancel()
 	}()
-	if _, err := k.RenderProgressiveCtx(ctx, res, 0.05, 0, 0); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want Canceled", err)
+	req.Budget = 0
+	if r, err := k.Render(ctx, req); !errors.Is(err, context.Canceled) || r.Density != nil {
+		t.Errorf("err = %v, want Canceled and no map", err)
 	}
 }

@@ -174,6 +174,7 @@ func TestQueryArgumentErrors(t *testing.T) {
 	if _, err := k.Estimate([]float64{1, 2, 3}, 0.1); err == nil {
 		t.Error("Estimate accepted a 3-d query on a 2-d dataset")
 	}
+	ctx := context.Background()
 	res := quad.Resolution{W: 16, H: 16}
 	keep := func(quad.Snapshot) bool { return true }
 	for _, eps := range []float64{-0.1, math.NaN()} {
@@ -183,14 +184,14 @@ func TestQueryArgumentErrors(t *testing.T) {
 		if _, err := k.RenderEps(res, eps); err == nil {
 			t.Errorf("RenderEps accepted ε=%g", eps)
 		}
-		if _, err := k.RenderEpsSubInCtx(context.Background(), res, eps, quad.Window{}, quad.PixelRect{X0: 0, Y0: 0, X1: 8, Y1: 8}); err == nil {
-			t.Errorf("RenderEpsSubInCtx accepted ε=%g", eps)
-		}
-		if _, err := k.RenderProgressive(res, eps, 0, 0); err == nil {
-			t.Errorf("RenderProgressive accepted ε=%g", eps)
-		}
-		if _, err := k.RenderProgressiveStream(res, eps, 0, keep); err == nil {
-			t.Errorf("RenderProgressiveStream accepted ε=%g", eps)
+		for _, req := range []quad.Request{
+			{Res: res, Sub: quad.PixelRect{X0: 0, Y0: 0, X1: 8, Y1: 8}, Eps: eps},
+			{Variant: quad.ProgressiveKDV, Res: res, Eps: eps},
+			{Variant: quad.ProgressiveKDV, Res: res, Eps: eps, Emit: keep},
+		} {
+			if _, err := k.Render(ctx, req); err == nil {
+				t.Errorf("%s render (sub %v, emit %v) accepted ε=%g", req.Variant, req.Sub, req.Emit != nil, eps)
+			}
 		}
 	}
 	for _, win := range []quad.Window{
@@ -201,14 +202,14 @@ func TestQueryArgumentErrors(t *testing.T) {
 		{MinX: math.Inf(-1), MinY: 0, MaxX: 1, MaxY: 1},                   // infinite corner
 		{MinX: -math.MaxFloat64, MinY: 0, MaxX: math.MaxFloat64, MaxY: 1}, // width overflows
 	} {
-		if _, err := k.RenderEpsIn(res, 0.05, win); err == nil {
-			t.Errorf("RenderEpsIn accepted window %+v", win)
-		}
-		if _, err := k.RenderTauIn(res, 0.001, win); err == nil {
-			t.Errorf("RenderTauIn accepted window %+v", win)
-		}
-		if _, err := k.RenderProgressiveIn(res, 0.05, 0, 0, win); err == nil {
-			t.Errorf("RenderProgressiveIn accepted window %+v", win)
+		for _, req := range []quad.Request{
+			{Res: res, Window: win, Eps: 0.05},
+			{Variant: quad.TauKDV, Res: res, Window: win, Tau: 0.001},
+			{Variant: quad.ProgressiveKDV, Res: res, Window: win, Eps: 0.05},
+		} {
+			if _, err := k.Render(ctx, req); err == nil {
+				t.Errorf("%s render accepted window %+v", req.Variant, win)
+			}
 		}
 	}
 	if _, err := k.IsHot([]float64{1}, 0.5); err == nil {
@@ -218,17 +219,11 @@ func TestQueryArgumentErrors(t *testing.T) {
 	if _, err := k.IsHot([]float64{1, 2}, nan); err == nil {
 		t.Error("IsHot accepted τ=NaN")
 	}
-	if _, err := k.IsHotCtx(context.Background(), []float64{1, 2}, nan); err == nil {
-		t.Error("IsHotCtx accepted τ=NaN")
-	}
 	if _, err := k.RenderTau(res, nan); err == nil {
 		t.Error("RenderTau accepted τ=NaN")
 	}
-	if _, _, err := k.RenderTauStatsInCtx(context.Background(), res, nan, quad.Window{}); err == nil {
-		t.Error("RenderTauStatsInCtx accepted τ=NaN")
-	}
-	if _, _, _, err := k.RenderTauWorkMap(res, nan); err == nil {
-		t.Error("RenderTauWorkMap accepted τ=NaN")
+	if _, err := k.Render(ctx, quad.Request{Variant: quad.TauKDV, Res: res, Tau: nan, WorkMap: true}); err == nil {
+		t.Error("τKDV work-map render accepted τ=NaN")
 	}
 	// ±Inf is a threshold every pixel is decided against without refinement.
 	for tau, want := range map[float64]float64{math.Inf(1): 0, math.Inf(-1): 1} {
@@ -259,7 +254,9 @@ func TestQueryArgumentErrors(t *testing.T) {
 // past 2²⁸ pixels, including one whose W×H overflows int, is an error
 // before anything is allocated, not a makeslice or index panic. A
 // sub-render is capped by its sub-rectangle alone, so a deep-zoom tile of
-// a huge full raster still renders.
+// a huge full raster still renders. ThresholdStatsCtx samples a raster of
+// the same size, so it must reject it too: at a stride of the longer side
+// it would take one sample and return at once.
 func TestRenderRejectsHugeResolution(t *testing.T) {
 	pts, err := dataset.Generate("crime", 500, 1)
 	if err != nil {
@@ -283,24 +280,25 @@ func TestRenderRejectsHugeResolution(t *testing.T) {
 		if _, err := k.RenderTau(res, 0.001); err == nil {
 			t.Errorf("RenderTau accepted %v", res)
 		}
-		if _, err := k.RenderProgressive(res, 0.05, 0, 1); err == nil {
-			t.Errorf("RenderProgressive accepted %v", res)
+		for _, req := range []quad.Request{
+			{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.05, MaxPixels: 1},
+			{Res: res, Eps: 0.05, WorkMap: true},
+			{Variant: quad.TauKDV, Res: res, Tau: 0.001, WorkMap: true},
+			{Res: res, Sub: quad.PixelRect{X1: res.W, Y1: res.H}, Eps: 0.05},
+		} {
+			if _, err := k.Render(ctx, req); err == nil {
+				t.Errorf("%s render (work map %v, sub %v) accepted %v", req.Variant, req.WorkMap, req.Sub, res)
+			}
 		}
-		if _, _, _, err := k.RenderEpsWorkMap(res, 0.05); err == nil {
-			t.Errorf("RenderEpsWorkMap accepted %v", res)
-		}
-		if _, _, _, err := k.RenderTauWorkMap(res, 0.001); err == nil {
-			t.Errorf("RenderTauWorkMap accepted %v", res)
-		}
-		if _, err := k.RenderEpsSubInCtx(ctx, res, 0.05, quad.Window{}, quad.PixelRect{X1: res.W, Y1: res.H}); err == nil {
-			t.Errorf("RenderEpsSubInCtx accepted a %v sub-rectangle", res)
+		if _, _, err := k.ThresholdStatsCtx(ctx, res, max(res.W, res.H), 0.05); err == nil {
+			t.Errorf("ThresholdStatsCtx accepted %v", res)
 		}
 	}
 	full := quad.Resolution{W: 1 << 32, H: 1 << 32}
 	sub := quad.PixelRect{X0: 1 << 31, Y0: 1 << 31, X1: 1<<31 + 8, Y1: 1<<31 + 8}
-	if dm, err := k.RenderEpsSubInCtx(ctx, full, 0.05, quad.Window{}, sub); err != nil {
+	if r, err := k.Render(ctx, quad.Request{Res: full, Sub: sub, Eps: 0.05}); err != nil {
 		t.Errorf("8×8 sub-render of a %v raster: %v", full, err)
-	} else if len(dm.Values) != 64 {
-		t.Errorf("8×8 sub-render has %d values", len(dm.Values))
+	} else if len(r.Density.Values) != 64 {
+		t.Errorf("8×8 sub-render has %d values", len(r.Density.Values))
 	}
 }

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,7 +28,7 @@ func main() {
 	res := quad.Resolution{W: 320, H: 240}
 
 	// Pick τ = μ + 0.2σ from a strided density sample.
-	mu, sigma, err := kdv.ThresholdStats(res, 8, 0.01)
+	mu, sigma, err := kdv.ThresholdStatsCtx(context.Background(), res, 8, 0.01)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -28,11 +29,12 @@ func main() {
 	res := quad.Resolution{W: 256, H: 256}
 
 	// Reference: the fully refined map.
-	full, err := kdv.RenderProgressive(res, 0.01, 0, 0)
+	ctx := context.Background()
+	full, err := kdv.Render(ctx, quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.01})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("full render: %d pixels in %s\n", full.Evaluated, full.Elapsed.Round(time.Millisecond))
+	fmt.Printf("full render: %d pixels in %s\n", full.Evaluated, full.Stats.Elapsed.Round(time.Millisecond))
 
 	fmt.Println("\nbudget     pixels evaluated   avg relative error   map file")
 	for _, budget := range []time.Duration{
@@ -41,16 +43,16 @@ func main() {
 		250 * time.Millisecond,
 		1250 * time.Millisecond,
 	} {
-		r, err := kdv.RenderProgressive(res, 0.01, budget, 0)
+		r, err := kdv.Render(ctx, quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.01, Budget: budget})
 		if err != nil {
 			log.Fatal(err)
 		}
-		avgErr, err := stats.AvgRelativeError(r.Map.Values, full.Map.Values)
+		avgErr, err := stats.AvgRelativeError(r.Density.Values, full.Density.Values)
 		if err != nil {
 			log.Fatal(err)
 		}
 		name := fmt.Sprintf("traffic_t%s.png", budget)
-		if err := r.Map.SavePNG(name, true); err != nil {
+		if err := r.Density.SavePNG(name, true); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-9s  %6d / %d       %.4f               %s\n",

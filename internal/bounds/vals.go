@@ -10,12 +10,17 @@ import (
 // node's aggregate statistics as plain float64s (or slices of them), so the
 // formulas stay separate from how flat.go fetches the statistics.
 
-// clampVals floors lb at 0, caps ub at w·|P|·K(0), and repairs any floating-
-// point inversion (lb marginally above ub) by widening to the safe side.
+// clampVals floors lb and ub at 0, caps ub at w·|P|·K(0), and repairs any
+// floating-point inversion (lb marginally above ub) by widening to the safe
+// side. A contribution is never negative, so a negative ub (the quadratic
+// forms' rounding in the subnormal tail) is no bound at all.
 func (e *Evaluator) clampVals(sumW, lb, ub float64) (float64, float64) {
 	cap := e.Weight * sumW * e.profMax
 	if lb < 0 {
 		lb = 0
+	}
+	if ub < 0 {
+		ub = 0
 	}
 	if ub > cap {
 		ub = cap

@@ -129,12 +129,12 @@ func localShardValues(t *testing.T, req RenderRequest, shard, count int) []float
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := k.RenderEpsIn(req.Res, req.Eps, req.Window)
+	r, err := k.Render(context.Background(), quad.Request{Res: req.Res, Window: req.Window, Eps: req.Eps})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := append([]float64(nil), dm.Values...)
-	dm.Release()
+	vals := append([]float64(nil), r.Density.Values...)
+	r.Density.Release()
 	return vals
 }
 

@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -154,15 +155,15 @@ func metamorphicTranslation(cfg *Config, rep *Report, gamma, weight float64) err
 	if err != nil {
 		return err
 	}
-	dm, err := kdv.RenderEpsIn(res, cfg.Eps, win)
+	r, err := kdv.Render(context.Background(), quad.Request{Res: res, Window: win, Eps: cfg.Eps})
 	if err != nil {
 		return err
 	}
-	dmT, err := kdvT.RenderEpsIn(res, cfg.Eps, winT)
+	rT, err := kdvT.Render(context.Background(), quad.Request{Res: res, Window: winT, Eps: cfg.Eps})
 	if err != nil {
 		return err
 	}
-	rep.add(CheckRastersWithin("metamorphic/translation/render", dm.Values, dmT.Values, 2*cfg.Eps))
+	rep.add(CheckRastersWithin("metamorphic/translation/render", r.Density.Values, rT.Density.Values, 2*cfg.Eps))
 	return nil
 }
 
@@ -209,24 +210,24 @@ func metamorphicScale(cfg *Config, rep *Report, gamma, weight, tau float64) erro
 	if err != nil {
 		return err
 	}
-	dm, err := kdv.RenderEpsIn(res, cfg.Eps, win)
+	r, err := kdv.Render(context.Background(), quad.Request{Res: res, Window: win, Eps: cfg.Eps})
 	if err != nil {
 		return err
 	}
-	dmS, err := kdvS.RenderEpsIn(res, cfg.Eps, winS)
+	rS, err := kdvS.Render(context.Background(), quad.Request{Res: res, Window: winS, Eps: cfg.Eps})
 	if err != nil {
 		return err
 	}
-	rep.add(CheckRastersIdentical("metamorphic/scale/eps", dm.Values, dmS.Values))
-	hm, err := kdv.RenderTauIn(res, tau, win)
+	rep.add(CheckRastersIdentical("metamorphic/scale/eps", r.Density.Values, rS.Density.Values))
+	r, err = kdv.Render(context.Background(), quad.Request{Variant: quad.TauKDV, Res: res, Window: win, Tau: tau})
 	if err != nil {
 		return err
 	}
-	hmS, err := kdvS.RenderTauIn(res, tau, winS)
+	rS, err = kdvS.Render(context.Background(), quad.Request{Variant: quad.TauKDV, Res: res, Window: winS, Tau: tau})
 	if err != nil {
 		return err
 	}
-	rep.add(CheckMasksIdentical("metamorphic/scale/tau", hm.Hot, hmS.Hot))
+	rep.add(CheckMasksIdentical("metamorphic/scale/tau", r.Hot.Hot, rS.Hot.Hot))
 	return nil
 }
 

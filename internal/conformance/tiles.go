@@ -103,13 +103,13 @@ func stitchCheck(cfg *Config, rep *Report, kdv *quad.KDV, z int, tag string) err
 				X0: tx * tilePassT, X1: (tx + 1) * tilePassT,
 				Y0: ty * tilePassT, Y1: (ty + 1) * tilePassT,
 			}
-			dm, err := kdv.RenderEpsSubInCtx(context.Background(), full, cfg.Eps, quad.Window{}, sub)
+			r, err := kdv.Render(context.Background(), quad.Request{Res: full, Sub: sub, Eps: cfg.Eps})
 			if err != nil {
 				return fmt.Errorf("conformance: tile render %s %d/%d: %w", tag, tx, ty, err)
 			}
 			for y := 0; y < tilePassT; y++ {
 				copy(stitched[(sub.Y0+y)*full.W+sub.X0:(sub.Y0+y)*full.W+sub.X1],
-					dm.Values[y*tilePassT:(y+1)*tilePassT])
+					r.Density.Values[y*tilePassT:(y+1)*tilePassT])
 			}
 		}
 	}
@@ -146,11 +146,11 @@ func tilePNGCheck(cfg *Config, rep *Report, k kernel.Kernel) error {
 				X0: tx * tilePassT, X1: (tx + 1) * tilePassT,
 				Y0: ty * tilePassT, Y1: (ty + 1) * tilePassT,
 			}
-			dm, err := kdv.RenderEpsSubInCtx(context.Background(), full, cfg.Eps, quad.Window{}, sub)
+			r, err := kdv.Render(context.Background(), quad.Request{Res: full, Sub: sub, Eps: cfg.Eps})
 			if err != nil {
 				return fmt.Errorf("conformance: tile png render %d/%d: %w", tx, ty, err)
 			}
-			tilePNG, err := encodeFixed(dm.Values, tilePassT, tilePassT, lo, hi)
+			tilePNG, err := encodeFixed(r.Density.Values, tilePassT, tilePassT, lo, hi)
 			if err != nil {
 				return err
 			}
@@ -198,8 +198,8 @@ func tileMutationCheck(cfg *Config, rep *Report, k kernel.Kernel) error {
 		return fmt.Errorf("conformance: tile mutation reference: %w", err)
 	}
 	// The planted off-by-one: tile (0,0) addressed one pixel east/north.
-	bad, err := kdv.RenderEpsSubInCtx(context.Background(), full, cfg.Eps, quad.Window{},
-		quad.PixelRect{X0: 1, Y0: 1, X1: tilePassT + 1, Y1: tilePassT + 1})
+	bad, err := kdv.Render(context.Background(), quad.Request{Res: full, Eps: cfg.Eps,
+		Sub: quad.PixelRect{X0: 1, Y0: 1, X1: tilePassT + 1, Y1: tilePassT + 1}})
 	if err != nil {
 		return fmt.Errorf("conformance: tile mutation render: %w", err)
 	}
@@ -207,7 +207,7 @@ func tileMutationCheck(cfg *Config, rep *Report, k kernel.Kernel) error {
 	for y := 0; y < tilePassT; y++ {
 		copy(crop[y*tilePassT:(y+1)*tilePassT], ref.Values[y*full.W:y*full.W+tilePassT])
 	}
-	verdict := CheckRastersIdentical("", crop, bad.Values)
+	verdict := CheckRastersIdentical("", crop, bad.Density.Values)
 	c := Check{Name: fmt.Sprintf("tiles/mutation/%s/off-by-one-rejected", k), Pass: !verdict.Pass}
 	if verdict.Pass {
 		c.Detail = "an off-by-one tile origin passed the stitch identity check — the pass cannot catch bbox addressing bugs"

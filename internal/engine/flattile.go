@@ -25,6 +25,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 
 	"github.com/quadkdv/quad/internal/bounds"
@@ -141,8 +142,13 @@ func (f *FlatFrontier) base(q []float64) (lb, ub float64) {
 		// evaluation per side covers every node folded into it.
 		lb += f.envLB.Eval(q, f.envCenter)
 		ub += f.envUB.Eval(q, f.envCenter)
+		// Densities are not negative; in the subnormal tail the forms'
+		// rounding can take either side below 0.
 		if lb < 0 {
 			lb = 0
+		}
+		if ub < 0 {
+			ub = 0
 		}
 		if ub < lb {
 			mid := (lb + ub) / 2
@@ -176,6 +182,20 @@ func (f *FlatFrontier) initEnv() {
 	f.envLB.Reset(d)
 	f.envUB.Reset(d)
 	f.envOK, f.envSettled = true, true
+}
+
+// envFits reports whether a tile can carry envelopes: the forms are
+// evaluated at offsets from the tile's center (Min+Max)/2, and where that
+// sum or the squared extent overflows, 0·Inf would turn the bounds into
+// NaN. Only tiles of a window wider than about 1e154, or near ±MaxFloat64,
+// fail it; their nodes keep their rect bounds.
+func envFits(tile geom.Rect) bool {
+	var s float64
+	for i := range tile.Min {
+		d := tile.Max[i] - tile.Min[i]
+		s += d*d + math.Abs(tile.Min[i]+tile.Max[i])
+	}
+	return s <= math.MaxFloat64
 }
 
 // inheritEnv copies a parent frontier's settled envelope — valid here because
@@ -361,7 +381,7 @@ func (te *FlatTileEngine) buildEps(tile geom.Rect, parent *FlatFrontier, fcap in
 		parentGap = parent.SettledGap
 		f.inheritEnv(parent)
 	}
-	if !f.envOK && te.Ev.SupportsEnvelope() {
+	if !f.envOK && te.Ev.SupportsEnvelope() && envFits(tile) {
 		f.initEnv()
 	}
 	// The expansion's stop test and settle budget see the settled envelope
@@ -534,6 +554,10 @@ func (te *FlatTileEngine) Promote(f *FlatFrontier) Stats {
 // try a one-sided O(d) classification before seeding the refinement heap.
 func (te *FlatTileEngine) buildEnvelope(f *FlatFrontier, st *Stats) {
 	f.envSettled = false
+	if !envFits(f.Tile) {
+		f.envOK = false
+		return
+	}
 	d := len(f.Tile.Min)
 	if cap(f.envCenter) < d {
 		f.envCenter = make([]float64, d)

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -420,11 +421,11 @@ func RunFig20(c *Config) error {
 		return err
 	}
 	res := quad.Resolution{W: c.Res.W, H: c.Res.H}
-	refRun, err := kq.RenderProgressive(res, 0.001, 0, 0)
+	refRun, err := kq.Render(context.Background(), quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.001})
 	if err != nil {
 		return err
 	}
-	ref := refRun.Map.Values
+	ref := refRun.Density.Values
 	// Relative error is floored at 1e-6 of the peak density so empty-region
 	// pixels (F in the deep kernel tail) do not dominate the average; see
 	// stats.FlooredAvgRelativeError.
@@ -455,11 +456,11 @@ func RunFig20(c *Config) error {
 		}
 		row := []string{m.Label}
 		for _, b := range c.Budgets {
-			r, err := k.RenderProgressive(res, 0.01, b, 0)
+			r, err := k.Render(context.Background(), quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.01, Budget: b})
 			if err != nil {
 				return err
 			}
-			avg, err := stats.FlooredAvgRelativeError(r.Map.Values, ref, floor)
+			avg, err := stats.FlooredAvgRelativeError(r.Density.Values, ref, floor)
 			if err != nil {
 				return err
 			}
@@ -489,12 +490,12 @@ func RunFig21(c *Config) error {
 	budgets := []time.Duration{20 * time.Millisecond, 50 * time.Millisecond,
 		200 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second}
 	for _, b := range budgets {
-		r, err := k.RenderProgressive(res, 0.01, b, 0)
+		r, err := k.Render(context.Background(), quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.01, Budget: b})
 		if err != nil {
 			return err
 		}
 		path := filepath.Join(c.OutDir, fmt.Sprintf("fig21_t%s.png", b))
-		if err := r.Map.SavePNG(path, true); err != nil {
+		if err := r.Density.SavePNG(path, true); err != nil {
 			return err
 		}
 		fmt.Fprintf(c.Out, "fig21: t=%-8s evaluated %6d/%d pixels → %s\n",
@@ -549,7 +550,7 @@ func runOtherKernelTau(c *Config, kern quad.Kernel, names []string) error {
 			return err
 		}
 		stride := 1 + c.Res.Pixels()/4096
-		mu, sigma, err := kq.ThresholdStats(quad.Resolution{W: c.Res.W, H: c.Res.H}, stride, 0.01)
+		mu, sigma, err := kq.ThresholdStatsCtx(context.Background(), quad.Resolution{W: c.Res.W, H: c.Res.H}, stride, 0.01)
 		if err != nil {
 			return err
 		}

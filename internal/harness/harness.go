@@ -7,6 +7,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -208,7 +209,7 @@ func (c *Config) MuSigma(d *DS) (mu, sigma float64, err error) {
 		return 0, 0, err
 	}
 	stride := 1 + c.Res.Pixels()/4096
-	return k.ThresholdStats(quad.Resolution{W: c.Res.W, H: c.Res.H}, stride, 0.01)
+	return k.ThresholdStatsCtx(context.Background(), quad.Resolution{W: c.Res.W, H: c.Res.H}, stride, 0.01)
 }
 
 // DensestPixel returns the grid query point with the (approximately)

@@ -76,6 +76,11 @@ func BuildOrder(res grid.Resolution) (*Order, error) {
 	for len(queue) > 0 {
 		r := queue[0]
 		queue = queue[1:]
+		if r.x0 >= res.W || r.y0 >= res.H {
+			// Off-screen, and so is every quadrant below it: splitting it
+			// would cost O(side²) on a W×1 raster and emit nothing.
+			continue
+		}
 		cx := r.x0 + r.w/2
 		cy := r.y0 + r.h/2
 		if cx >= res.W {
@@ -84,7 +89,7 @@ func BuildOrder(res grid.Resolution) (*Order, error) {
 		if cy >= res.H {
 			cy = res.H - 1
 		}
-		if r.x0 < res.W && r.y0 < res.H && !seen[cy*res.W+cx] {
+		if !seen[cy*res.W+cx] {
 			seen[cy*res.W+cx] = true
 			o.Px = append(o.Px, cx)
 			o.Py = append(o.Py, cy)

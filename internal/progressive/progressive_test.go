@@ -2,6 +2,7 @@ package progressive
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,6 +38,28 @@ func TestOrderCoversEveryPixelOnce(t *testing.T) {
 				t.Fatalf("%s: pixel (%d,%d) visited twice", res, px, py)
 			}
 			seen[key] = true
+		}
+	}
+}
+
+// TestBuildOrderThinRaster pins the order's cost to the raster, not to its
+// padded square: a 2048×1 raster pads to 2048², whose 5.6 million regions
+// an unpruned split would visit (hundreds of MB in the queue). Only the
+// regions that touch the raster may be visited.
+func TestBuildOrderThinRaster(t *testing.T) {
+	for _, res := range []grid.Resolution{{W: 2048, H: 1}, {W: 1, H: 2048}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o, err := BuildOrder(res)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Len() != res.Pixels() {
+			t.Fatalf("%s: order has %d entries, want %d", res, o.Len(), res.Pixels())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%s: building the order allocated %d MB", res, alloc>>20)
 		}
 	}
 }

@@ -616,15 +616,16 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		parseError(w, r, err)
 		return
 	}
-	dm, st, err := req.kdv.RenderEpsStatsInCtx(r.Context(), req.res, req.eps, req.window)
+	out, err := req.kdv.Render(r.Context(), quad.Request{Res: req.res, Window: req.window, Eps: req.eps})
+	st := out.Stats
 	setRenderStats(r, &st)
 	s.m.recordRenderStats("render", st)
 	if err == nil {
 		s.m.recordOutcome("render", "ok")
-		s.auditEpsMap(w, "render", p, dm, exactDensity(req.kdv))
+		s.auditEpsMap(w, "render", p, out.Density, exactDensity(req.kdv))
 		setStatsHeaders(w, st)
 		w.Header().Set("X-KDV-Complete", "true")
-		writeDensityPNG(w, r, dm, req.logScale)
+		writeDensityPNG(w, r, out.Density, req.logScale)
 		return
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
@@ -644,7 +645,7 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 			setStatsHeaders(w, st)
 			w.Header().Set("X-KDV-Complete", strconv.FormatBool(pr.Complete))
 			w.Header().Set("X-KDV-Evaluated", strconv.Itoa(pr.Evaluated))
-			writeDensityPNG(w, r, pr.Map, req.logScale)
+			writeDensityPNG(w, r, pr.Density, req.logScale)
 			return
 		}
 	}
@@ -707,7 +708,7 @@ func (s *Server) renderViaCluster(w http.ResponseWriter, r *http.Request, p *ren
 // context so a disconnect still cancels it, bounded by a grace timeout a
 // little above the degrade budget. Returns nil if the fallback also failed
 // (e.g. the client is gone).
-func (s *Server) degraded(r *http.Request, req *request) *quad.ProgressiveResult {
+func (s *Server) degraded(r *http.Request, req *request) *quad.Result {
 	base := baseContext(r)
 	if base.Err() != nil {
 		return nil
@@ -715,11 +716,13 @@ func (s *Server) degraded(r *http.Request, req *request) *quad.ProgressiveResult
 	budget := s.cfg.DegradeBudget
 	ctx, cancel := context.WithTimeout(base, budget+budget/2+100*time.Millisecond)
 	defer cancel()
-	pr, err := req.kdv.RenderProgressiveInCtx(ctx, req.res, req.eps, budget, 0, req.window)
+	pr, err := req.kdv.Render(ctx, quad.Request{
+		Variant: quad.ProgressiveKDV, Res: req.res, Window: req.window, Eps: req.eps, Budget: budget,
+	})
 	if err != nil {
 		return nil
 	}
-	return pr
+	return &pr
 }
 
 func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
@@ -745,7 +748,8 @@ func (s *Server) handleHotspots(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	hm, st, err := req.kdv.RenderTauStatsInCtx(r.Context(), req.res, tau, req.window)
+	out, err := req.kdv.Render(r.Context(), quad.Request{Variant: quad.TauKDV, Res: req.res, Window: req.window, Tau: tau})
+	hm, st := out.Hot, out.Stats
 	setRenderStats(r, &st)
 	s.m.recordRenderStats("hotspots", st)
 	if err != nil {
@@ -828,7 +832,9 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {
 	if rem := deadlineRemaining(r.Context(), 0); rem > 0 && budget > rem-rem/10 {
 		budget = rem - rem/10
 	}
-	res, err := req.kdv.RenderProgressiveInCtx(r.Context(), req.res, req.eps, budget, 0, req.window)
+	res, err := req.kdv.Render(r.Context(), quad.Request{
+		Variant: quad.ProgressiveKDV, Res: req.res, Window: req.window, Eps: req.eps, Budget: budget,
+	})
 	if err != nil {
 		s.m.recordOutcome("progressive", "error")
 		requestError(w, r, err)
@@ -836,12 +842,12 @@ func (s *Server) handleProgressive(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.recordOutcome("progressive", "ok")
 	s.m.pixels.AddInt(res.Evaluated)
-	s.m.renderSeconds["progressive"].ObserveDuration(res.Elapsed)
+	s.m.renderSeconds["progressive"].ObserveDuration(res.Stats.Elapsed)
 	setRenderStats(r, &res.Stats)
 	setStatsHeaders(w, res.Stats)
 	w.Header().Set("X-KDV-Evaluated", strconv.Itoa(res.Evaluated))
 	w.Header().Set("X-KDV-Complete", strconv.FormatBool(res.Complete))
-	writeDensityPNG(w, r, res.Map, req.logScale)
+	writeDensityPNG(w, r, res.Density, req.logScale)
 }
 
 func writeDensityPNG(w http.ResponseWriter, r *http.Request, dm *quad.DensityMap, logScale bool) {

@@ -3,6 +3,7 @@ package serve
 import (
 	"net/http"
 
+	quad "github.com/quadkdv/quad"
 	"github.com/quadkdv/quad/internal/cluster"
 )
 
@@ -40,7 +41,8 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		parseError(w, r, err)
 		return
 	}
-	dm, st, err := req.kdv.RenderEpsStatsInCtx(r.Context(), req.res, req.eps, req.window)
+	out, err := req.kdv.Render(r.Context(), quad.Request{Res: req.res, Window: req.window, Eps: req.eps})
+	dm, st := out.Density, out.Stats
 	setRenderStats(r, &st)
 	s.m.recordRenderStats("shard", st)
 	if err != nil {

@@ -40,13 +40,9 @@ func (s *Server) handleWorkMap(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var (
-		wm *quad.WorkMap
-		st quad.RenderStats
-	)
+	rq := quad.Request{Res: req.res, Window: req.window, Eps: req.eps, WorkMap: true}
 	if spec := r.URL.Query().Get("tau"); spec != "" {
-		var tau float64
-		tau, err = s.resolveTau(r.Context(), req, spec)
+		tau, err := s.resolveTau(r.Context(), req, spec)
 		if err != nil {
 			s.m.recordOutcome("workmap", "error")
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -56,11 +52,11 @@ func (s *Server) handleWorkMap(w http.ResponseWriter, r *http.Request) {
 			}
 			return
 		}
-		_, wm, st, err = req.kdv.RenderTauWorkMapInCtx(r.Context(), req.res, tau, req.window)
+		rq.Variant, rq.Eps, rq.Tau = quad.TauKDV, 0, tau
 		w.Header().Set("X-KDV-Tau", strconv.FormatFloat(tau, 'g', -1, 64))
-	} else {
-		_, wm, st, err = req.kdv.RenderEpsWorkMapInCtx(r.Context(), req.res, req.eps, req.window)
 	}
+	out, err := req.kdv.Render(r.Context(), rq)
+	st := out.Stats
 	setRenderStats(r, &st)
 	s.m.recordRenderStats("workmap", st)
 	if err != nil {
@@ -72,7 +68,7 @@ func (s *Server) handleWorkMap(w http.ResponseWriter, r *http.Request) {
 	setStatsHeaders(w, st)
 	w.Header().Set("X-KDV-Workmap-Layer", string(layer))
 	w.Header().Set("Content-Type", "image/png")
-	if err := wm.EncodePNG(w, layer); err != nil {
+	if err := out.Work.EncodePNG(w, layer); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 	}
 }

@@ -118,13 +118,14 @@ func NewPyramid(ctx context.Context, cfg PyramidConfig) (*Pyramid, error) {
 	// which buildTile would otherwise re-render first thing.
 	base := Coord{}
 	full, sub := base.PixelRect(p.tileSize)
-	dm, st, err := p.k.RenderEpsSubStatsInCtx(ctx, quad.Resolution{W: full.W, H: full.H}, p.eps, quad.Window{}, sub)
+	r, err := p.k.Render(ctx, quad.Request{Res: full, Sub: sub, Eps: p.eps})
 	if err != nil {
 		return nil, fmt.Errorf("tiles: base render: %w", err)
 	}
 	if p.OnStats != nil {
-		p.OnStats(st)
+		p.OnStats(r.Stats)
 	}
+	dm := r.Density
 	v := &grid.Values{Res: grid.Resolution{W: dm.Res.W, H: dm.Res.H}, Data: dm.Values}
 	p.lo, p.hi = v.MinMax()
 	if _, err := p.encodeAndStore(ctx, base, v); err != nil {
@@ -227,7 +228,7 @@ func (p *Pyramid) buildTile(ctx context.Context, c Coord) (*Tile, error) {
 	sp.SetAttrs(trace.Str("tile", c.String()))
 	start := time.Now()
 	full, sub := c.PixelRect(p.tileSize)
-	dm, st, err := p.k.RenderEpsSubStatsInCtx(ctx, quad.Resolution{W: full.W, H: full.H}, p.eps, quad.Window{}, sub)
+	r, err := p.k.Render(ctx, quad.Request{Res: full, Sub: sub, Eps: p.eps})
 	if err != nil {
 		p.m.buildsErr().Inc()
 		sp.SetAttrs(trace.Str("error", err.Error()))
@@ -235,8 +236,9 @@ func (p *Pyramid) buildTile(ctx context.Context, c Coord) (*Tile, error) {
 		return nil, err
 	}
 	if p.OnStats != nil {
-		p.OnStats(st)
+		p.OnStats(r.Stats)
 	}
+	dm := r.Density
 	if p.OnBuilt != nil {
 		p.OnBuilt(ctx, c, dm)
 	}

@@ -43,15 +43,15 @@ func TestFlatRenderWorkersDeterminism(t *testing.T) {
 		epsStats, tauStats quad.RenderStats
 	}
 	renderIn := func(k *quad.KDV, res quad.Resolution, win quad.Window) (result, error) {
-		dm, est, err := k.RenderEpsStatsInCtx(context.Background(), res, eps, win)
+		er, err := k.Render(context.Background(), quad.Request{Res: res, Window: win, Eps: eps})
 		if err != nil {
 			return result{}, err
 		}
-		hm, tst, err := k.RenderTauStatsInCtx(context.Background(), res, tau, win)
+		tr, err := k.Render(context.Background(), quad.Request{Variant: quad.TauKDV, Res: res, Window: win, Tau: tau})
 		if err != nil {
 			return result{}, err
 		}
-		return result{dm.Values, hm.Hot, est, tst}, nil
+		return result{er.Density.Values, tr.Hot.Hot, er.Stats, tr.Stats}, nil
 	}
 	render := func(k *quad.KDV) (result, error) { return renderIn(k, res, quad.Window{}) }
 	// work keeps the counters that must not depend on scheduling.

@@ -199,28 +199,29 @@ func statsFields(st quad.RenderStats) string {
 }
 
 func epsLine(k *quad.KDV, res quad.Resolution, eps float64, win quad.Window) (string, error) {
-	dm, st, err := k.RenderEpsStatsInCtx(context.Background(), res, eps, win)
+	r, err := k.Render(context.Background(), quad.Request{Res: res, Window: win, Eps: eps})
 	if err != nil {
 		return "", err
 	}
-	return digestFloats(dm.Values) + statsFields(st), nil
+	return digestFloats(r.Density.Values) + statsFields(r.Stats), nil
 }
 
 func tauLine(k *quad.KDV, res quad.Resolution, tau float64, win quad.Window) (string, error) {
-	hm, st, err := k.RenderTauStatsInCtx(context.Background(), res, tau, win)
+	r, err := k.Render(context.Background(), quad.Request{Variant: quad.TauKDV, Res: res, Window: win, Tau: tau})
 	if err != nil {
 		return "", err
 	}
-	return digestBools(hm.Hot) + statsFields(st), nil
+	return digestBools(r.Hot.Hot) + statsFields(r.Stats), nil
 }
 
 // meanEps is the mean of an εKDV render: the τ the cells threshold at, so
 // their masks hold hot and cold pixels.
 func meanEps(k *quad.KDV, res quad.Resolution, eps float64, win quad.Window) (float64, error) {
-	dm, err := k.RenderEpsIn(res, eps, win)
+	r, err := k.Render(context.Background(), quad.Request{Res: res, Window: win, Eps: eps})
 	if err != nil {
 		return 0, err
 	}
+	dm := r.Density
 	var mu float64
 	for _, v := range dm.Values {
 		mu += v
@@ -327,12 +328,12 @@ func ledgerLines(t *testing.T) []string {
 		for i := 0; i < count; i++ {
 			l.cell(fmt.Sprintf("shard/%d-of-%d", i, count), small, []quad.Option{bw, quad.WithShard(i, count)},
 				func(k *quad.KDV) (string, error) {
-					dm, st, err := k.RenderEpsStatsInCtx(context.Background(), res, 0.05, quad.Window{})
+					r, err := k.Render(context.Background(), quad.Request{Res: res, Eps: 0.05})
 					if err != nil {
 						return "", err
 					}
-					shards = append(shards[:i], dm.Values)
-					return digestFloats(dm.Values) + statsFields(st), nil
+					shards = append(shards[:i], r.Density.Values)
+					return digestFloats(r.Density.Values) + statsFields(r.Stats), nil
 				})
 		}
 		if count == 3 {
@@ -361,13 +362,13 @@ func ledgerLines(t *testing.T) []string {
 		for ty := 0; ty < n; ty++ {
 			for tx := 0; tx < n; tx++ {
 				sub := quad.PixelRect{X0: tx * side, Y0: ty * side, X1: (tx + 1) * side, Y1: (ty + 1) * side}
-				dm, st, err := k.RenderEpsSubStatsInCtx(context.Background(), full, 0.05, quad.Window{}, sub)
+				r, err := k.Render(context.Background(), quad.Request{Res: full, Sub: sub, Eps: 0.05})
 				if err != nil {
 					return "", err
 				}
-				total.Add(st)
+				total.Add(r.Stats)
 				for y := 0; y < side; y++ {
-					copy(stitched[(sub.Y0+y)*full.W+sub.X0:], dm.Values[y*side:(y+1)*side])
+					copy(stitched[(sub.Y0+y)*full.W+sub.X0:], r.Density.Values[y*side:(y+1)*side])
 				}
 			}
 		}
@@ -375,11 +376,15 @@ func ledgerLines(t *testing.T) []string {
 	})
 
 	l.cell("progressive/gaussian/quad", small, nil, func(k *quad.KDV) (string, error) {
-		r, err := k.RenderProgressive(res, 0.05, 0, 0)
+		return progLine(k, quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.05})
+	})
+	progressiveCells(l, small, res)
+	l.cell("threshold/gaussian/quad", big, nil, func(k *quad.KDV) (string, error) {
+		mu, sigma, err := k.ThresholdStatsCtx(context.Background(), quad.Resolution{W: 48, H: 40}, 3, 0.01)
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("%s evaluated=%d complete=%v%s", digestFloats(r.Map.Values), r.Evaluated, r.Complete, statsFields(r.Stats)), nil
+		return fmt.Sprintf("mu=%x sigma=%x", math.Float64bits(mu), math.Float64bits(sigma)), nil
 	})
 
 	// Windows 0.5, 1 and 2 widths east of the data, where densities are a
@@ -388,6 +393,7 @@ func ledgerLines(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	workMapCells(l, big, bigRef)
 	for _, off := range []float64{0.5, 1, 2} {
 		win, err := bigRef.DefaultWindow()
 		if err != nil {
@@ -488,6 +494,85 @@ func ledgerLines(t *testing.T) []string {
 	boundTraceCells(l, big, queries)
 	indexCells(l)
 	return l.lines
+}
+
+// progLine renders a progressive request and formats its raster, progress
+// and counters.
+func progLine(k *quad.KDV, req quad.Request) (string, error) {
+	r, err := k.Render(context.Background(), req)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s evaluated=%d complete=%v%s", digestFloats(r.Density.Values), r.Evaluated, r.Complete, statsFields(r.Stats)), nil
+}
+
+// progressiveCells pin the progressive render's other shapes: cut mid-level
+// by a pixel limit (85 pixels fill levels 0–3 of a 32×24 raster), over a
+// window, with per-pixel refinement, by the exact scan, and streamed, where
+// each snapshot's level, evaluated count, final flag and raster are pinned.
+func progressiveCells(l *ledger, pts geom.Points, res quad.Resolution) {
+	req := quad.Request{Variant: quad.ProgressiveKDV, Res: res, Eps: 0.05}
+	l.cell("progressive/maxpixels=100", pts, nil, func(k *quad.KDV) (string, error) {
+		cut := req
+		cut.MaxPixels = 100
+		return progLine(k, cut)
+	})
+	l.cell("progressive/window", pts, nil, func(k *quad.KDV) (string, error) {
+		w, err := k.DefaultWindow()
+		if err != nil {
+			return "", err
+		}
+		dx, dy := (w.MaxX-w.MinX)/4, (w.MaxY-w.MinY)/4
+		win := req
+		win.Window = quad.Window{MinX: w.MinX + dx, MinY: w.MinY + dy, MaxX: w.MaxX - dx, MaxY: w.MaxY - dy}
+		return progLine(k, win)
+	})
+	for _, c := range []struct {
+		name string
+		opt  quad.Option
+	}{{"ts=1", quad.WithTileSize(1)}, {"exact", quad.WithMethod(quad.MethodExact)}} {
+		l.cell("progressive/"+c.name, pts, []quad.Option{c.opt}, func(k *quad.KDV) (string, error) { return progLine(k, req) })
+	}
+	l.cell("progressive/stream", pts, nil, func(k *quad.KDV) (string, error) {
+		var snaps []string
+		stream := req
+		stream.Emit = func(s quad.Snapshot) bool {
+			snaps = append(snaps, fmt.Sprintf("level=%d evaluated=%d final=%v %s", s.Level, s.Evaluated, s.Final, digestFloats(s.Map.Values)))
+			return true
+		}
+		line, err := progLine(k, stream)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("snapshots=%d sha256=%x %s", len(snaps), sha256.Sum256([]byte(strings.Join(snaps, "\n"))), line), nil
+	})
+}
+
+// workMapCells pin the εKDV and τKDV work maps: the raster, all three
+// layers and the counters.
+func workMapCells(l *ledger, pts geom.Points, ref *quad.KDV) {
+	res := quad.Resolution{W: 48, H: 40}
+	tau, err := meanEps(ref, res, 0.05, quad.Window{})
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	layers := func(wm *quad.WorkMap) string {
+		return fmt.Sprintf(" depth:%s evals:%s gap:%s", digestFloats(wm.Depth), digestFloats(wm.Evals), digestFloats(wm.Gap))
+	}
+	l.cell("workmap/eps", pts, nil, func(k *quad.KDV) (string, error) {
+		r, err := k.Render(context.Background(), quad.Request{Res: res, Eps: 0.05, WorkMap: true})
+		if err != nil {
+			return "", err
+		}
+		return digestFloats(r.Density.Values) + layers(r.Work) + statsFields(r.Stats), nil
+	})
+	l.cell("workmap/tau", pts, nil, func(k *quad.KDV) (string, error) {
+		r, err := k.Render(context.Background(), quad.Request{Variant: quad.TauKDV, Res: res, Tau: tau, WorkMap: true})
+		if err != nil {
+			return "", err
+		}
+		return digestBools(r.Hot.Hot) + layers(r.Work) + statsFields(r.Stats), nil
+	})
 }
 
 // indexCells pin the kd-tree index itself: the point and weight order and

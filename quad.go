@@ -18,16 +18,18 @@
 // tightness of the node bound functions. Quadratic (the default) is QUAD's
 // contribution — the tightest known bounds; Linear is the KARL baseline,
 // MinMax the aKDE/tKDC baseline, ZOrder the sampling baseline, and Exact
-// the sequential scan. A progressive renderer (RenderProgressive,
-// RenderProgressiveStream) streams coarse-to-fine color maps under a
-// wall-clock budget (paper Section 6).
+// the sequential scan. A progressive renderer streams coarse-to-fine color
+// maps under a wall-clock budget (paper Section 6).
 //
-// Every long-running entry point has a context-aware form (RenderEpsCtx,
-// RenderTauCtx, RenderProgressiveCtx, EstimateCtx, ThresholdStatsCtx, …)
-// that polls cancellation between rows of pixel work and returns ctx.Err()
-// promptly — the primitive interactive servers need when users pan, zoom,
-// or abandon requests mid-render. The plain forms are thin wrappers over
-// context.Background().
+// KDV.Render is the one render call: a Request names the variant
+// (EpsKDV, TauKDV or ProgressiveKDV) and its parameters — resolution,
+// pan/zoom window, tile sub-rectangle, ε or τ, work map, progressive
+// budget and snapshot callback — and Request.Validate rejects a request
+// before anything is allocated. The Result always carries the render's
+// work counters. Render polls its context between rows of pixel work and
+// returns ctx.Err() promptly — the primitive interactive servers need
+// when users pan, zoom, or abandon requests mid-render. RenderEps and
+// RenderTau are two-argument shorthands over context.Background().
 //
 // The same bound machinery also powers two kernel-method extensions from
 // the paper's future-work list: kernel density classification
@@ -213,7 +215,7 @@ func WithZOrderGuarantee(eps, delta float64) Option {
 // bounding box when deriving the render window (default 0.02).
 func WithWindowMargin(frac float64) Option { return func(c *config) { c.seedWindow = frac } }
 
-// WithTileSize sets the pixel tile edge used by the Render* calls (default
+// WithTileSize sets the pixel tile edge of Render and its shorthands (default
 // 16). Renders are evaluated tile by tile: one shared kd-tree refinement per
 // tile classifies index nodes once for all of the tile's pixels, and each
 // pixel's refinement then warm-starts from the small residual frontier

@@ -1,6 +1,7 @@
 package quad
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -367,7 +368,7 @@ func TestProgressiveRender(t *testing.T) {
 	}
 	res := Resolution{W: 32, H: 24}
 	// Full run.
-	full, err := k.RenderProgressive(res, 0.01, 0, 0)
+	full, err := k.Render(context.Background(), Request{Variant: ProgressiveKDV, Res: res, Eps: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestProgressiveRender(t *testing.T) {
 		t.Fatalf("full progressive: complete=%v evaluated=%d", full.Complete, full.Evaluated)
 	}
 	// Partial run must fill every pixel and have bounded error vs full.
-	part, err := k.RenderProgressive(res, 0.01, 0, 50)
+	part, err := k.Render(context.Background(), Request{Variant: ProgressiveKDV, Res: res, Eps: 0.01, MaxPixels: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,8 +384,8 @@ func TestProgressiveRender(t *testing.T) {
 		t.Fatalf("partial progressive: complete=%v evaluated=%d", part.Complete, part.Evaluated)
 	}
 	var worse int
-	for i := range part.Map.Values {
-		if part.Map.Values[i] == 0 && full.Map.Values[i] > 0 {
+	for i := range part.Density.Values {
+		if part.Density.Values[i] == 0 && full.Density.Values[i] > 0 {
 			worse++
 		}
 	}
@@ -399,7 +400,7 @@ func TestThresholdStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu, sigma, err := k.ThresholdStats(Resolution{20, 16}, 4, 0.01)
+	mu, sigma, err := k.ThresholdStatsCtx(context.Background(), Resolution{20, 16}, 4, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +509,8 @@ func TestRenderProgressiveStream(t *testing.T) {
 	res := Resolution{W: 16, H: 16}
 	var levels []int
 	var finals int
-	r, err := k.RenderProgressiveStream(res, 0.05, 0, func(s Snapshot) bool {
+	req := Request{Variant: ProgressiveKDV, Res: res, Eps: 0.05}
+	req.Emit = func(s Snapshot) bool {
 		levels = append(levels, s.Level)
 		if s.Final {
 			finals++
@@ -517,7 +519,8 @@ func TestRenderProgressiveStream(t *testing.T) {
 			t.Errorf("snapshot raster has %d values", len(s.Map.Values))
 		}
 		return true
-	})
+	}
+	r, err := k.Render(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,17 +531,16 @@ func TestRenderProgressiveStream(t *testing.T) {
 		t.Errorf("levels %v finals %d", levels, finals)
 	}
 	// Early termination via the callback.
-	stopped, err := k.RenderProgressiveStream(res, 0.05, 0, func(s Snapshot) bool { return false })
+	req.Emit = func(s Snapshot) bool { return false }
+	stopped, err := k.Render(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stopped.Complete {
 		t.Error("callback-stopped run reported complete")
 	}
-	if _, err := k.RenderProgressiveStream(res, 0.05, 0, nil); err == nil {
-		t.Error("nil callback accepted")
-	}
-	if _, err := k.RenderProgressiveStream(res, -1, 0, func(Snapshot) bool { return true }); err == nil {
+	req.Eps = -1
+	if _, err := k.Render(context.Background(), req); err == nil {
 		t.Error("negative eps accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package quad
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/quadkdv/quad/internal/bounds"
@@ -127,25 +126,6 @@ func (k *KDV) Estimate(q []float64, eps float64) (float64, error) {
 	defer k.releaseEngine(e)
 	v, _ := e.EvalEps(q, eps)
 	return v, nil
-}
-
-// EstimateCtx is Estimate under a context: an already-cancelled context
-// fails fast with ctx.Err() before any evaluation work. A single point
-// query refines in microseconds, so no mid-query poll is needed — batch
-// callers (renders, ThresholdStats) poll between queries instead.
-func (k *KDV) EstimateCtx(ctx context.Context, q []float64, eps float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return k.Estimate(q, eps)
-}
-
-// IsHotCtx is IsHot under a context (see EstimateCtx).
-func (k *KDV) IsHotCtx(ctx context.Context, q []float64, tau float64) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return k.IsHot(q, tau)
 }
 
 // IsHot answers a τKDV query: whether F_P(q) ≥ τ. For MethodExact and

@@ -117,8 +117,7 @@ func (w Window) IsZero() bool { return w == Window{} }
 
 // Validate reports whether a non-zero window can be rendered: its corners
 // must be finite, and so must its extents, from which a pixel's data-space
-// size derives; its extents must be positive. Every windowed render entry
-// point calls it.
+// size derives; its extents must be positive. Request.Validate calls it.
 func (w Window) Validate() error {
 	for _, v := range [...]float64{w.MinX, w.MinY, w.MaxX, w.MaxY, w.MaxX - w.MinX, w.MaxY - w.MinY} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -131,10 +130,8 @@ func (w Window) Validate() error {
 	return nil
 }
 
-func (k *KDV) newGrid(res Resolution) (*grid.Grid, error) {
-	return k.newGridIn(res, Window{})
-}
-
+// newGridIn maps res onto w, or onto the default window when w is zero. A
+// non-zero w must have passed Window.Validate.
 func (k *KDV) newGridIn(res Resolution, w Window) (*grid.Grid, error) {
 	if k.pts.Dim != 2 {
 		return nil, fmt.Errorf("quad: rendering requires a 2-d dataset, got %d-d (use Estimate for general KDE)", k.pts.Dim)
@@ -153,9 +150,6 @@ func (k *KDV) newGridIn(res Resolution, w Window) (*grid.Grid, error) {
 			return grid.New(res.internal(), r)
 		}
 		return grid.ForDataset(res.internal(), k.pts, k.cfg.seedWindow)
-	}
-	if err := w.Validate(); err != nil {
-		return nil, err
 	}
 	return grid.New(res.internal(), geomRect(w))
 }
@@ -437,11 +431,11 @@ type RenderStats struct {
 	// everything deeper. Pixels filled from decided tile envelopes do not
 	// appear here, so the sum can be below Pixels.
 	DepthPixels [renderDepthBuckets]int
-	// Elapsed is the render's wall-clock time (set by the *Stats render
-	// entry points). SharedElapsed is the time spent building tile/sub-tile
-	// frontiers, summed across workers — CPU time of the shared stage, not
-	// wall time; SharedElapsed/Workers estimates its wall share (promotion
-	// work is counted in the per-pixel remainder).
+	// Elapsed is the render's wall-clock time. SharedElapsed is the time
+	// spent building tile/sub-tile frontiers, summed across workers — CPU
+	// time of the shared stage, not wall time; SharedElapsed/Workers
+	// estimates its wall share (promotion work is counted in the per-pixel
+	// remainder).
 	Elapsed, SharedElapsed time.Duration
 }
 
@@ -475,21 +469,6 @@ func (s *RenderStats) addPromote(st engine.Stats) {
 	if st.NodesEvaluated > 0 {
 		s.SharedNodeEvals += st.NodesEvaluated
 		s.FrontierPromotions++
-	}
-}
-
-// sharedStart marks the start of a shared-stage timing window; it costs
-// nothing unless the render is collecting stats.
-func sharedStart(timed bool) time.Time {
-	if !timed {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (s *RenderStats) endShared(timed bool, t0 time.Time) {
-	if timed {
-		s.SharedElapsed += time.Since(t0)
 	}
 }
 
@@ -557,14 +536,12 @@ func emitRenderSpans(ctx context.Context, name string, start time.Time, st Rende
 		trace.Int("points_scanned", st.PointsScanned))
 }
 
-// renderPass describes one full-raster evaluation: εKDV (density values) or
-// τKDV (0/1 hot values), with an optional stats sink and an optional
-// per-pixel work-map sink.
+// renderPass describes one raster evaluation: εKDV (density values) or τKDV
+// (0/1 hot values), with an optional per-pixel work-map sink.
 type renderPass struct {
 	eps   float64
 	tau   float64
 	isTau bool
-	stats *RenderStats
 	work  *WorkMap
 }
 
@@ -578,8 +555,9 @@ type renderPass struct {
 // worker computes them, so output is bit-identical for every worker count.
 // Workers poll ctx between pieces of work and between pixel rows inside
 // them, and a worker waiting on another's probe wakes on cancellation; the
-// first context error is returned after all workers have exited.
-func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) ([]float64, error) {
+// first context error is returned after all workers have exited, with the
+// stats of the work done until then.
+func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) ([]float64, RenderStats, error) {
 	vals := getVals(g.Res.Pixels())
 	size := k.tileSize()
 	sched := size
@@ -598,9 +576,7 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 		}
 	}
 	workers := min(k.cfg.workers, units)
-	if pass.stats != nil {
-		pass.stats.Workers = workers
-	}
+	st := RenderStats{Workers: workers}
 	stop := context.AfterFunc(ctx, sc.wake)
 	defer stop()
 	var (
@@ -620,11 +596,9 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 			}
 			defer func() {
 				w.release()
-				if pass.stats != nil {
-					statsMu.Lock()
-					pass.stats.Add(w.local)
-					statsMu.Unlock()
-				}
+				statsMu.Lock()
+				st.Add(w.local)
+				statsMu.Unlock()
 			}()
 			for {
 				j, u, ok := sc.next(ctx)
@@ -647,16 +621,14 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		putVals(vals)
-		return nil, err
+		return nil, st, err
 	}
 	if firstErr != nil {
 		putVals(vals)
-		return nil, firstErr
+		return nil, st, firstErr
 	}
-	if pass.stats != nil {
-		pass.stats.Pixels += g.Res.Pixels()
-	}
-	return vals, nil
+	st.Pixels = g.Res.Pixels()
+	return vals, st, nil
 }
 
 // tileWorker is one render goroutine: its pooled scratch (nil for the exact
@@ -672,13 +644,10 @@ type tileWorker struct {
 	pass  renderPass
 	s     *renderScratch
 	local RenderStats
-	// timed measures shared-stage wall time, only when the caller asked
-	// for stats: plain renders skip every clock read.
-	timed bool
 }
 
 func (k *KDV) newTileWorker(ctx context.Context, g *grid.Grid, size int, pass renderPass) (*tileWorker, error) {
-	w := &tileWorker{k: k, ctx: ctx, g: g, size: size, pass: pass, timed: pass.stats != nil}
+	w := &tileWorker{k: k, ctx: ctx, g: g, size: size, pass: pass}
 	if k.proto == nil {
 		return w, nil
 	}
@@ -699,7 +668,7 @@ func (w *tileWorker) release() {
 
 // shared accounts one shared-stage step that started at t0.
 func (w *tileWorker) shared(t0 time.Time, st engine.Stats) {
-	w.local.endShared(w.timed, t0)
+	w.local.SharedElapsed += time.Since(t0)
 	w.local.addShared(st)
 }
 
@@ -724,7 +693,7 @@ func (w *tileWorker) probe(j *tileJob, vals []float64) (keep bool) {
 	rect := s.tileRect(g, t)
 	w.local.Tiles++
 	if pass.isTau {
-		t0 := sharedStart(w.timed)
+		t0 := time.Now()
 		w.shared(t0, s.r.BuildFrontierTau(rect, pass.tau, j.f))
 		if decided, hot := j.f.State(); decided {
 			w.local.TilesDecided++
@@ -742,12 +711,12 @@ func (w *tileWorker) probe(j *tileJob, vals []float64) (keep bool) {
 		return false
 	}
 	if w.size <= subTileSize {
-		t0 := sharedStart(w.timed)
+		t0 := time.Now()
 		w.shared(t0, s.r.BuildFrontierEps(rect, pass.eps, j.f))
 		w.runPixels(t, j.f, vals)
 		return false
 	}
-	t0 := sharedStart(w.timed)
+	t0 := time.Now()
 	outSt := s.r.BuildFrontierEpsCoarse(rect, pass.eps, j.f)
 	w.shared(t0, outSt)
 	// Adaptive probe: build the first sub-frontier and evaluate the tile's
@@ -758,7 +727,7 @@ func (w *tileWorker) probe(j *tileJob, vals []float64) (keep bool) {
 	// the whole tile. The decision depends only on deterministic per-tile
 	// state, so renders stay bit-identical across worker counts.
 	srect := s.tileRect(g, subSpan(t, 0))
-	t0 = sharedStart(w.timed)
+	t0 = time.Now()
 	subSt := s.r.BuildFrontierEpsFrom(j.f, srect, pass.eps, s.sub)
 	w.shared(t0, subSt)
 	g.Query(t.x0, t.y0, s.q)
@@ -783,7 +752,7 @@ func (w *tileWorker) unit(j *tileJob, u int, vals []float64) {
 		w.rootPixels(sub, vals)
 		return
 	case pass.isTau:
-		t0 := sharedStart(w.timed)
+		t0 := time.Now()
 		w.shared(t0, s.r.BuildFrontierTauFrom(j.f, s.tileRect(w.g, sub), pass.tau, s.sub))
 		if decided, hot := s.sub.State(); decided {
 			w.local.TilesDecided++
@@ -792,7 +761,7 @@ func (w *tileWorker) unit(j *tileJob, u int, vals []float64) {
 		}
 	case u > 0:
 		// Unit 0's sub-frontier is the one the probe built, still in s.sub.
-		t0 := sharedStart(w.timed)
+		t0 := time.Now()
 		w.shared(t0, s.r.BuildFrontierEpsFrom(j.f, s.tileRect(w.g, sub), pass.eps, s.sub))
 	}
 	w.runPixels(sub, s.sub, vals)
@@ -925,9 +894,8 @@ type progWarm struct {
 	touched          []bool
 	fronts           []*engine.FlatFrontier
 	rectMin, rectMax [2]float64
-	// stats, when non-nil, accumulates the per-pixel and shared work
-	// counters. Progressive evaluation is single-threaded, so plain field
-	// updates suffice.
+	// stats accumulates the per-pixel and shared work counters. Progressive
+	// evaluation is single-threaded, so plain field updates suffice.
 	stats *RenderStats
 }
 
@@ -954,17 +922,13 @@ func (w *progWarm) eval(px, py int, q []float64) float64 {
 	ti := (py/w.size)*w.tilesX + px/w.size
 	if f := w.fronts[ti]; f != nil {
 		v, st := w.r.EvalEpsFrom(f, q, w.eps)
-		if w.stats != nil {
-			w.stats.addPixel(st)
-		}
+		w.stats.addPixel(st)
 		return v
 	}
 	if !w.touched[ti] {
 		w.touched[ti] = true
 		v, st := w.r.EvalEps(q, w.eps)
-		if w.stats != nil {
-			w.stats.addPixel(st)
-		}
+		w.stats.addPixel(st)
 		return v
 	}
 	x0, y0 := (px/w.size)*w.size, (py/w.size)*w.size
@@ -982,196 +946,281 @@ func (w *progWarm) eval(px, py int, q []float64) float64 {
 	buildSt := w.r.BuildFrontierEps(rect, w.eps, f)
 	w.fronts[ti] = f
 	v, st := w.r.EvalEpsFrom(f, q, w.eps)
-	if w.stats != nil {
-		w.stats.Tiles++
-		w.stats.addShared(buildSt)
-		w.stats.addPixel(st)
-	}
+	w.stats.Tiles++
+	w.stats.addShared(buildSt)
+	w.stats.addPixel(st)
 	return v
 }
 
-// evalCtx carries the per-worker evaluation state: the worker's private
-// engine for bound-based methods, nil for scan-based methods.
-type evalCtx struct {
-	eng *engine.FlatTileEngine
+// Variant selects the raster a Request renders.
+type Variant int
+
+const (
+	// EpsKDV renders εKDV density values: each within relative error Eps of
+	// the pixel's exact density.
+	EpsKDV Variant = iota
+	// TauKDV renders the τKDV hotspot mask: whether each pixel's density is
+	// at least Tau.
+	TauKDV
+	// ProgressiveKDV runs the progressive visualization framework (paper
+	// Section 6): pixels are εKDV-evaluated in quad-tree order and each
+	// value fills its sub-region until refined, so a spatially complete
+	// coarse map exists almost immediately. The render stops when Budget
+	// elapses or MaxPixels pixels were evaluated.
+	ProgressiveKDV
+)
+
+// String returns the variant's name.
+func (v Variant) String() string {
+	switch v {
+	case EpsKDV:
+		return "εKDV"
+	case TauKDV:
+		return "τKDV"
+	case ProgressiveKDV:
+		return "progressive"
+	}
+	return fmt.Sprintf("variant(%d)", int(v))
 }
 
-func (k *KDV) newEvalCtx() (*evalCtx, error) {
-	if k.proto == nil {
-		return &evalCtx{}, nil
+// Request is one render: a variant and its parameters. A field the variant
+// does not use must keep its zero value; Validate rejects the request
+// otherwise, so no parameter is silently dropped.
+type Request struct {
+	Variant Variant
+	// Res is the raster size. With Sub set it is the size of the conceptual
+	// full raster Sub is cut from.
+	Res Resolution
+	// Window is the data-space region the raster covers; the zero Window is
+	// DefaultWindow.
+	Window Window
+	// Sub, when non-zero, renders only the pixel sub-rectangle Sub of the
+	// full Res raster (EpsKDV only). Every query point is computed with the
+	// full raster's window mapping, so the result is bit-identical
+	// (Float64bits) to the corresponding crop of the full render whenever
+	// Sub's origin is aligned to the engine's pixel-tile lattice (X0 and Y0
+	// multiples of the effective tile size, see WithTileSize): the contract
+	// the tile pyramid and its stitched-mosaic conformance pass are built
+	// on. Unaligned origins render correctly (the ε guarantee holds) but may
+	// differ from the crop in the low bits, because tile-shared frontiers
+	// would straddle different pixel blocks. The raster cap applies to Sub,
+	// not to Res.
+	Sub PixelRect
+	// Eps is the relative error of EpsKDV and ProgressiveKDV: a number ≥ 0.
+	Eps float64
+	// Tau is TauKDV's threshold. NaN is rejected; ±Inf is valid, and the
+	// root bounds decide every pixel.
+	Tau float64
+	// WorkMap records the per-pixel work rasters into Result.Work (EpsKDV
+	// and TauKDV over a full raster). It allocates three more rasters of
+	// the output's size, so interactive serving should keep it behind an
+	// explicit gate.
+	WorkMap bool
+	// Budget stops a ProgressiveKDV render once it has run this long; ≤ 0
+	// means no time limit.
+	Budget time.Duration
+	// MaxPixels stops a ProgressiveKDV render after this many evaluated
+	// pixels; ≤ 0 means all.
+	MaxPixels int
+	// Emit, when non-nil, receives a ProgressiveKDV render's spatially
+	// complete partial map after every completed quad-tree level and once
+	// at the end; returning false stops the render — the "user terminates
+	// the process at any time" interaction of paper Section 6.
+	Emit func(Snapshot) bool
+}
+
+// Validate reports whether Render can run r, before anything is allocated:
+// the variant must be known; Eps must be a number ≥ 0 (EpsKDV,
+// ProgressiveKDV) or Tau not NaN (TauKDV); the output raster, Sub or else
+// Res, must have positive sides and at most 2²⁸ pixels, and Sub must lie
+// inside Res; a non-zero Window must pass Window.Validate; and no field the
+// variant does not use may be set.
+func (r Request) Validate() error {
+	hasSub := r.Sub != (PixelRect{})
+	switch {
+	case r.Variant < EpsKDV || r.Variant > ProgressiveKDV:
+		return fmt.Errorf("quad: unknown render variant %d", int(r.Variant))
+	case r.Variant == TauKDV && r.Eps != 0:
+		return fmt.Errorf("quad: τKDV request sets Eps; it takes Tau")
+	case r.Variant != TauKDV && r.Tau != 0:
+		return fmt.Errorf("quad: %s request sets Tau; it takes Eps", r.Variant)
+	case r.Variant != ProgressiveKDV && (r.Budget != 0 || r.MaxPixels != 0 || r.Emit != nil):
+		return fmt.Errorf("quad: %s request sets Budget, MaxPixels or Emit; only progressive requests take them", r.Variant)
+	case r.Variant == ProgressiveKDV && r.WorkMap:
+		return fmt.Errorf("quad: progressive request sets WorkMap; it records none")
+	case hasSub && (r.Variant != EpsKDV || r.WorkMap):
+		return fmt.Errorf("quad: %s request sets Sub; only εKDV requests without a work map take it", r.Variant)
 	}
-	e, err := k.acquireEngine()
+	param := checkEps(r.Eps)
+	if r.Variant == TauKDV {
+		param = checkTau(r.Tau)
+	}
+	if param != nil {
+		return param
+	}
+	if hasSub {
+		if r.Res.W < 1 || r.Res.H < 1 {
+			return fmt.Errorf("quad: non-positive full resolution %dx%d", r.Res.W, r.Res.H)
+		}
+		if err := r.Sub.validate(r.Res); err != nil {
+			return err
+		}
+		// Only the sub-rectangle is allocated: the full raster of a
+		// deep-zoom XYZ tile is far above maxRasterPixels by design.
+		if err := checkPixels(r.Sub.W(), r.Sub.H()); err != nil {
+			return err
+		}
+	} else if err := checkPixels(r.Res.W, r.Res.H); err != nil {
+		return err
+	}
+	if !r.Window.IsZero() {
+		return r.Window.Validate()
+	}
+	return nil
+}
+
+// Result is what Render produced.
+type Result struct {
+	// Density is the EpsKDV or ProgressiveKDV raster.
+	Density *DensityMap
+	// Hot is the TauKDV mask.
+	Hot *HotspotMap
+	// Work holds the per-pixel work rasters when Request.WorkMap was set.
+	Work *WorkMap
+	// Stats is the render's work, also when it stopped with an error. For
+	// ProgressiveKDV, Pixels is the evaluated count and every count is zero
+	// for the scan-based methods, which perform no bound refinement.
+	Stats RenderStats
+	// Evaluated is the number of pixels computed exactly: every pixel of an
+	// EpsKDV or TauKDV raster; of a progressive one, the rest carry coarse
+	// fill values from enclosing regions.
+	Evaluated int
+	// Complete reports whether every pixel was evaluated.
+	Complete bool
+}
+
+// Render renders req. A request Validate rejects returns Validate's error
+// with a zero Result. Cancelling ctx stops the workers within one row of
+// pixel work and returns ctx.Err() with no raster; a ProgressiveKDV render
+// whose Budget lapses is not cancelled and returns its partial map with a
+// nil error, also when ctx ended after the budget lapsed. Every render
+// records post-hoc spans on ctx's trace: render.eps, render.eps.sub or
+// render.tau with its stage children, or one progressive.level.N span per
+// completed level of a streamed progressive render.
+func (k *KDV) Render(ctx context.Context, req Request) (Result, error) {
+	if err := req.Validate(); err != nil {
+		return Result{}, err
+	}
+	g, err := k.newGridIn(req.Res, req.Window)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	return &evalCtx{eng: e}, nil
-}
-
-func (c *evalCtx) release(k *KDV) {
-	if c.eng != nil {
-		k.releaseEngine(c.eng)
+	if req.Variant == ProgressiveKDV {
+		return k.renderProgressive(ctx, g, req)
 	}
-}
-
-// RenderEps computes the full εKDV color map at the given resolution over
-// the dataset's bounding window.
-func (k *KDV) RenderEps(res Resolution, eps float64) (*DensityMap, error) {
-	return k.RenderEpsInCtx(context.Background(), res, eps, Window{})
-}
-
-// RenderEpsCtx is RenderEps under a context: cancellation (client
-// disconnect, deadline) stops the row workers within one row of work each
-// and returns ctx.Err().
-func (k *KDV) RenderEpsCtx(ctx context.Context, res Resolution, eps float64) (*DensityMap, error) {
-	return k.RenderEpsInCtx(ctx, res, eps, Window{})
-}
-
-// RenderEpsIn is RenderEps over an explicit data-space window — the
-// pan/zoom form for interactive exploration. A zero Window selects the
-// dataset's bounding box.
-func (k *KDV) RenderEpsIn(res Resolution, eps float64, win Window) (*DensityMap, error) {
-	return k.RenderEpsInCtx(context.Background(), res, eps, win)
-}
-
-// RenderEpsInCtx is RenderEpsIn under a context (see RenderEpsCtx).
-func (k *KDV) RenderEpsInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, error) {
-	return k.renderEpsIn(ctx, res, eps, win, nil, nil)
-}
-
-// RenderEpsStats is RenderEps additionally reporting the render's work
-// counters — the observability hook behind the repo's benchmarks.
-func (k *KDV) RenderEpsStats(res Resolution, eps float64) (*DensityMap, RenderStats, error) {
-	return k.RenderEpsStatsInCtx(context.Background(), res, eps, Window{})
-}
-
-// RenderEpsStatsInCtx is RenderEpsInCtx additionally reporting the render's
-// work counters — the form the server uses for X-KDV-Stats-* headers and
-// the slow-query log. On error the stats still describe the work done
-// before the render stopped.
-func (k *KDV) RenderEpsStatsInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, RenderStats, error) {
-	var st RenderStats
+	span, res := "render.eps", req.Res
+	winMin := [2]float64{g.Window.Min[0], g.Window.Min[1]}
+	winMax := [2]float64{g.Window.Max[0], g.Window.Max[1]}
+	switch {
+	case req.Variant == TauKDV:
+		span = "render.tau"
+	case req.Sub != (PixelRect{}):
+		span, res = "render.eps.sub", Resolution{W: req.Sub.W(), H: req.Sub.H()}
+		if g, err = g.Sub(req.Sub.X0, req.Sub.Y0, res.W, res.H); err != nil {
+			return Result{}, err
+		}
+		// A sub-raster's corners are its pixel edges: the tile's bbox.
+		winMin[0], winMin[1] = g.PixelEdge(0, 0)
+		winMax[0], winMax[1] = g.PixelEdge(res.W, res.H)
+	}
+	pass := renderPass{eps: req.Eps, tau: req.Tau, isTau: req.Variant == TauKDV}
+	if req.WorkMap {
+		pass.work = newWorkMap(res, winMin, winMax)
+	}
 	start := time.Now()
-	dm, err := k.renderEpsIn(ctx, res, eps, win, &st, nil)
+	vals, st, err := k.renderValues(ctx, g, pass)
 	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.eps", start, st, err)
-	return dm, st, err
-}
-
-func (k *KDV) renderEpsIn(ctx context.Context, res Resolution, eps float64, win Window, st *RenderStats, work *WorkMap) (*DensityMap, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	if err := checkPixels(res.W, res.H); err != nil {
-		return nil, err
-	}
-	g, err := k.newGridIn(res, win)
+	emitRenderSpans(ctx, span, start, st, err)
 	if err != nil {
-		return nil, err
+		return Result{Stats: st}, err
 	}
-	vals, err := k.renderValues(ctx, g, renderPass{eps: eps, stats: st, work: work})
-	if err != nil {
-		return nil, err
-	}
-	return &DensityMap{
-		Res:       res,
-		Values:    vals,
-		WindowMin: [2]float64{g.Window.Min[0], g.Window.Min[1]},
-		WindowMax: [2]float64{g.Window.Max[0], g.Window.Max[1]},
-	}, nil
-}
-
-// RenderTau computes the full τKDV two-color map at the given resolution.
-func (k *KDV) RenderTau(res Resolution, tau float64) (*HotspotMap, error) {
-	return k.RenderTauInCtx(context.Background(), res, tau, Window{})
-}
-
-// RenderTauCtx is RenderTau under a context (see RenderEpsCtx).
-func (k *KDV) RenderTauCtx(ctx context.Context, res Resolution, tau float64) (*HotspotMap, error) {
-	return k.RenderTauInCtx(ctx, res, tau, Window{})
-}
-
-// RenderTauIn is RenderTau over an explicit data-space window (see
-// RenderEpsIn).
-func (k *KDV) RenderTauIn(res Resolution, tau float64, win Window) (*HotspotMap, error) {
-	return k.RenderTauInCtx(context.Background(), res, tau, win)
-}
-
-// RenderTauInCtx is RenderTauIn under a context (see RenderEpsCtx).
-func (k *KDV) RenderTauInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, error) {
-	return k.renderTauIn(ctx, res, tau, win, nil, nil)
-}
-
-// RenderTauStats is RenderTau additionally reporting the render's work
-// counters (see RenderEpsStats).
-func (k *KDV) RenderTauStats(res Resolution, tau float64) (*HotspotMap, RenderStats, error) {
-	return k.RenderTauStatsInCtx(context.Background(), res, tau, Window{})
-}
-
-// RenderTauStatsInCtx is RenderTauInCtx additionally reporting the render's
-// work counters (see RenderEpsStatsInCtx).
-func (k *KDV) RenderTauStatsInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, RenderStats, error) {
-	var st RenderStats
-	start := time.Now()
-	hm, err := k.renderTauIn(ctx, res, tau, win, &st, nil)
-	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.tau", start, st, err)
-	return hm, st, err
-}
-
-func (k *KDV) renderTauIn(ctx context.Context, res Resolution, tau float64, win Window, st *RenderStats, work *WorkMap) (*HotspotMap, error) {
-	if err := checkTau(tau); err != nil {
-		return nil, err
-	}
-	if err := checkPixels(res.W, res.H); err != nil {
-		return nil, err
-	}
-	g, err := k.newGridIn(res, win)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := k.renderValues(ctx, g, renderPass{tau: tau, isTau: true, stats: st, work: work})
-	if err != nil {
-		return nil, err
+	out := Result{Work: pass.work, Stats: st, Evaluated: len(vals), Complete: true}
+	if !pass.isTau {
+		out.Density = &DensityMap{Res: res, Values: vals, WindowMin: winMin, WindowMax: winMax}
+		return out, nil
 	}
 	hot := getHot(len(vals))
 	for i, v := range vals {
 		hot[i] = v != 0
 	}
 	putVals(vals)
-	return &HotspotMap{
-		Res:       res,
-		Tau:       tau,
-		Hot:       hot,
-		WindowMin: [2]float64{g.Window.Min[0], g.Window.Min[1]},
-		WindowMax: [2]float64{g.Window.Max[0], g.Window.Max[1]},
-	}, nil
+	out.Hot = &HotspotMap{Res: res, Tau: req.Tau, Hot: hot, WindowMin: winMin, WindowMax: winMax}
+	return out, nil
 }
 
-// ThresholdStats estimates the mean μ and standard deviation σ of the
-// density over a stride-sampled pixel grid, the quantities the paper's τ
-// ladder (μ ± kσ) is built from. Values are εKDV estimates with the given
-// ε (use a small ε like 0.01).
-func (k *KDV) ThresholdStats(res Resolution, stride int, eps float64) (mu, sigma float64, err error) {
-	return k.ThresholdStatsCtx(context.Background(), res, stride, eps)
+// RenderEps computes the full εKDV color map at the given resolution over
+// the dataset's default window.
+func (k *KDV) RenderEps(res Resolution, eps float64) (*DensityMap, error) {
+	r, err := k.Render(context.Background(), Request{Res: res, Eps: eps})
+	return r.Density, err
 }
 
-// ThresholdStatsCtx is ThresholdStats under a context: cancellation is
-// polled between sample rows and returns ctx.Err().
+// RenderTau computes the full τKDV two-color map at the given resolution
+// over the dataset's default window.
+func (k *KDV) RenderTau(res Resolution, tau float64) (*HotspotMap, error) {
+	r, err := k.Render(context.Background(), Request{Variant: TauKDV, Res: res, Tau: tau})
+	return r.Hot, err
+}
+
+// RenderEpsStatsInCtx renders an εKDV request over win.
+//
+// Deprecated: use Render.
+func (k *KDV) RenderEpsStatsInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, RenderStats, error) {
+	r, err := k.Render(ctx, Request{Res: res, Window: win, Eps: eps})
+	return r.Density, r.Stats, err
+}
+
+// RenderEpsSubStatsInCtx renders the sub pixel rectangle of an εKDV request
+// over win.
+//
+// Deprecated: use Render with Request.Sub.
+func (k *KDV) RenderEpsSubStatsInCtx(ctx context.Context, full Resolution, eps float64, win Window, sub PixelRect) (*DensityMap, RenderStats, error) {
+	r, err := k.Render(ctx, Request{Res: full, Window: win, Sub: sub, Eps: eps})
+	return r.Density, r.Stats, err
+}
+
+// RenderTauStatsInCtx renders a τKDV request over win.
+//
+// Deprecated: use Render.
+func (k *KDV) RenderTauStatsInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, RenderStats, error) {
+	r, err := k.Render(ctx, Request{Variant: TauKDV, Res: res, Window: win, Tau: tau})
+	return r.Hot, r.Stats, err
+}
+
+// ThresholdStatsCtx estimates the mean μ and standard deviation σ of the
+// density over a stride-sampled pixel grid of the default window, the
+// quantities the paper's τ ladder (μ ± kσ) is built from. Values are εKDV
+// estimates with the given ε (use a small ε like 0.01). res and eps are
+// checked as an εKDV Request's are, and ctx is polled before every sample:
+// its error is returned.
 func (k *KDV) ThresholdStatsCtx(ctx context.Context, res Resolution, stride int, eps float64) (mu, sigma float64, err error) {
+	if err := (Request{Res: res, Eps: eps}).Validate(); err != nil {
+		return 0, 0, err
+	}
 	if stride < 1 {
 		stride = 1
 	}
-	g, err := k.newGrid(res)
+	g, err := k.newGridIn(res, Window{})
 	if err != nil {
 		return 0, 0, err
 	}
 	var samples []float64
 	q := make([]float64, 2)
 	for y := 0; y < res.H; y += stride {
-		if err := ctx.Err(); err != nil {
-			return 0, 0, err
-		}
 		for x := 0; x < res.W; x += stride {
+			if err := ctx.Err(); err != nil {
+				return 0, 0, err
+			}
 			g.Query(x, y, q)
 			v, err := k.Estimate(q, eps)
 			if err != nil {
@@ -1184,58 +1233,8 @@ func (k *KDV) ThresholdStatsCtx(ctx context.Context, res Resolution, stride int,
 	return mu, sigma, nil
 }
 
-// ProgressiveResult is a partial color map produced under a time budget.
-type ProgressiveResult struct {
-	Map *DensityMap
-	// Evaluated is the number of pixels computed exactly (the rest carry
-	// coarse fill values from enclosing regions).
-	Evaluated int
-	// Complete reports whether every pixel was evaluated before the budget
-	// expired.
-	Complete bool
-	// Elapsed is the wall-clock time consumed.
-	Elapsed time.Duration
-	// Stats aggregates the refinement work of the evaluated pixels (zero
-	// for scan-based methods, which perform no bound refinement). Pixels is
-	// the evaluated count, not the raster size — progressive renders leave
-	// the unevaluated remainder to coarse fill.
-	Stats RenderStats
-}
-
-// RenderProgressive runs the progressive visualization framework (paper
-// Section 6): pixels are εKDV-evaluated in quad-tree order and each value
-// fills its sub-region until refined, so a spatially complete coarse map
-// exists almost immediately. The run stops when budget elapses (≤ 0 means
-// run to completion) or maxPixels pixels were evaluated (≤ 0 means all).
-func (k *KDV) RenderProgressive(res Resolution, eps float64, budget time.Duration, maxPixels int) (*ProgressiveResult, error) {
-	return k.RenderProgressiveInCtx(context.Background(), res, eps, budget, maxPixels, Window{})
-}
-
-// RenderProgressiveCtx is RenderProgressive under a context: cancellation
-// is polled between evaluations and returns ctx.Err() promptly. Budget
-// expiry still yields the normal partial result with a nil error, also when
-// the context ended after the budget lapsed; cancellation is the caller
-// abandoning the render, so no result is returned.
-func (k *KDV) RenderProgressiveCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int) (*ProgressiveResult, error) {
-	return k.RenderProgressiveInCtx(ctx, res, eps, budget, maxPixels, Window{})
-}
-
-// RenderProgressiveIn is RenderProgressive over an explicit data-space
-// window (see RenderEpsIn). A zero Window selects the dataset's bounding
-// box.
-func (k *KDV) RenderProgressiveIn(res Resolution, eps float64, budget time.Duration, maxPixels int, win Window) (*ProgressiveResult, error) {
-	return k.RenderProgressiveInCtx(context.Background(), res, eps, budget, maxPixels, win)
-}
-
-// RenderProgressiveInCtx is RenderProgressiveIn under a context (see
-// RenderProgressiveCtx).
-func (k *KDV) RenderProgressiveInCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int, win Window) (*ProgressiveResult, error) {
-	return k.renderProgressive(ctx, res, eps, budget, maxPixels, win, nil)
-}
-
-// Snapshot is a partial color-map state streamed by
-// RenderProgressiveStream: spatially complete at every level, refining
-// monotonically across snapshots.
+// Snapshot is a partial color-map state passed to Request.Emit: spatially
+// complete at every level, refining monotonically across snapshots.
 type Snapshot struct {
 	// Map is the current raster. Its Values alias the live buffer; copy
 	// them if the snapshot is retained beyond the callback.
@@ -1250,52 +1249,25 @@ type Snapshot struct {
 	Final bool
 }
 
-// RenderProgressiveStream is the streaming form of RenderProgressive: emit
-// is invoked with a spatially complete partial map after every completed
-// quad-tree refinement level and once at the end; returning false stops the
-// render — the "user terminates the process at any time" interaction of
-// paper Section 6. budget ≤ 0 means no time limit.
-func (k *KDV) RenderProgressiveStream(res Resolution, eps float64, budget time.Duration, emit func(Snapshot) bool) (*ProgressiveResult, error) {
-	return k.RenderProgressiveStreamCtx(context.Background(), res, eps, budget, emit)
-}
-
-// RenderProgressiveStreamCtx is RenderProgressiveStream under a context:
-// cancellation is polled between evaluations, stops the stream without a
-// final snapshot, and returns ctx.Err().
-func (k *KDV) RenderProgressiveStreamCtx(ctx context.Context, res Resolution, eps float64, budget time.Duration, emit func(Snapshot) bool) (*ProgressiveResult, error) {
-	if emit == nil {
-		return nil, fmt.Errorf("quad: nil snapshot callback (use RenderProgressive for non-streaming renders)")
-	}
-	return k.renderProgressive(ctx, res, eps, budget, 0, Window{}, emit)
-}
-
-// renderProgressive is the body of every progressive render: pixels are
+// renderProgressive runs a ProgressiveKDV request over g: pixels are
 // εKDV-evaluated in quad-tree order under the budget, each value filling
-// its region until refined. emit, when non-nil, receives a snapshot after
-// every completed level, and each level is recorded as a span on the
-// context's trace.
-func (k *KDV) renderProgressive(ctx context.Context, res Resolution, eps float64, budget time.Duration, maxPixels int, win Window, emit func(Snapshot) bool) (*ProgressiveResult, error) {
-	if err := checkEps(eps); err != nil {
-		return nil, err
-	}
-	if err := checkPixels(res.W, res.H); err != nil {
-		return nil, err
-	}
-	g, err := k.newGridIn(res, win)
+// its region until refined. req.Emit, when non-nil, receives a snapshot
+// after every completed level, and each level is recorded as a span on the
+// context's trace. Cancellation returns ctx.Err() and no map.
+func (k *KDV) renderProgressive(ctx context.Context, g *grid.Grid, req Request) (Result, error) {
+	order, err := progressive.BuildOrder(g.Res)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
-	order, err := progressive.BuildOrder(res.internal())
-	if err != nil {
-		return nil, err
+	var eng *engine.FlatTileEngine
+	if k.proto != nil {
+		if eng, err = k.acquireEngine(); err != nil {
+			return Result{}, err
+		}
+		defer k.releaseEngine(eng)
 	}
-	ec, err := k.newEvalCtx()
-	if err != nil {
-		return nil, err
-	}
-	defer ec.release(k)
-	rst := RenderStats{Workers: 1}
-	warm := k.newProgWarm(g, ec.eng, eps, &rst)
+	st := RenderStats{Workers: 1}
+	warm := k.newProgWarm(g, eng, req.Eps, &st)
 	if warm != nil {
 		order.GroupByTile(warm.size)
 	}
@@ -1312,18 +1284,18 @@ func (k *KDV) renderProgressive(ctx context.Context, res Resolution, eps float64
 			if warm != nil {
 				return warm.eval(px, py, q)
 			}
-			v, st := ec.eng.EvalEps(q, eps)
-			rst.addPixel(st)
+			v, pst := eng.EvalEps(q, req.Eps)
+			st.addPixel(pst)
 			return v
 		}
 	}
 	dm := &DensityMap{
-		Res:       res,
+		Res:       req.Res,
 		WindowMin: [2]float64{g.Window.Min[0], g.Window.Min[1]},
 		WindowMax: [2]float64{g.Window.Max[0], g.Window.Max[1]},
 	}
 	var levelEmit func(progressive.Snapshot) bool
-	if emit != nil {
+	if req.Emit != nil {
 		// Per-level spans: each completed quad-tree level becomes a post-hoc
 		// span covering [previous snapshot, this snapshot] with the pixels
 		// and node evaluations the level consumed.
@@ -1339,13 +1311,13 @@ func (k *KDV) renderProgressive(ctx context.Context, res Resolution, eps float64
 					start.Add(prevElapsed), start.Add(s.Elapsed),
 					trace.Int("level", s.Level),
 					trace.Int("pixels", s.Evaluated-prevEvaluated),
-					trace.Int("node_evals", rst.NodesEvaluated-prevNodes))
+					trace.Int("node_evals", st.NodesEvaluated-prevNodes))
 				if s.Final {
 					sp.SetAttrs(trace.Str("final", "true"))
 				}
-				prevElapsed, prevEvaluated, prevNodes = s.Elapsed, s.Evaluated, rst.NodesEvaluated
+				prevElapsed, prevEvaluated, prevNodes = s.Elapsed, s.Evaluated, st.NodesEvaluated
 			}
-			return emit(Snapshot{
+			return req.Emit(Snapshot{
 				Map:       dm,
 				Evaluated: s.Evaluated,
 				Level:     s.Level,
@@ -1354,20 +1326,13 @@ func (k *KDV) renderProgressive(ctx context.Context, res Resolution, eps float64
 			})
 		}
 	}
-	r, ctxErr := progressive.Run(ctx, order, eval, budget, maxPixels, levelEmit)
-	if ctxErr != nil {
-		return nil, ctxErr
+	r, err := progressive.Run(ctx, order, eval, req.Budget, req.MaxPixels, levelEmit)
+	st.Pixels, st.Elapsed = r.Evaluated, r.Elapsed
+	if err != nil {
+		return Result{Stats: st}, err
 	}
 	dm.Values = r.Values.Data
-	rst.Pixels = r.Evaluated
-	rst.Elapsed = r.Elapsed
-	return &ProgressiveResult{
-		Map:       dm,
-		Evaluated: r.Evaluated,
-		Complete:  r.Complete,
-		Elapsed:   r.Elapsed,
-		Stats:     rst,
-	}, nil
+	return Result{Density: dm, Stats: st, Evaluated: r.Evaluated, Complete: r.Complete}, nil
 }
 
 // geomRect converts a public Window to the internal rectangle type.

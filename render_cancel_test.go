@@ -81,12 +81,12 @@ func TestRenderCancelMidTileNoLeak(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	dm, err := k.RenderEpsCtx(ctx, res, eps)
+	r, err := k.Render(ctx, Request{Res: res, Eps: eps})
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if dm != nil {
+	if r.Density != nil {
 		t.Error("cancelled render returned a map")
 	}
 	if elapsed > full/2 {
@@ -126,11 +126,11 @@ func TestRenderTauCancelMidTileNoLeak(t *testing.T) {
 		time.Sleep(full / 20)
 		cancel()
 	}()
-	hm, err := k.RenderTauCtx(ctx, res, mid)
+	r, err := k.Render(ctx, Request{Variant: TauKDV, Res: res, Tau: mid})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if hm != nil {
+	if r.Hot != nil {
 		t.Error("cancelled render returned a map")
 	}
 	if live := k.scratchLive.Load(); live != 0 {
@@ -165,8 +165,8 @@ func TestRenderCancelOneTileWaitingHelpers(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		dm, err := k.RenderEpsCtx(ctx, Resolution{W: 16, H: 16}, 0.01)
-		done <- outcome{dm, err}
+		r, err := k.Render(ctx, Request{Res: Resolution{W: 16, H: 16}, Eps: 0.01})
+		done <- outcome{r.Density, err}
 	}()
 	<-probing
 	waitParked(t, 3)

@@ -168,10 +168,11 @@ func TestRenderStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := tiled.RenderEpsStats(res, 0.05)
+	r, err := tiled.Render(context.Background(), Request{Res: res, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := r.Stats
 	if st.Pixels != res.W*res.H {
 		t.Errorf("Pixels = %d, want %d", st.Pixels, res.W*res.H)
 	}
@@ -186,10 +187,11 @@ func TestRenderStatsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pst, err := perPixel.RenderEpsStats(res, 0.05)
+	pr, err := perPixel.Render(context.Background(), Request{Res: res, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pst := pr.Stats
 	if pst.SharedNodeEvals != 0 || pst.Tiles != 0 {
 		t.Errorf("per-pixel baseline recorded shared work: %+v", pst)
 	}
@@ -202,10 +204,11 @@ func TestRenderStatsCounters(t *testing.T) {
 			st.NodesEvaluated, pst.NodesEvaluated)
 	}
 
-	_, tst, err := tiled.RenderTauStats(res, 0.02)
+	tr, err := tiled.Render(context.Background(), Request{Variant: TauKDV, Res: res, Tau: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tst := tr.Stats
 	if tst.Pixels != res.W*res.H || tst.Tiles == 0 {
 		t.Errorf("τKDV stats incomplete: %+v", tst)
 	}
@@ -213,8 +216,8 @@ func TestRenderStatsCounters(t *testing.T) {
 
 // TestRenderStatsDepthAndStages checks the PR4 stats additions: the
 // refinement-depth histogram accounts for every refined pixel, the shared
-// stage records wall time, and the ctx-aware Stats entry points populate
-// everything the header/slow-query plumbing reads.
+// stage records wall time, and Render populates everything the
+// header/slow-query plumbing reads.
 func TestRenderStatsDepthAndStages(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	cloud := testCloud(rng, 600)
@@ -224,10 +227,11 @@ func TestRenderStatsDepthAndStages(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st, err := k.RenderEpsStatsInCtx(context.Background(), res, 0.05, Window{})
+	r, err := k.Render(context.Background(), Request{Res: res, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := r.Stats
 	var depth int
 	for _, n := range st.DepthPixels {
 		depth += n
@@ -243,10 +247,11 @@ func TestRenderStatsDepthAndStages(t *testing.T) {
 		t.Errorf("SharedElapsed implausible: shared %v vs elapsed %v", st.SharedElapsed, st.Elapsed)
 	}
 
-	_, tst, err := k.RenderTauStatsInCtx(context.Background(), res, 0.02, Window{})
+	tr, err := k.Render(context.Background(), Request{Variant: TauKDV, Res: res, Tau: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tst := tr.Stats
 	var tdepth int
 	for _, n := range tst.DepthPixels {
 		tdepth += n
@@ -264,10 +269,11 @@ func TestRenderStatsDepthAndStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pst, err := pp.RenderEpsStatsInCtx(context.Background(), res, 0.05, Window{})
+	pr, err := pp.Render(context.Background(), Request{Res: res, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pst := pr.Stats
 	if pst.SharedElapsed != 0 || pst.FrontierPromotions != 0 {
 		t.Errorf("per-pixel baseline recorded shared stage work: %+v", pst)
 	}
@@ -398,12 +404,12 @@ func TestRenderTauTailMatchesOracle(t *testing.T) {
 		}
 		exact := o.Raster(g)
 		for _, tau := range tailTaus(exact, 9) {
-			hm, err := k.RenderTauIn(res, tau, win)
+			r, err := k.Render(context.Background(), Request{Variant: TauKDV, Res: res, Window: win, Tau: tau})
 			if err != nil {
 				t.Fatal(err)
 			}
 			bad := 0
-			for i, hot := range hm.Hot {
+			for i, hot := range r.Hot.Hot {
 				if hot != (exact[i] >= tau) {
 					bad++
 				}

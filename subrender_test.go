@@ -42,7 +42,7 @@ func TestRenderEpsSubIdentity(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := buildSubTestKDV(t, tc.opts...)
-			ref, err := k.RenderEpsInCtx(context.Background(), full, eps, tc.win)
+			ref, err := k.Render(context.Background(), Request{Res: full, Window: tc.win, Eps: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,17 +51,18 @@ func TestRenderEpsSubIdentity(t *testing.T) {
 				{0, 0, 32, 32}, {32, 0, 64, 32}, {0, 32, 32, 64}, {32, 32, 64, 64},
 				{16, 16, 48, 48},
 			} {
-				dm, err := k.RenderEpsSubInCtx(context.Background(), full, eps, tc.win, sub)
+				r, err := k.Render(context.Background(), Request{Res: full, Window: tc.win, Sub: sub, Eps: eps})
 				if err != nil {
 					t.Fatal(err)
 				}
+				dm := r.Density
 				if dm.Res.W != sub.W() || dm.Res.H != sub.H() {
 					t.Fatalf("sub render %v: got %v", sub, dm.Res)
 				}
 				for y := 0; y < sub.H(); y++ {
 					for x := 0; x < sub.W(); x++ {
 						got := dm.At(x, y)
-						want := ref.At(sub.X0+x, sub.Y0+y)
+						want := ref.Density.At(sub.X0+x, sub.Y0+y)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("sub %v pixel (%d,%d): %.17g != full render %.17g",
 								sub, x, y, got, want)
@@ -112,11 +113,11 @@ func TestRenderEpsSubValidation(t *testing.T) {
 		{16, 16, 40, 32}, // past the right edge
 		{0, 16, 16, 48},  // past the top edge
 	} {
-		if _, err := k.RenderEpsSubInCtx(context.Background(), full, 0.05, Window{}, sub); err == nil {
+		if _, err := k.Render(context.Background(), Request{Res: full, Sub: sub, Eps: 0.05}); err == nil {
 			t.Fatalf("sub %v: expected error", sub)
 		}
 	}
-	if _, err := k.RenderEpsSubInCtx(context.Background(), full, -1, Window{}, PixelRect{0, 0, 16, 16}); err == nil {
+	if _, err := k.Render(context.Background(), Request{Res: full, Sub: PixelRect{0, 0, 16, 16}, Eps: -1}); err == nil {
 		t.Fatal("negative eps: expected error")
 	}
 }

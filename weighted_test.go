@@ -1,6 +1,7 @@
 package quad
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -164,10 +165,11 @@ func TestRenderEpsInWindow(t *testing.T) {
 	}
 	res := Resolution{W: 16, H: 16}
 	win := Window{MinX: -0.5, MinY: -0.5, MaxX: 1.5, MaxY: 1.5}
-	dm, err := k.RenderEpsIn(res, 0.01, win)
+	r, err := k.Render(context.Background(), Request{Res: res, Window: win, Eps: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
+	dm := r.Density
 	if dm.WindowMin != [2]float64{-0.5, -0.5} || dm.WindowMax != [2]float64{1.5, 1.5} {
 		t.Errorf("window not honored: %v %v", dm.WindowMin, dm.WindowMax)
 	}
@@ -177,15 +179,15 @@ func TestRenderEpsInWindow(t *testing.T) {
 	if exact > 0 && math.Abs(dm.At(8, 8)-exact)/exact > 0.01 {
 		t.Errorf("windowed pixel value %g, exact %g", dm.At(8, 8), exact)
 	}
-	if _, err := k.RenderEpsIn(res, 0.01, Window{MinX: 1, MaxX: 1, MinY: 0, MaxY: 2}); err == nil {
+	if _, err := k.Render(context.Background(), Request{Res: res, Window: Window{MinX: 1, MaxX: 1, MinY: 0, MaxY: 2}, Eps: 0.01}); err == nil {
 		t.Error("degenerate window accepted")
 	}
-	hm, err := k.RenderTauIn(res, exact, win)
+	hr, err := k.Render(context.Background(), Request{Variant: TauKDV, Res: res, Window: win, Tau: exact})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hm.Hot) != 256 {
-		t.Errorf("windowed tau raster %d", len(hm.Hot))
+	if len(hr.Hot.Hot) != 256 {
+		t.Errorf("windowed tau raster %d", len(hr.Hot.Hot))
 	}
 }
 

@@ -1,11 +1,9 @@
 package quad
 
 import (
-	"context"
 	"fmt"
 	"image"
 	"io"
-	"time"
 
 	"github.com/quadkdv/quad/internal/engine"
 	"github.com/quadkdv/quad/internal/grid"
@@ -63,13 +61,15 @@ type WorkMap struct {
 	WindowMin, WindowMax [2]float64
 }
 
-func newWorkMap(res Resolution) *WorkMap {
+func newWorkMap(res Resolution, winMin, winMax [2]float64) *WorkMap {
 	n := res.W * res.H
 	return &WorkMap{
-		Res:   res,
-		Depth: make([]float64, n),
-		Evals: make([]float64, n),
-		Gap:   make([]float64, n),
+		Res:       res,
+		Depth:     make([]float64, n),
+		Evals:     make([]float64, n),
+		Gap:       make([]float64, n),
+		WindowMin: winMin,
+		WindowMax: winMax,
 	}
 }
 
@@ -137,56 +137,4 @@ func (w *WorkMap) Totals() (depth, evals int, gap float64) {
 		gap += v
 	}
 	return depth, evals, gap
-}
-
-// RenderEpsWorkMap is RenderEpsStats additionally recording the per-pixel
-// work-map rasters (see WorkMap).
-func (k *KDV) RenderEpsWorkMap(res Resolution, eps float64) (*DensityMap, *WorkMap, RenderStats, error) {
-	return k.RenderEpsWorkMapInCtx(context.Background(), res, eps, Window{})
-}
-
-// RenderEpsWorkMapInCtx is RenderEpsWorkMap under a context, over an
-// explicit window (see RenderEpsInCtx). The work map is the diagnostic
-// path: it allocates three full-resolution rasters, so interactive serving
-// should keep it behind an explicit gate.
-func (k *KDV) RenderEpsWorkMapInCtx(ctx context.Context, res Resolution, eps float64, win Window) (*DensityMap, *WorkMap, RenderStats, error) {
-	var st RenderStats
-	if err := checkPixels(res.W, res.H); err != nil {
-		return nil, nil, st, err
-	}
-	wm := newWorkMap(res)
-	start := time.Now()
-	dm, err := k.renderEpsIn(ctx, res, eps, win, &st, wm)
-	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.eps", start, st, err)
-	if err != nil {
-		return nil, nil, st, err
-	}
-	wm.WindowMin, wm.WindowMax = dm.WindowMin, dm.WindowMax
-	return dm, wm, st, nil
-}
-
-// RenderTauWorkMap is RenderTauStats additionally recording the per-pixel
-// work-map rasters (see WorkMap).
-func (k *KDV) RenderTauWorkMap(res Resolution, tau float64) (*HotspotMap, *WorkMap, RenderStats, error) {
-	return k.RenderTauWorkMapInCtx(context.Background(), res, tau, Window{})
-}
-
-// RenderTauWorkMapInCtx is RenderTauWorkMap under a context, over an
-// explicit window (see RenderTauInCtx).
-func (k *KDV) RenderTauWorkMapInCtx(ctx context.Context, res Resolution, tau float64, win Window) (*HotspotMap, *WorkMap, RenderStats, error) {
-	var st RenderStats
-	if err := checkPixels(res.W, res.H); err != nil {
-		return nil, nil, st, err
-	}
-	wm := newWorkMap(res)
-	start := time.Now()
-	hm, err := k.renderTauIn(ctx, res, tau, win, &st, wm)
-	st.Elapsed = time.Since(start)
-	emitRenderSpans(ctx, "render.tau", start, st, err)
-	if err != nil {
-		return nil, nil, st, err
-	}
-	wm.WindowMin, wm.WindowMax = hm.WindowMin, hm.WindowMax
-	return hm, wm, st, nil
 }

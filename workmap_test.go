@@ -24,10 +24,11 @@ func TestWorkMapEpsMatchesStats(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dm, wm, st, err := k.RenderEpsWorkMap(res, eps)
+		r, err := k.Render(context.Background(), Request{Res: res, Eps: eps, WorkMap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		dm, wm, st := r.Density, r.Work, r.Stats
 		if wm.Res != res || len(wm.Depth) != res.W*res.H || len(wm.Evals) != res.W*res.H || len(wm.Gap) != res.W*res.H {
 			t.Fatalf("tile=%d: bad work-map shape %+v", tile, wm.Res)
 		}
@@ -83,10 +84,11 @@ func TestWorkMapTauDecidedTilesStayZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu, sigma := dm.MuSigma()
-	hm, wm, st, err := k.RenderTauWorkMap(res, mu+sigma)
+	r, err := k.Render(context.Background(), Request{Variant: TauKDV, Res: res, Tau: mu + sigma, WorkMap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wm, st := r.Work, r.Stats
 	depth, evals, _ := wm.Totals()
 	if depth != st.Iterations || evals != st.NodesEvaluated {
 		t.Errorf("work-map totals (%d, %d) != stats (%d, %d)", depth, evals, st.Iterations, st.NodesEvaluated)
@@ -104,7 +106,6 @@ func TestWorkMapTauDecidedTilesStayZero(t *testing.T) {
 	if zeros == 0 {
 		t.Errorf("decided tiles present (%d) but no zero-work pixels recorded", st.TilesDecided)
 	}
-	_ = hm
 }
 
 // TestWorkMapLayersAndPNG exercises layer parsing and PNG export of every
@@ -115,10 +116,11 @@ func TestWorkMapLayersAndPNG(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wm, _, err := k.RenderEpsWorkMap(Resolution{W: 24, H: 18}, 0.05)
+	r, err := k.Render(context.Background(), Request{Res: Resolution{W: 24, H: 18}, Eps: 0.05, WorkMap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wm := r.Work
 	for _, name := range []string{"depth", "evals", "gap"} {
 		layer, err := ParseWorkMapLayer(name)
 		if err != nil {
@@ -158,10 +160,11 @@ func TestRenderStatsEmitsSpans(t *testing.T) {
 		}
 		tr := trace.New()
 		ctx := trace.NewContext(context.Background(), tr)
-		_, st, err := k.RenderEpsStatsInCtx(ctx, res, 0.05, Window{})
+		r, err := k.Render(ctx, Request{Res: res, Eps: 0.05})
 		if err != nil {
 			t.Fatal(err)
 		}
+		st := r.Stats
 		if st.Workers != workers {
 			t.Errorf("workers=%d: Stats.Workers = %d", workers, st.Workers)
 		}
@@ -202,7 +205,7 @@ func TestRenderStatsEmitsSpans(t *testing.T) {
 		}
 
 		// Untraced context: no spans, no panic.
-		if _, _, err := k.RenderEpsStatsInCtx(context.Background(), res, 0.05, Window{}); err != nil {
+		if _, err := k.Render(context.Background(), Request{Res: res, Eps: 0.05}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +222,7 @@ func TestProgressiveStatsAndLevelSpans(t *testing.T) {
 	}
 	res := Resolution{W: 32, H: 32}
 
-	r, err := k.RenderProgressive(res, 0.05, 0, 0)
+	r, err := k.Render(context.Background(), Request{Variant: ProgressiveKDV, Res: res, Eps: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +235,8 @@ func TestProgressiveStatsAndLevelSpans(t *testing.T) {
 	if r.Stats.NodesEvaluated == 0 && r.Stats.SharedNodeEvals == 0 {
 		t.Error("progressive stats recorded no bound work")
 	}
-	if r.Stats.Elapsed != r.Elapsed {
-		t.Errorf("Stats.Elapsed = %v, want %v", r.Stats.Elapsed, r.Elapsed)
+	if r.Stats.Elapsed <= 0 {
+		t.Errorf("Stats.Elapsed = %v, want the render's wall time", r.Stats.Elapsed)
 	}
 	if r.Stats.Workers != 1 {
 		t.Errorf("Stats.Workers = %d, want 1: progressive renders run on one goroutine", r.Stats.Workers)
@@ -242,10 +245,10 @@ func TestProgressiveStatsAndLevelSpans(t *testing.T) {
 	tr := trace.New()
 	ctx := trace.NewContext(context.Background(), tr)
 	var levels int
-	sr, err := k.RenderProgressiveStreamCtx(ctx, res, 0.05, 0, func(s Snapshot) bool {
+	sr, err := k.Render(ctx, Request{Variant: ProgressiveKDV, Res: res, Eps: 0.05, Emit: func(s Snapshot) bool {
 		levels++
 		return true
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
