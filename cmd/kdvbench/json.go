@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	quad "github.com/quadkdv/quad"
@@ -33,9 +36,10 @@ type jsonCell struct {
 	TilesDecided   int     `json:"tiles_decided"`
 }
 
-// jsonReport is the BENCH_PR2.json schema: the tile-shared traversal's
+// jsonReport is the `kdvbench -json` report: the tile-shared traversal's
 // speedup and traversal-work reduction against the per-pixel baseline, for
-// both query variants at two resolutions.
+// both query variants at two resolutions, and the measurements behind the
+// claims checkReport verifies.
 type jsonReport struct {
 	Dataset  string     `json:"dataset"`
 	N        int        `json:"n"`
@@ -52,40 +56,75 @@ type jsonReport struct {
 	// the cells).
 	Speedups       map[string]float64 `json:"speedups"`
 	NodeReductions map[string]float64 `json:"node_reductions"`
-	// TracingOverhead measures the span-instrumented render entry points
-	// under a disabled trace (plain context, nil *trace.Trace) against a
-	// trace-carrying context. The disabled delta is the PR5 acceptance
-	// number (must stay ≤ 2%): tracing must cost nothing when off.
-	TracingOverhead *tracingOverhead `json:"tracing_overhead,omitempty"`
+	// TracingOverhead is what recording every span of a render costs: a
+	// render under a trace-carrying context against an untraced one.
+	TracingOverhead *overhead `json:"tracing_overhead,omitempty"`
 	// TileServing measures the /tiles serving tiers — cold engine build vs
-	// warm-disk vs warm-memory on 512² tiles. The PR9 acceptance number is
-	// DiskSpeedup (gated by -mintilespeedup).
+	// warm-disk vs warm-memory on 512² tiles.
 	TileServing *tileServing `json:"tile_serving,omitempty"`
-	// AuditOverhead measures the shadow-audit producer hook on the serving
-	// path — render plus the sampling coin, pixel draw, and job submit — at
-	// the production 1% fraction against the auditless render. The PR10
-	// acceptance number is DeltaPct (must stay ≤ 2%).
-	AuditOverhead *auditOverhead `json:"audit_overhead,omitempty"`
+	// AuditOverhead is what the serving path's shadow-audit hook costs at
+	// the production sampling fraction auditFraction.
+	AuditOverhead *overhead `json:"audit_overhead,omitempty"`
 }
 
-// auditOverhead compares the render-and-maybe-submit path (the exact hook
-// the serve layer runs after each completed render) against the bare
-// render, interleaved best-of-rounds. The forced side submits an audit on
-// every round (fraction 1), bounding what a sampled round costs; the gated
-// number is the production-fraction delta.
-type auditOverhead struct {
-	Res      string  `json:"res"`
-	Rounds   int     `json:"rounds"`
-	Fraction float64 `json:"fraction"`
-	OffMS    float64 `json:"render_ms_audit_off"`
-	OnMS     float64 `json:"render_ms_audit_on"`
-	// DeltaPct is (on − off)/off × 100 at the production fraction — the
-	// gated number.
+// overhead is the relative cost of an instrumented render over the bare
+// one, timed in alternating pairs: each pair renders both sides, the bare
+// side first in even pairs and second in odd ones, because sustained load
+// ramps the host's frequency state within a pair and a fixed order would
+// favour one side by several percent with no code difference at all.
+type overhead struct {
+	Res    string  `json:"res"`
+	Pairs  int     `json:"pairs"`
+	BareMS float64 `json:"bare_ms_median"`
+	// DeltaPct is the median over the pairs of (instrumented − bare)/bare
+	// × 100.
 	DeltaPct float64 `json:"delta_pct"`
-	// ForcedMS audits every round; ForcedDeltaPct is informational.
-	ForcedMS       float64 `json:"render_ms_audit_forced"`
-	ForcedDeltaPct float64 `json:"forced_delta_pct"`
+	// SpreadPct is the distance between the quartiles of the per-pair
+	// deltas: how far apart two measurements of the same code read.
+	SpreadPct float64 `json:"spread_pct"`
 }
+
+// timePairs times pairs alternating pairs of bare and instrumented.
+func timePairs(res quad.Resolution, pairs int, bare, instrumented func() error) (*overhead, error) {
+	sides := [2]func() error{bare, instrumented}
+	bareMS := make([]float64, pairs)
+	deltas := make([]float64, pairs)
+	for i := range deltas {
+		var ms [2]float64
+		for j := range sides {
+			side := (i + j) % 2
+			start := time.Now()
+			if err := sides[side](); err != nil {
+				return nil, err
+			}
+			ms[side] = float64(time.Since(start).Nanoseconds()) / 1e6
+		}
+		bareMS[i] = ms[0]
+		deltas[i] = (ms[1] - ms[0]) / ms[0] * 100
+	}
+	return &overhead{
+		Res:       res.String(),
+		Pairs:     pairs,
+		BareMS:    quantile(bareMS, 0.5),
+		DeltaPct:  quantile(deltas, 0.5),
+		SpreadPct: quantile(deltas, 0.75) - quantile(deltas, 0.25),
+	}, nil
+}
+
+// quantile returns the q-quantile of xs, interpolating between order
+// statistics. It sorts xs.
+func quantile(xs []float64, q float64) float64 {
+	sort.Float64s(xs)
+	pos := q * float64(len(xs)-1)
+	i := int(pos)
+	if i+1 >= len(xs) {
+		return xs[len(xs)-1]
+	}
+	return xs[i] + (pos-float64(i))*(xs[i+1]-xs[i])
+}
+
+// auditFraction is the share of renders the production audit hook samples.
+const auditFraction = 0.01
 
 // auditHook replicates the serve layer's producer hook: flip the sampling
 // coin, and when sampled reconstruct the render's grid, draw the audit
@@ -136,145 +175,113 @@ func auditHook(a *audit.Auditor, k *quad.KDV, dm *quad.DensityMap, eps float64) 
 	return nil
 }
 
-// measureAuditOverhead interleaves rounds of the three paths — bare render,
-// render + production-fraction hook, render + forced hook — and keeps each
-// side's best time.
-func measureAuditOverhead(k *quad.KDV, res quad.Resolution, eps float64, rounds int) (*auditOverhead, error) {
-	const fraction = 0.01
-	sampled := audit.New(audit.Config{Fraction: fraction, Seed: 1, Registry: telemetry.NewRegistry()})
-	forced := audit.New(audit.Config{Fraction: 1, Seed: 1, Registry: telemetry.NewRegistry()})
-	defer sampled.Close()
-	defer forced.Close()
-
-	best := func(cur, v float64) float64 {
-		if cur == 0 || v < cur {
-			return v
-		}
-		return cur
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	o := &auditOverhead{Res: res.String(), Rounds: rounds, Fraction: fraction}
-	render := func(a *audit.Auditor, slot *float64) error {
-		start := time.Now()
+// measureAuditOverhead times the bare render against the render followed by
+// the audit hook at auditFraction.
+func measureAuditOverhead(k *quad.KDV, res quad.Resolution, eps float64, pairs int) (*overhead, error) {
+	a := audit.New(audit.Config{Fraction: auditFraction, Seed: 1, Registry: telemetry.NewRegistry()})
+	defer a.Close()
+	render := func(a *audit.Auditor) error {
 		dm, err := k.RenderEps(res, eps)
 		if err != nil {
 			return err
 		}
-		if a != nil {
-			if err := auditHook(a, k, dm, eps); err != nil {
-				dm.Release()
-				return err
-			}
+		defer dm.Release()
+		if a == nil {
+			return nil
 		}
-		elapsed := time.Since(start)
-		dm.Release()
-		*slot = best(*slot, ms(elapsed))
+		return auditHook(a, k, dm, eps)
+	}
+	return timePairs(res, pairs, func() error { return render(nil) }, func() error { return render(a) })
+}
+
+// measureTracingOverhead times an untraced render against one whose
+// context carries a trace, so every span is recorded.
+func measureTracingOverhead(k *quad.KDV, res quad.Resolution, eps float64, pairs int) (*overhead, error) {
+	req := quad.Request{Res: res, Eps: eps}
+	render := func(ctx context.Context) error {
+		r, err := k.Render(ctx, req)
+		if err != nil {
+			return err
+		}
+		r.Density.Release()
 		return nil
 	}
-	sides := []func() error{
-		func() error { return render(nil, &o.OffMS) },
-		func() error { return render(sampled, &o.OnMS) },
-		func() error { return render(forced, &o.ForcedMS) },
-	}
-	// Rotate which side goes first each round — see measureTracingOverhead
-	// for why a fixed order biases the deltas under sustained load.
-	for i := 0; i < rounds; i++ {
-		for j := range sides {
-			if err := sides[(i+j)%len(sides)](); err != nil {
-				return nil, err
-			}
-		}
-	}
-	o.DeltaPct = (o.OnMS - o.OffMS) / o.OffMS * 100
-	o.ForcedDeltaPct = (o.ForcedMS - o.OffMS) / o.OffMS * 100
-	return o, nil
+	return timePairs(res, pairs,
+		func() error { return render(context.Background()) },
+		func() error { return render(trace.NewContext(context.Background(), trace.New())) })
 }
 
-// tracingOverhead compares three sides of an identical render: Render
-// under context.Background() (the PR4 shape), under a plain request
-// context (tracing present but disabled — the default serving path), and
-// under a trace-carrying context (every span recorded). The first two run
-// the same code, so their delta is the measurement's own noise.
-// Best-of-rounds on each side, interleaved, so scheduler noise hits all
-// three alike.
-type tracingOverhead struct {
-	Res      string  `json:"res"`
-	Rounds   int     `json:"rounds"`
-	StatsMS  float64 `json:"render_ms_stats"`
-	OffMS    float64 `json:"render_ms_tracing_off"`
-	TracedMS float64 `json:"render_ms_traced"`
-	// OffDeltaPct is (off − stats)/stats × 100: what the tracing plumbing
-	// costs when no trace is attached. This is the gated number.
-	OffDeltaPct float64 `json:"off_delta_pct"`
-	// TracedDeltaPct is (traced − stats)/stats × 100: the price of a fully
-	// recorded trace. Informational, not gated.
-	TracedDeltaPct float64 `json:"traced_delta_pct"`
-}
+// The claims checkReport holds a report to.
+const (
+	// minDiskSpeedup is how many times faster serving a tile from the disk
+	// store must be than building it: below it the tile pyramid caches
+	// nothing worth keeping.
+	minDiskSpeedup = 10.0
+	// overheadBudgetPct bounds what tracing and the audit hook may add to a
+	// render. A delta whose spread exceeds it cannot be told from noise, so
+	// it is unresolved: neither passed nor failed.
+	overheadBudgetPct = 2.0
+)
 
-// measureTracingOverhead interleaves rounds of the three paths and keeps
-// each side's best time.
-func measureTracingOverhead(k *quad.KDV, res quad.Resolution, eps float64, rounds int) (*tracingOverhead, error) {
-	best := func(cur, v float64) float64 {
-		if cur == 0 || v < cur {
-			return v
-		}
-		return cur
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	o := &tracingOverhead{Res: res.String(), Rounds: rounds}
-	req := quad.Request{Res: res, Eps: eps}
-	plain := context.Background()
-	sides := []func() error{
-		func() error {
-			start := time.Now()
-			r, err := k.Render(context.Background(), req)
-			if err != nil {
-				return err
-			}
-			r.Density.Release()
-			o.StatsMS = best(o.StatsMS, ms(time.Since(start)))
-			return nil
-		},
-		func() error {
-			start := time.Now()
-			r, err := k.Render(plain, req)
-			if err != nil {
-				return err
-			}
-			r.Density.Release()
-			o.OffMS = best(o.OffMS, ms(time.Since(start)))
-			return nil
-		},
-		func() error {
-			traced := trace.NewContext(context.Background(), trace.New())
-			start := time.Now()
-			r, err := k.Render(traced, req)
-			if err != nil {
-				return err
-			}
-			r.Density.Release()
-			o.TracedMS = best(o.TracedMS, ms(time.Since(start)))
-			return nil
-		},
-	}
-	// Rotate which side goes first each round: sustained load ramps the
-	// CPU's thermal/frequency state within a round, so a fixed order would
-	// systematically favor whichever side runs on the cooler core — an
-	// apparent overhead of several percent with no code difference at all.
-	for i := 0; i < rounds; i++ {
-		for j := range sides {
-			if err := sides[(i+j)%len(sides)](); err != nil {
-				return nil, err
-			}
+// checkReport prints one verdict line per claim — pass, FAIL or
+// unresolved — and returns an error naming each claim that failed.
+func checkReport(out io.Writer, rep *jsonReport) error {
+	var failed []string
+	verdict := func(v, claim, format string, args ...any) {
+		fmt.Fprintf(out, "%-10s %s: %s\n", v, claim, fmt.Sprintf(format, args...))
+		if v == "FAIL" {
+			failed = append(failed, claim)
 		}
 	}
-	o.OffDeltaPct = (o.OffMS - o.StatsMS) / o.StatsMS * 100
-	o.TracedDeltaPct = (o.TracedMS - o.StatsMS) / o.StatsMS * 100
-	return o, nil
+	switch ts := rep.TileServing; {
+	case ts == nil:
+		verdict("FAIL", "tile serving", "section missing")
+	case !(ts.ColdBuildMS > 0 && ts.WarmDiskMS > 0):
+		verdict("FAIL", "tile serving", "non-positive timings (cold %.3g ms, disk %.3g ms)", ts.ColdBuildMS, ts.WarmDiskMS)
+	default:
+		speedup := ts.ColdBuildMS / ts.WarmDiskMS
+		v := "pass"
+		if speedup < minDiskSpeedup {
+			v = "FAIL"
+		}
+		verdict(v, "tile serving", "warm disk %.1fx faster than a cold build (cold %.1f ms, disk %.3f ms; floor %.0fx)",
+			speedup, ts.ColdBuildMS, ts.WarmDiskMS, minDiskSpeedup)
+	}
+	for _, c := range []struct {
+		claim string
+		o     *overhead
+	}{
+		{"tracing overhead", rep.TracingOverhead},
+		{fmt.Sprintf("audit overhead at %g%%", auditFraction*100), rep.AuditOverhead},
+	} {
+		o := c.o
+		if o == nil {
+			verdict("FAIL", c.claim, "section missing")
+			continue
+		}
+		v := "pass"
+		switch {
+		case !(o.SpreadPct <= overheadBudgetPct):
+			v = "unresolved"
+		case !(o.DeltaPct <= overheadBudgetPct):
+			v = "FAIL"
+		}
+		verdict(v, c.claim, "%+.2f%% median of %d pairs at %s, spread %.2f%% (budget %.0f%%)",
+			o.DeltaPct, o.Pairs, o.Res, o.SpreadPct, overheadBudgetPct)
+	}
+	if len(failed) > 0 {
+		return fmt.Errorf("%d claim(s) failed: %s", len(failed), strings.Join(failed, ", "))
+	}
+	return nil
 }
 
-// runJSONBench measures tile-shared vs per-pixel rendering and writes the
-// report to path. It is the artifact generator behind `make bench`.
+// overheadPairs is how many alternating pairs each overhead measurement
+// times: the quartiles of fewer per-pair deltas say little about spread.
+const overheadPairs = 10
+
+// runJSONBench measures tile-shared vs per-pixel rendering, writes the
+// report to path and checks its claims (checkReport): it returns an error
+// when one fails. It is `make bench`.
 func runJSONBench(path string, seed int64, n int) error {
 	const eps = 0.05
 	const tauSigma = 1.0
@@ -325,11 +332,11 @@ func runJSONBench(path string, seed int64, n int) error {
 				name string
 				k    *quad.KDV
 			}{{"tile", tiled}, {"perpixel", perPixel}} {
-				// Best-of-rounds wall clock, like the overhead measurements:
-				// a single render's timing wobbles ±15% with the machine's
-				// load and frequency state, and the -minspeedup gate reads
-				// these cells. The traversal counters are deterministic for a
-				// fixed seed, so any round's stats are THE stats.
+				// Best-of-rounds wall clock: a single render's timing
+				// wobbles ±15% with the machine's load and frequency state.
+				// The traversal counters are deterministic for a fixed seed
+				// (the ledger's bench/… cells pin the 256² ones), so any
+				// round's stats are THE stats.
 				const cellRounds = 3
 				var st quad.RenderStats
 				var elapsed time.Duration
@@ -380,17 +387,14 @@ func runJSONBench(path string, seed int64, n int) error {
 			rep.Cells = append(rep.Cells, cells[:]...)
 		}
 	}
-	// 6 rounds: the untraced sides run identical machine code, so the true
-	// delta is ~0 and best-of needs enough samples for scheduler noise —
-	// observed at ±5% per round on the bench hosts — to wash out of a
-	// 2%-budget measurement.
-	tro, err := measureTracingOverhead(tiled, quad.Resolution{W: 512, H: 512}, eps, 6)
+	big := quad.Resolution{W: 512, H: 512}
+	tro, err := measureTracingOverhead(tiled, big, eps, overheadPairs)
 	if err != nil {
 		return err
 	}
 	rep.TracingOverhead = tro
-	fmt.Printf("tracing overhead @ %s: stats %.1f ms, off %.1f ms (%+.2f%%), traced %.1f ms (%+.2f%%)\n",
-		tro.Res, tro.StatsMS, tro.OffMS, tro.OffDeltaPct, tro.TracedMS, tro.TracedDeltaPct)
+	fmt.Printf("tracing overhead @ %s: untraced %.1f ms, traced %+.2f%% (spread %.2f%%)\n",
+		tro.Res, tro.BareMS, tro.DeltaPct, tro.SpreadPct)
 	ts, err := measureTileServing(pts, workers, eps)
 	if err != nil {
 		return err
@@ -398,23 +402,22 @@ func runJSONBench(path string, seed int64, n int) error {
 	rep.TileServing = ts
 	fmt.Printf("tile serving @ %d×%d²: cold %.1f ms, disk %.1f ms (%.0fx), memory %.1f ms (%.0fx)\n",
 		ts.Tiles, ts.TileSize, ts.ColdBuildMS, ts.WarmDiskMS, ts.DiskSpeedup, ts.WarmMemoryMS, ts.MemorySpeedup)
-	ao, err := measureAuditOverhead(tiled, quad.Resolution{W: 512, H: 512}, eps, 6)
+	ao, err := measureAuditOverhead(tiled, big, eps, overheadPairs)
 	if err != nil {
 		return err
 	}
 	rep.AuditOverhead = ao
-	fmt.Printf("audit overhead @ %s: off %.1f ms, on@%.0f%% %.1f ms (%+.2f%%), forced %.1f ms (%+.2f%%)\n",
-		ao.Res, ao.OffMS, ao.Fraction*100, ao.OnMS, ao.DeltaPct, ao.ForcedMS, ao.ForcedDeltaPct)
+	fmt.Printf("audit overhead @ %s: unaudited %.1f ms, hook at %g%% %+.2f%% (spread %.2f%%)\n",
+		ao.Res, ao.BareMS, auditFraction*100, ao.DeltaPct, ao.SpreadPct)
 
 	if err := writeJSON(path, &rep); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	return nil
+	return checkReport(os.Stdout, &rep)
 }
 
-// writeJSON writes v pretty-printed with a trailing newline, the artifact
-// format of the checked-in BENCH_*.json baselines.
+// writeJSON writes v pretty-printed with a trailing newline.
 func writeJSON(path string, v any) error {
 	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {

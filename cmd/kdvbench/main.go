@@ -8,8 +8,7 @@
 //	kdvbench -exp all                # the whole evaluation
 //	kdvbench -exp fig2 -out results  # experiments that emit PNGs
 //	kdvbench -full                   # paper-scale datasets/resolutions
-//	kdvbench -json bench.json        # machine-readable render benchmark
-//	kdvbench -compare old.json bench.json  # regression gate (exit 1 on fail)
+//	kdvbench -json bench.json        # render benchmark; exit 1 if a claim fails
 //
 // The default configuration is scaled for a single-core machine; cells that
 // exceed -timeout are measured on a pixel prefix and extrapolated (printed
@@ -33,34 +32,20 @@ import (
 
 func main() {
 	var (
-		exp            = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		list           = flag.Bool("list", false, "list available experiments")
-		full           = flag.Bool("full", false, "paper-scale configuration (slow)")
-		outDir         = flag.String("out", "", "directory for PNG artifacts")
-		seed           = flag.Int64("seed", 20200614, "dataset generator seed")
-		timeout        = flag.Duration("timeout", 0, "per-cell timeout (0 = config default)")
-		res            = flag.String("res", "", "override grid resolution, e.g. 320x240")
-		sizes          = flag.String("sizes", "", "override dataset sizes, e.g. crime=100000,hep=500000")
-		jsonPath       = flag.String("json", "", "measure tile-shared vs per-pixel rendering and write a JSON report to this path")
-		jsonN          = flag.Int("jsonn", 100000, "dataset cardinality for the -json benchmark")
-		compare        = flag.String("compare", "", "regression gate: diff this baseline -json report against the report named by the positional argument; exits 1 on regression")
-		minSpeedup     = flag.Float64("minspeedup", 0, "with -compare: require old/new elapsed_ms on the eps/512x512/tile cell to be at least this factor (0 disables)")
-		minTileSpeedup = flag.Float64("mintilespeedup", 0, "with -compare: require the new report's warm-disk tile serving to beat its cold build by this factor (0 disables)")
-		pprof          = flag.String("pprof-addr", "", "side listener for net/http/pprof and expvar (empty disables)")
+		exp      = flag.String("exp", "", "experiment id (see -list), or 'all'")
+		list     = flag.Bool("list", false, "list available experiments")
+		full     = flag.Bool("full", false, "paper-scale configuration (slow)")
+		outDir   = flag.String("out", "", "directory for PNG artifacts")
+		seed     = flag.Int64("seed", 20200614, "dataset generator seed")
+		timeout  = flag.Duration("timeout", 0, "per-cell timeout (0 = config default)")
+		res      = flag.String("res", "", "override grid resolution, e.g. 320x240")
+		sizes    = flag.String("sizes", "", "override dataset sizes, e.g. crime=100000,hep=500000")
+		jsonPath = flag.String("json", "", "measure tile-shared vs per-pixel rendering, write a JSON report to this path and check its claims (exit 1 if one fails)")
+		jsonN    = flag.Int("jsonn", 100000, "dataset cardinality for the -json benchmark")
+		pprof    = flag.String("pprof-addr", "", "side listener for net/http/pprof and expvar (empty disables)")
 	)
 	flag.Parse()
 	logger := logging.Setup("kdvbench", nil)
-
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			logger.Error("-compare old.json new.json (exactly one positional argument)")
-			os.Exit(2)
-		}
-		if err := runCompare(*compare, flag.Arg(0), *minSpeedup, *minTileSpeedup); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *pprof != "" {
 		reg := telemetry.NewRegistry()

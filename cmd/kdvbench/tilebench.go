@@ -11,10 +11,10 @@ import (
 	"github.com/quadkdv/quad/internal/tiles"
 )
 
-// tileServing is the -json report section behind the PR9 acceptance claim:
-// serving a 512² tile from the persistent store (or the in-memory LRU) must
-// beat rebuilding it from the engine by a wide margin, or the tile pyramid
-// is caching nothing worth keeping. All three times cover the same four
+// tileServing is the -json report section behind the tile-serving claim
+// checkReport verifies: serving a 512² tile from the persistent store (or
+// the in-memory LRU) must beat rebuilding it from the engine by a wide
+// margin, or the tile pyramid is caching nothing worth keeping. All three times cover the same four
 // zoom-1 tiles, so the ratios compare identical work.
 type tileServing struct {
 	TileSize int `json:"tile_size"`
@@ -29,7 +29,7 @@ type tileServing struct {
 	// disk log and the LRU respectively, best-of-rounds.
 	WarmDiskMS   float64 `json:"warm_disk_ms"`
 	WarmMemoryMS float64 `json:"warm_memory_ms"`
-	// DiskSpeedup = cold/warm-disk, the number -mintilespeedup gates on.
+	// DiskSpeedup = cold/warm-disk, which must reach minDiskSpeedup.
 	DiskSpeedup   float64 `json:"disk_speedup"`
 	MemorySpeedup float64 `json:"memory_speedup"`
 }

@@ -130,9 +130,6 @@ func (f *FlatFrontier) State() (decided, hot bool) { return f.Decided, f.Hot }
 // Size returns the residual frontier's node count.
 func (f *FlatFrontier) Size() int { return len(f.seeds) }
 
-// Settled returns the tile-wide settled contribution interval.
-func (f *FlatFrontier) Settled() (lb, ub float64) { return f.SettledLB, f.SettledUB }
-
 // base returns the settled contribution at q that every pixel query seeded
 // from f starts from.
 func (f *FlatFrontier) base(q []float64) (lb, ub float64) {
@@ -245,8 +242,6 @@ func (f *FlatFrontier) setSeeds(items []fitem) {
 // scratch state and must not be shared between goroutines.
 type FlatTileEngine struct {
 	*FlatEngine
-	// MaxFrontier caps the residual frontier (0 means DefaultMaxFrontier).
-	MaxFrontier int
 
 	tq      queue     // shared-phase queue
 	scratch []fitem   // candidate staging for settle/promote passes
@@ -255,22 +250,6 @@ type FlatTileEngine struct {
 
 // NewFlatTileEngine wraps an engine for tile-shared rendering.
 func NewFlatTileEngine(e *FlatEngine) *FlatTileEngine { return &FlatTileEngine{FlatEngine: e} }
-
-func (te *FlatTileEngine) frontierCap() int {
-	if te.MaxFrontier > 0 {
-		return te.MaxFrontier
-	}
-	return DefaultMaxFrontier
-}
-
-// Saturated reports that the shared phase pinned the frontier cap without
-// settling the tile: the tile rectangle is too coarse for this data density,
-// so the frontier is mostly shattered leaves with loose tile-uniform bounds.
-// Seeding every pixel from such a frontier costs more than refining from the
-// root — renderers should fall back to the per-pixel engine for the tile.
-func (te *FlatTileEngine) Saturated(f *FlatFrontier) bool {
-	return len(f.seeds) >= te.frontierCap()
-}
 
 // sharedExpand runs the shared max-gap expansion against the tile rectangle
 // until stop() holds on the exact tile-uniform aggregate, the frontier cap
@@ -341,14 +320,14 @@ func (te *FlatTileEngine) sharedExpand(tile geom.Rect, seeds []fitem, baseLB, ba
 // gap is second order in the tile size, so nearly the whole frontier usually
 // fits the budget), else as tile-constant bounds.
 func (te *FlatTileEngine) BuildFrontierEps(tile geom.Rect, eps float64, f *FlatFrontier) Stats {
-	return te.buildEps(tile, nil, te.frontierCap(), eps, 1, f)
+	return te.buildEps(tile, nil, DefaultMaxFrontier, eps, 1, f)
 }
 
 // BuildFrontierEpsCoarse is BuildFrontierEps for the OUTER level of a
 // two-level build: it spends only coarseSettleFrac of the settle budget,
 // reserving the rest for the sub level's far cheaper settles.
 func (te *FlatTileEngine) BuildFrontierEpsCoarse(tile geom.Rect, eps float64, f *FlatFrontier) Stats {
-	return te.buildEps(tile, nil, te.frontierCap(), eps, coarseSettleFrac, f)
+	return te.buildEps(tile, nil, DefaultMaxFrontier, eps, coarseSettleFrac, f)
 }
 
 // BuildFrontierEpsFrom is BuildFrontierEps seeded from a coarser frontier
@@ -457,7 +436,7 @@ func (te *FlatTileEngine) buildEps(tile geom.Rect, parent *FlatFrontier, fcap in
 // no work at all. Otherwise only zero-gap nodes settle, keeping every
 // pixel's classification bit-identical to per-pixel refinement.
 func (te *FlatTileEngine) BuildFrontierTau(tile geom.Rect, tau float64, f *FlatFrontier) Stats {
-	return te.buildTau(tile, nil, 0, 0, te.frontierCap(), tau, f)
+	return te.buildTau(tile, nil, 0, 0, DefaultMaxFrontier, tau, f)
 }
 
 // BuildFrontierTauFrom is BuildFrontierTau seeded from a coarser frontier
@@ -510,7 +489,7 @@ func (te *FlatTileEngine) buildTau(tile geom.Rect, seeds []fitem, baseLB, baseUB
 func (te *FlatTileEngine) Promote(f *FlatFrontier) Stats {
 	var st Stats
 	t := te.Tree
-	limit := promoteCapFactor * te.frontierCap()
+	limit := promoteCapFactor * DefaultMaxFrontier
 	if len(f.seeds) >= limit {
 		return st
 	}

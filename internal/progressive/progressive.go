@@ -10,164 +10,151 @@ package progressive
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"github.com/quadkdv/quad/internal/grid"
 )
 
-// region is a rectangular pixel block [X0, X0+W) × [Y0, Y0+H) in the padded
-// 2^r × 2^r raster.
-type region struct {
-	x0, y0, w, h int
-	depth        int
-}
-
-// Order produces the quad-tree pixel evaluation order for a W×H raster: a
-// breadth-first refinement of the (conceptually 2^r × 2^r padded) region,
+// Order is the quad-tree pixel evaluation order for a W×H raster: a
+// breadth-first refinement of the raster padded to a 2^r × 2^r square,
 // visiting the center pixel of each region before splitting it into four
 // quadrants. Every on-screen pixel appears exactly once; the i-th prefix of
-// the order is the paper's "partial result after i evaluations". For each
-// order entry the region it represents is also returned, so callers can fill
-// the region with the evaluated value.
+// the order is the paper's "partial result after i evaluations". A region
+// of depth L is a square of side 2^r/2^L aligned to multiples of its side,
+// so the region an entry stands in for until refined follows from its
+// pixel and depth (RegionAt).
 type Order struct {
 	Res grid.Resolution
-	// Px, Py, Regions and Levels are parallel: evaluation i is pixel
-	// (Px[i], Py[i]) whose value stands in for Region[i] until refined;
-	// Levels[i] is the quad-tree depth of that region (0 = whole raster).
-	Px, Py  []int
-	Regions []region
-	Levels  []int
+	// Pixels lists the raster's pixel indices y·W + x in evaluation order.
+	Pixels []int32
+	// Levels are the quad-tree levels that evaluate a pixel, coarse to
+	// fine: level j holds Pixels[Levels[j-1].End:Levels[j].End].
+	Levels []Level
+	side   int // the padded square's side, 2^r
 }
 
-// RegionAt exposes the pixel block covered by order entry i, clipped to the
-// raster.
+// Level is one quad-tree level of an Order: it ends before Pixels[End],
+// and its regions have depth Depth (0 = the whole padded raster).
+type Level struct {
+	End, Depth int
+}
+
+// RegionAt returns the pixel block order entry i stands in for, clipped to
+// the raster.
 func (o *Order) RegionAt(i int) (x0, y0, x1, y1 int) {
-	r := o.Regions[i]
-	x0, y0 = r.x0, r.y0
-	x1, y1 = r.x0+r.w, r.y0+r.h
-	if x1 > o.Res.W {
-		x1 = o.Res.W
-	}
-	if y1 > o.Res.H {
-		y1 = o.Res.H
-	}
-	return
+	l := sort.Search(len(o.Levels), func(j int) bool { return o.Levels[j].End > i })
+	return o.region(o.Levels[l].Depth, int(o.Pixels[i]))
+}
+
+// region returns the block of depth depth that pixel p evaluates, clipped
+// to the raster. A depth's center pixel lies inside its region also where
+// it was clamped to the raster's last row or column.
+func (o *Order) region(depth, p int) (x0, y0, x1, y1 int) {
+	s := o.side >> depth
+	x0, y0 = p%o.Res.W/s*s, p/o.Res.W/s*s
+	return x0, y0, min(x0+s, o.Res.W), min(y0+s, o.Res.H)
 }
 
 // Len returns the number of evaluations (== number of on-screen pixels).
-func (o *Order) Len() int { return len(o.Px) }
+func (o *Order) Len() int { return len(o.Pixels) }
 
-// BuildOrder computes the quad-tree order for a resolution.
-func BuildOrder(res grid.Resolution) (*Order, error) {
+// BuildOrder computes the quad-tree order for a resolution. A tile edge of
+// 2 or more stably reorders each level's pixels by the tile×tile block they
+// fall in, blocks in row-major order, so that tile-warmed evaluators (the
+// render layer's progressive εKDV path) touch each tile's frontier in
+// bursts instead of thrashing across the raster. The regions of one level
+// are disjoint, so the raster at every level boundary is unchanged.
+func BuildOrder(res grid.Resolution, tile int) (*Order, error) {
 	if res.W <= 0 || res.H <= 0 {
 		return nil, fmt.Errorf("progressive: non-positive resolution %s", res)
 	}
+	if res.W > math.MaxInt32/res.H {
+		return nil, fmt.Errorf("progressive: resolution %s has more than 2^31-1 pixels", res)
+	}
 	// Pad to a square power of two (the paper assumes 2^r × 2^r and notes
-	// other resolutions are handled the same way: we simply skip centers
-	// that fall off-screen).
+	// other resolutions are handled the same way: centers that fall
+	// off-screen are clamped to the last row or column, and evaluated once).
 	side := 1
 	for side < res.W || side < res.H {
 		side <<= 1
 	}
-	o := &Order{Res: res}
-	seen := make([]bool, res.W*res.H)
-	queue := []region{{0, 0, side, side, 0}}
-	for len(queue) > 0 {
-		r := queue[0]
-		queue = queue[1:]
-		if r.x0 >= res.W || r.y0 >= res.H {
-			// Off-screen, and so is every quadrant below it: splitting it
-			// would cost O(side²) on a W×1 raster and emit nothing.
-			continue
-		}
-		cx := r.x0 + r.w/2
-		cy := r.y0 + r.h/2
-		if cx >= res.W {
-			cx = res.W - 1
-		}
-		if cy >= res.H {
-			cy = res.H - 1
-		}
-		if !seen[cy*res.W+cx] {
-			seen[cy*res.W+cx] = true
-			o.Px = append(o.Px, cx)
-			o.Py = append(o.Py, cy)
-			o.Regions = append(o.Regions, r)
-			o.Levels = append(o.Levels, r.depth)
-		}
-		if r.w > 1 || r.h > 1 {
-			hw, hh := r.w/2, r.h/2
-			if hw == 0 {
-				hw = 1
-			}
-			if hh == 0 {
-				hh = 1
-			}
-			if r.w > 1 && r.h > 1 {
-				queue = append(queue,
-					region{r.x0, r.y0, hw, hh, r.depth + 1},
-					region{r.x0 + hw, r.y0, r.w - hw, hh, r.depth + 1},
-					region{r.x0, r.y0 + hh, hw, r.h - hh, r.depth + 1},
-					region{r.x0 + hw, r.y0 + hh, r.w - hw, r.h - hh, r.depth + 1},
-				)
-			} else if r.w > 1 {
-				queue = append(queue, region{r.x0, r.y0, hw, r.h, r.depth + 1}, region{r.x0 + hw, r.y0, r.w - hw, r.h, r.depth + 1})
-			} else {
-				queue = append(queue, region{r.x0, r.y0, r.w, hh, r.depth + 1}, region{r.x0, r.y0 + hh, r.w, r.h - hh, r.depth + 1})
-			}
-		}
+	n := res.W * res.H
+	o := &Order{Res: res, Pixels: make([]int32, 0, n), side: side}
+	seen := make([]bool, n)
+	var tiles []int
+	if tile >= 2 {
+		tiles = make([]int, ceilDiv(res.W, tile)*ceilDiv(res.H, tile)+1)
 	}
-	// Sweep any pixel a skipped off-screen center left unvisited (possible
-	// only at extreme aspect ratios); emit them as 1×1 regions so the order
-	// always covers the raster.
-	for py := 0; py < res.H; py++ {
-		for px := 0; px < res.W; px++ {
-			if !seen[py*res.W+px] {
-				o.Px = append(o.Px, px)
-				o.Py = append(o.Py, py)
-				o.Regions = append(o.Regions, region{px, py, 1, 1, maxDepth(o) + 1})
-				o.Levels = append(o.Levels, maxDepth(o)+1)
+	// cells are the current depth's regions that touch the raster, in
+	// breadth-first order, as y·cols + x on the depth's lattice of s×s
+	// regions. A region off the raster is not split: its quadrants are off
+	// it too. Breadth-first order within a depth is the Z order of the
+	// lattice, y above x.
+	cells := []int32{0}
+	for depth, s := 0, side; ; depth, s = depth+1, s/2 {
+		cols := ceilDiv(res.W, s)
+		start := len(o.Pixels)
+		for _, c := range cells {
+			px := min(int(c)%cols*s+s/2, res.W-1)
+			py := min(int(c)/cols*s+s/2, res.H-1)
+			if p := py*res.W + px; !seen[p] {
+				seen[p] = true
+				o.Pixels = append(o.Pixels, int32(p))
 			}
 		}
+		var next []int32
+		if s > 1 {
+			h := s / 2
+			hcols, hrows := ceilDiv(res.W, h), ceilDiv(res.H, h)
+			next = make([]int32, 0, hcols*hrows)
+			for _, c := range cells {
+				x, y := int(c)%cols*2, int(c)/cols*2
+				for _, q := range [4][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}} {
+					if qx, qy := x+q[0], y+q[1]; qx < hcols && qy < hrows {
+						next = append(next, int32(qy*hcols+qx))
+					}
+				}
+			}
+		}
+		if len(o.Pixels) > start {
+			if tiles != nil {
+				// A region evaluates at most one pixel, so the level fits
+				// in cells, which next has replaced.
+				groupByTile(o.Pixels[start:], cells, tiles, res.W, tile)
+			}
+			o.Levels = append(o.Levels, Level{End: len(o.Pixels), Depth: depth})
+		}
+		if next == nil {
+			return o, nil
+		}
+		cells = next
 	}
-	return o, nil
 }
 
-// GroupByTile stably reorders each refinement level's evaluations so pixels
-// falling in the same size×size tile are visited consecutively within the
-// level. Raster semantics are unchanged — regions within one level are
-// disjoint, so any level-internal order yields the same spatially complete
-// raster at every level boundary, and Levels stays monotone for the
-// streaming runner — but tile-warmed evaluators (the render layer's
-// progressive εKDV path) get to touch each tile's frontier in bursts
-// instead of thrashing across the raster.
-func (o *Order) GroupByTile(size int) {
-	if size < 2 || o.Len() < 2 {
-		return
+// groupByTile stably sorts the pixel indices level by the size×size tile
+// they fall in, counting into tiles (one slot per tile plus one) and
+// copying through buf, which must hold len(level) entries.
+func groupByTile(level, buf []int32, tiles []int, w, size int) {
+	tilesX := ceilDiv(w, size)
+	tileOf := func(p int32) int { return int(p)/w/size*tilesX + int(p)%w/size }
+	clear(tiles)
+	for _, p := range level {
+		tiles[tileOf(p)+1]++
 	}
-	tilesX := (o.Res.W + size - 1) / size
-	idx := make([]int, o.Len())
-	for i := range idx {
-		idx[i] = i
+	for t := 1; t < len(tiles); t++ {
+		tiles[t] += tiles[t-1]
 	}
-	tile := func(i int) int { return (o.Py[i]/size)*tilesX + o.Px[i]/size }
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if o.Levels[ia] != o.Levels[ib] {
-			return o.Levels[ia] < o.Levels[ib]
-		}
-		return tile(ia) < tile(ib)
-	})
-	px := make([]int, len(idx))
-	py := make([]int, len(idx))
-	regs := make([]region, len(idx))
-	lvls := make([]int, len(idx))
-	for n, i := range idx {
-		px[n], py[n], regs[n], lvls[n] = o.Px[i], o.Py[i], o.Regions[i], o.Levels[i]
+	buf = append(buf[:0], level...)
+	for _, p := range buf {
+		t := tileOf(p)
+		level[tiles[t]] = p
+		tiles[t]++
 	}
-	o.Px, o.Py, o.Regions, o.Levels = px, py, regs, lvls
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // Result is the state of a progressive run.
 type Result struct {
@@ -210,7 +197,7 @@ func Run(ctx context.Context, o *Order, eval func(px, py int) float64, budget ti
 	if maxPixels > 0 && maxPixels < limit {
 		limit = maxPixels
 	}
-	level := 0
+	li := 0 // the level of entry i
 	stopped := false
 	var ctxErr error
 	for i := 0; i < limit; i++ {
@@ -226,28 +213,29 @@ func Run(ctx context.Context, o *Order, eval func(px, py int) float64, budget ti
 				break
 			}
 		}
-		if o.Levels[i] > level {
+		if i == o.Levels[li].End {
 			// A new, finer level begins: the previous level is complete.
 			if emit != nil && !emit(Snapshot{
 				Values:    vals.Data,
 				Evaluated: res.Evaluated,
-				Level:     level,
+				Level:     o.Levels[li].Depth,
 				Elapsed:   time.Since(start),
 			}) {
 				stopped = true
 				break
 			}
-			level = o.Levels[i]
+			li++
 		}
-		px, py := o.Px[i], o.Py[i]
+		p := int(o.Pixels[i])
+		px, py := p%o.Res.W, p/o.Res.W
 		v := eval(px, py)
-		exact[py*o.Res.W+px] = true
+		exact[p] = true
 		res.Evaluated++
-		x0, y0, x1, y1 := o.RegionAt(i)
+		x0, y0, x1, y1 := o.region(o.Levels[li].Depth, p)
 		for y := y0; y < y1; y++ {
 			row := y * o.Res.W
 			for x := x0; x < x1; x++ {
-				if !exact[row+x] || (x == px && y == py) {
+				if !exact[row+x] || row+x == p {
 					vals.Data[row+x] = v
 				}
 			}
@@ -259,21 +247,10 @@ func Run(ctx context.Context, o *Order, eval func(px, py int) float64, budget ti
 		emit(Snapshot{
 			Values:    vals.Data,
 			Evaluated: res.Evaluated,
-			Level:     level,
+			Level:     o.Levels[li].Depth,
 			Elapsed:   res.Elapsed,
 			Final:     true,
 		})
 	}
 	return res, ctxErr
-}
-
-// maxDepth returns the deepest level recorded so far in the order.
-func maxDepth(o *Order) int {
-	m := 0
-	for _, l := range o.Levels {
-		if l > m {
-			m = l
-		}
-	}
-	return m
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestBuildOrderValidation(t *testing.T) {
-	if _, err := BuildOrder(grid.Resolution{W: 0, H: 5}); err == nil {
+	if _, err := BuildOrder(grid.Resolution{W: 0, H: 5}, 0); err == nil {
 		t.Error("zero width accepted")
 	}
 }
@@ -20,24 +20,22 @@ func TestOrderCoversEveryPixelOnce(t *testing.T) {
 		{W: 1, H: 1}, {W: 2, H: 2}, {W: 8, H: 8}, {W: 16, H: 16},
 		{W: 7, H: 5}, {W: 13, H: 1}, {W: 1, H: 9}, {W: 320, H: 240}, {W: 33, H: 47},
 	} {
-		o, err := BuildOrder(res)
+		o, err := BuildOrder(res, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if o.Len() != res.Pixels() {
 			t.Fatalf("%s: order has %d entries, want %d", res, o.Len(), res.Pixels())
 		}
-		seen := make(map[int]bool, o.Len())
-		for i := 0; i < o.Len(); i++ {
-			px, py := o.Px[i], o.Py[i]
-			if px < 0 || px >= res.W || py < 0 || py >= res.H {
-				t.Fatalf("%s: pixel (%d,%d) out of range", res, px, py)
+		seen := make(map[int32]bool, o.Len())
+		for _, p := range o.Pixels {
+			if p < 0 || int(p) >= res.Pixels() {
+				t.Fatalf("%s: pixel %d out of range", res, p)
 			}
-			key := py*res.W + px
-			if seen[key] {
-				t.Fatalf("%s: pixel (%d,%d) visited twice", res, px, py)
+			if seen[p] {
+				t.Fatalf("%s: pixel %d visited twice", res, p)
 			}
-			seen[key] = true
+			seen[p] = true
 		}
 	}
 }
@@ -50,7 +48,7 @@ func TestBuildOrderThinRaster(t *testing.T) {
 	for _, res := range []grid.Resolution{{W: 2048, H: 1}, {W: 1, H: 2048}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		o, err := BuildOrder(res)
+		o, err := BuildOrder(res, 0)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -68,7 +66,7 @@ func TestBuildOrderThinRaster(t *testing.T) {
 // i.e. the prefix of the order must be spatially spread out.
 func TestOrderIsCoarseToFine(t *testing.T) {
 	res := grid.Resolution{W: 64, H: 64}
-	o, err := BuildOrder(res)
+	o, err := BuildOrder(res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +79,8 @@ func TestOrderIsCoarseToFine(t *testing.T) {
 	// evaluated pixel.
 	var blocks [4][4]bool
 	for i := 0; i < 21 && i < o.Len(); i++ {
-		blocks[o.Py[i]/16][o.Px[i]/16] = true
+		p := int(o.Pixels[i])
+		blocks[p/res.W/16][p%res.W/16] = true
 	}
 	covered := 0
 	for _, row := range blocks {
@@ -98,7 +97,7 @@ func TestOrderIsCoarseToFine(t *testing.T) {
 
 func TestRegionsShrink(t *testing.T) {
 	res := grid.Resolution{W: 32, H: 32}
-	o, _ := BuildOrder(res)
+	o, _ := BuildOrder(res, 0)
 	area := func(i int) int {
 		x0, y0, x1, y1 := o.RegionAt(i)
 		return (x1 - x0) * (y1 - y0)
@@ -113,7 +112,7 @@ func TestRegionsShrink(t *testing.T) {
 
 func TestRunCompletes(t *testing.T) {
 	res := grid.Resolution{W: 16, H: 12}
-	o, _ := BuildOrder(res)
+	o, _ := BuildOrder(res, 0)
 	evals := 0
 	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		evals++
@@ -134,7 +133,7 @@ func TestRunCompletes(t *testing.T) {
 
 func TestRunPixelBudget(t *testing.T) {
 	res := grid.Resolution{W: 32, H: 32}
-	o, _ := BuildOrder(res)
+	o, _ := BuildOrder(res, 0)
 	r, _ := Run(context.Background(), o, func(px, py int) float64 { return 1 }, 0, 10, nil)
 	if r.Evaluated != 10 {
 		t.Errorf("evaluated %d, want 10", r.Evaluated)
@@ -153,7 +152,7 @@ func TestRunPixelBudget(t *testing.T) {
 
 func TestRunTimeBudget(t *testing.T) {
 	res := grid.Resolution{W: 64, H: 64}
-	o, _ := BuildOrder(res)
+	o, _ := BuildOrder(res, 0)
 	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		time.Sleep(200 * time.Microsecond)
 		return 0
@@ -171,7 +170,7 @@ func TestRunTimeBudget(t *testing.T) {
 // no error — so a budget clamped under a deadline still answers when
 // evaluations between polls outlast the margin.
 func TestRunBudgetBeatsLaterCancel(t *testing.T) {
-	o, _ := BuildOrder(grid.Resolution{W: 32, H: 32})
+	o, _ := BuildOrder(grid.Resolution{W: 32, H: 32}, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r, err := Run(ctx, o, func(px, py int) float64 {
@@ -191,7 +190,7 @@ func TestRunBudgetBeatsLaterCancel(t *testing.T) {
 // of the filled raster must drop as the pixel budget grows.
 func TestPartialApproximationImproves(t *testing.T) {
 	res := grid.Resolution{W: 32, H: 32}
-	o, _ := BuildOrder(res)
+	o, _ := BuildOrder(res, 0)
 	field := func(px, py int) float64 {
 		x := float64(px) / 32
 		y := float64(py) / 32

@@ -9,30 +9,27 @@ import (
 )
 
 func TestLevelsRecorded(t *testing.T) {
-	o, err := BuildOrder(grid.Resolution{W: 16, H: 16})
+	o, err := BuildOrder(grid.Resolution{W: 16, H: 16}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.Levels) != o.Len() {
-		t.Fatalf("Levels length %d, order length %d", len(o.Levels), o.Len())
+	if o.Levels[0] != (Level{End: 1, Depth: 0}) {
+		t.Errorf("first level %+v, want the single whole-raster evaluation", o.Levels[0])
 	}
-	if o.Levels[0] != 0 {
-		t.Errorf("first level = %d, want 0", o.Levels[0])
-	}
-	// Levels are non-decreasing (breadth-first order).
+	// Levels are strictly increasing in end and depth (breadth-first order).
 	for i := 1; i < len(o.Levels); i++ {
-		if o.Levels[i] < o.Levels[i-1] {
-			t.Fatalf("levels not monotone at %d: %d < %d", i, o.Levels[i], o.Levels[i-1])
+		if o.Levels[i].End <= o.Levels[i-1].End || o.Levels[i].Depth <= o.Levels[i-1].Depth {
+			t.Fatalf("level %d %+v does not follow %+v", i, o.Levels[i], o.Levels[i-1])
 		}
 	}
-	// A 16×16 raster refines 0..4 levels.
-	if got := o.Levels[len(o.Levels)-1]; got != 4 {
-		t.Errorf("deepest level = %d, want 4", got)
+	// A 16×16 raster refines 0..4 levels, and the last one ends the order.
+	if got := o.Levels[len(o.Levels)-1]; got != (Level{End: o.Len(), Depth: 4}) {
+		t.Errorf("deepest level %+v, want depth 4 ending at %d", got, o.Len())
 	}
 }
 
 func TestRunStreamEmitsPerLevel(t *testing.T) {
-	o, _ := BuildOrder(grid.Resolution{W: 16, H: 16})
+	o, _ := BuildOrder(grid.Resolution{W: 16, H: 16}, 0)
 	var snaps []Snapshot
 	r, _ := Run(context.Background(), o, func(px, py int) float64 { return float64(px) }, 0, 0, func(s Snapshot) bool {
 		// Copy scalar fields only; Values aliases the live raster.
@@ -61,7 +58,7 @@ func TestRunStreamEmitsPerLevel(t *testing.T) {
 }
 
 func TestRunStreamEarlyStop(t *testing.T) {
-	o, _ := BuildOrder(grid.Resolution{W: 32, H: 32})
+	o, _ := BuildOrder(grid.Resolution{W: 32, H: 32}, 0)
 	evals := 0
 	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		evals++
@@ -78,7 +75,7 @@ func TestRunStreamEarlyStop(t *testing.T) {
 }
 
 func TestRunStreamNilEmit(t *testing.T) {
-	o, _ := BuildOrder(grid.Resolution{W: 8, H: 8})
+	o, _ := BuildOrder(grid.Resolution{W: 8, H: 8}, 0)
 	r, _ := Run(context.Background(), o, func(px, py int) float64 { return 1 }, 0, 0, nil)
 	if !r.Complete {
 		t.Error("nil-emit run incomplete")
@@ -86,7 +83,7 @@ func TestRunStreamNilEmit(t *testing.T) {
 }
 
 func TestRunStreamBudget(t *testing.T) {
-	o, _ := BuildOrder(grid.Resolution{W: 64, H: 64})
+	o, _ := BuildOrder(grid.Resolution{W: 64, H: 64}, 0)
 	final := Snapshot{}
 	r, _ := Run(context.Background(), o, func(px, py int) float64 {
 		time.Sleep(100 * time.Microsecond)

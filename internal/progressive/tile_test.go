@@ -2,44 +2,38 @@ package progressive
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/quadkdv/quad/internal/grid"
 )
 
-// TestGroupByTilePreservesSemantics checks the three properties the render
-// layer relies on: GroupByTile keeps Levels monotone (snapshot boundaries),
-// keeps the same evaluation multiset (full runs still cover every pixel
-// exactly once), and leaves the full-run raster identical.
-func TestGroupByTilePreservesSemantics(t *testing.T) {
+// TestTileGroupingPreservesSemantics checks the properties the render
+// layer relies on: grouping by tile keeps the levels (snapshot boundaries)
+// and each level's pixels, and leaves the full-run raster identical.
+func TestTileGroupingPreservesSemantics(t *testing.T) {
 	for _, res := range []grid.Resolution{{W: 64, H: 48}, {W: 33, H: 7}, {W: 16, H: 16}} {
-		base, err := BuildOrder(res)
+		base, err := BuildOrder(res, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grouped, err := BuildOrder(res)
+		grouped, err := BuildOrder(res, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		grouped.GroupByTile(16)
-
-		if grouped.Len() != base.Len() {
-			t.Fatalf("%v: length changed %d -> %d", res, base.Len(), grouped.Len())
+		if !slices.Equal(grouped.Levels, base.Levels) {
+			t.Fatalf("%v: levels %v, ungrouped %v", res, grouped.Levels, base.Levels)
 		}
-		seen := make(map[[2]int]int)
-		for i := 0; i < grouped.Len(); i++ {
-			if i > 0 && grouped.Levels[i] < grouped.Levels[i-1] {
-				t.Fatalf("%v: levels not monotone at %d: %d after %d", res, i, grouped.Levels[i], grouped.Levels[i-1])
+		start := 0
+		for _, l := range base.Levels {
+			a := slices.Clone(base.Pixels[start:l.End])
+			b := slices.Clone(grouped.Pixels[start:l.End])
+			slices.Sort(a)
+			slices.Sort(b)
+			if !slices.Equal(a, b) {
+				t.Fatalf("%v: level %+v evaluates other pixels when grouped", res, l)
 			}
-			seen[[2]int{grouped.Px[i], grouped.Py[i]}]++
-		}
-		if len(seen) != res.Pixels() {
-			t.Fatalf("%v: %d distinct pixels, want %d", res, len(seen), res.Pixels())
-		}
-		for p, n := range seen {
-			if n != 1 {
-				t.Fatalf("%v: pixel %v evaluated %d times", res, p, n)
-			}
+			start = l.End
 		}
 
 		eval := func(px, py int) float64 { return float64(py*res.W + px) }

@@ -61,30 +61,33 @@ func TestRenderPNG(t *testing.T) {
 	}
 }
 
+// rejectedQueries are requests every endpoint answers with 400; their
+// query strings also seed FuzzRenderParams.
+var rejectedQueries = []string{
+	"/render",                                                // missing dataset
+	"/render?dataset=nope",                                   // unknown dataset
+	"/render?dataset=crime&res=banana",                       // bad res
+	"/render?dataset=crime&res=999999x999999",                // too big
+	"/render?dataset=crime&res=4294967296x4294967296",        // W*H wraps to 0
+	"/render?dataset=crime&eps=7",                            // bad eps
+	"/render?dataset=crime&eps=NaN",                          // NaN eps
+	"/render?dataset=crime&res=16x12&bbox=NaN,0,40,40",       // NaN bbox
+	"/render?dataset=crime&res=16x12&bbox=0,0,40,Inf",        // infinite bbox
+	"/render?dataset=crime&res=16x12&bbox=-1e308,0,1e308,40", // width overflows
+	"/render?dataset=crime&kernel=nope",                      // bad kernel
+	"/render?dataset=crime&method=nope",                      // bad method
+	"/render?dataset=crime&n=0",                              // bad n
+	"/render?dataset=crime&seed=abc",                         // bad seed
+	"/hotspots?dataset=crime&tau=banana",                     // bad tau
+	"/hotspots?dataset=crime&res=16x12&tau=nan",              // NaN tau
+	"/hotspots?dataset=crime&res=16x12&tau=munan",            // NaN offset from mu
+	"/progressive?dataset=crime&budget=banana",               // bad budget
+	"/progressive?dataset=crime&budget=5h",                   // budget too long
+}
+
 func TestRenderParamValidation(t *testing.T) {
 	ts := testServer(t)
-	cases := []string{
-		"/render",                                                // missing dataset
-		"/render?dataset=nope",                                   // unknown dataset
-		"/render?dataset=crime&res=banana",                       // bad res
-		"/render?dataset=crime&res=999999x999999",                // too big
-		"/render?dataset=crime&res=4294967296x4294967296",        // W*H wraps to 0
-		"/render?dataset=crime&eps=7",                            // bad eps
-		"/render?dataset=crime&eps=NaN",                          // NaN eps
-		"/render?dataset=crime&res=16x12&bbox=NaN,0,40,40",       // NaN bbox
-		"/render?dataset=crime&res=16x12&bbox=0,0,40,Inf",        // infinite bbox
-		"/render?dataset=crime&res=16x12&bbox=-1e308,0,1e308,40", // width overflows
-		"/render?dataset=crime&kernel=nope",                      // bad kernel
-		"/render?dataset=crime&method=nope",                      // bad method
-		"/render?dataset=crime&n=0",                              // bad n
-		"/render?dataset=crime&seed=abc",                         // bad seed
-		"/hotspots?dataset=crime&tau=banana",                     // bad tau
-		"/hotspots?dataset=crime&res=16x12&tau=nan",              // NaN tau
-		"/hotspots?dataset=crime&res=16x12&tau=munan",            // NaN offset from mu
-		"/progressive?dataset=crime&budget=banana",               // bad budget
-		"/progressive?dataset=crime&budget=5h",                   // budget too long
-	}
-	for _, path := range cases {
+	for _, path := range rejectedQueries {
 		resp := get(t, ts.URL+path)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, resp.StatusCode)

@@ -453,6 +453,8 @@ func ledgerLines(t *testing.T) []string {
 			func(k *quad.KDV) (string, error) { return epsLine(k, res16, 0.1, quad.Window{}) })
 	}
 
+	benchCells(l)
+
 	// n = 61: Scott's factor 61^(−1/6) is one of the exponents whose
 	// math.Pow result differs between FMA and non-FMA amd64 hosts.
 	tiny := dataset.Crime(61, 7)
@@ -494,6 +496,34 @@ func ledgerLines(t *testing.T) []string {
 	boundTraceCells(l, big, queries)
 	indexCells(l)
 	return l.lines
+}
+
+// benchCells pin the work counters of `kdvbench -json`'s 256² cells, the
+// paper's Table 3 refinement loop with and without tile sharing: crime
+// n = 30,000 (seed 20200614), ε = 0.05 and τ = μ + 1σ of the map's
+// statistics, εKDV and τKDV, tile-shared and per-pixel.
+func benchCells(l *ledger) {
+	pts, err := dataset.Generate2D("crime", 30000, 20200614)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	ref, err := quad.New(pts.Coords, pts.Dim)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	res := quad.Resolution{W: 256, H: 256}
+	mu, sigma, err := ref.ThresholdStatsCtx(context.Background(), res, 8, 0.05)
+	if err != nil {
+		l.t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		tile int
+	}{{"tile", 0}, {"perpixel", 1}} {
+		opts := []quad.Option{quad.WithTileSize(mode.tile)}
+		l.cell("bench/eps/"+mode.name, pts, opts, func(k *quad.KDV) (string, error) { return epsLine(k, res, 0.05, quad.Window{}) })
+		l.cell("bench/tau/"+mode.name, pts, opts, func(k *quad.KDV) (string, error) { return tauLine(k, res, mu+sigma, quad.Window{}) })
+	}
 }
 
 // progLine renders a progressive request and formats its raster, progress

@@ -161,7 +161,6 @@ type config struct {
 	workers    int
 	zsampleEps float64 // ε the Z-order sample size is dimensioned for
 	zdelta     float64
-	seedWindow float64 // grid margin fraction
 	ptWeights  []float64
 	ballBounds bool
 	bwRule     BandwidthRule
@@ -210,10 +209,6 @@ func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
 func WithZOrderGuarantee(eps, delta float64) Option {
 	return func(c *config) { c.zsampleEps, c.zdelta = eps, delta }
 }
-
-// WithWindowMargin sets the fractional margin added around the dataset's
-// bounding box when deriving the render window (default 0.02).
-func WithWindowMargin(frac float64) Option { return func(c *config) { c.seedWindow = frac } }
 
 // WithTileSize sets the pixel tile edge of Render and its shorthands (default
 // 16). Renders are evaluated tile by tile: one shared kd-tree refinement per
@@ -325,7 +320,6 @@ func newKDV(pts geom.Points, opts []Option) (*KDV, error) {
 		method:     MethodQuadratic,
 		zsampleEps: 0.01,
 		zdelta:     0.2,
-		seedWindow: 0.02,
 	}
 	for _, o := range opts {
 		o(&cfg)

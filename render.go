@@ -107,7 +107,7 @@ func (m *HotspotMap) SavePNG(path string) error {
 
 // Window is a 2-d data-space rectangle selecting the region a render
 // covers — the pan/zoom primitive for interactive exploration. The zero
-// Window means "the dataset's bounding box plus the configured margin".
+// Window means DefaultWindow: the dataset's bounding box plus a 2% margin.
 type Window struct {
 	MinX, MinY, MaxX, MaxY float64
 }
@@ -130,6 +130,10 @@ func (w Window) Validate() error {
 	return nil
 }
 
+// windowMargin is the fraction of the dataset's extent DefaultWindow adds on
+// each side of its bounding box.
+const windowMargin = 0.02
+
 // newGridIn maps res onto w, or onto the default window when w is zero. A
 // non-zero w must have passed Window.Validate.
 func (k *KDV) newGridIn(res Resolution, w Window) (*grid.Grid, error) {
@@ -143,13 +147,13 @@ func (k *KDV) newGridIn(res Resolution, w Window) (*grid.Grid, error) {
 			// align pixel for pixel and merge by addition.
 			r := k.fullRect.Clone()
 			for i := 0; i < 2; i++ {
-				m := (r.Max[i] - r.Min[i]) * k.cfg.seedWindow
+				m := (r.Max[i] - r.Min[i]) * windowMargin
 				r.Min[i] -= m
 				r.Max[i] += m
 			}
 			return grid.New(res.internal(), r)
 		}
-		return grid.ForDataset(res.internal(), k.pts, k.cfg.seedWindow)
+		return grid.ForDataset(res.internal(), k.pts, windowMargin)
 	}
 	return grid.New(res.internal(), geomRect(w))
 }
@@ -884,8 +888,8 @@ func (w *tileWorker) fill(t tileSpan, hot bool, vals []float64) {
 // first pixel landing in a tile refines from the root (coarse levels touch
 // each tile at most once, where building a frontier would cost more than it
 // saves), the second touch builds the tile's shared frontier, and every
-// later pixel in that tile seeds from it. Paired with Order.GroupByTile so
-// deep levels visit each tile's pixels in bursts.
+// later pixel in that tile seeds from it. BuildOrder groups each level by
+// tile for it, so deep levels visit each tile's pixels in bursts.
 type progWarm struct {
 	r                *engine.FlatTileEngine
 	g                *grid.Grid
@@ -1007,6 +1011,10 @@ type Request struct {
 	// not to Res.
 	Sub PixelRect
 	// Eps is the relative error of EpsKDV and ProgressiveKDV: a number ≥ 0.
+	// Each rendered value R is within Eps of the pixel's exact density F,
+	// relative to F or, below the normal range, to 2⁻¹⁰²²: |R − F| ≤
+	// Eps·max(F, 2⁻¹⁰²²), since a subnormal F has too few bits to be held
+	// to relative error Eps.
 	Eps float64
 	// Tau is TauKDV's threshold. NaN is rejected; ±Inf is valid, and the
 	// root bounds decide every pixel.
@@ -1255,12 +1263,9 @@ type Snapshot struct {
 // after every completed level, and each level is recorded as a span on the
 // context's trace. Cancellation returns ctx.Err() and no map.
 func (k *KDV) renderProgressive(ctx context.Context, g *grid.Grid, req Request) (Result, error) {
-	order, err := progressive.BuildOrder(g.Res)
-	if err != nil {
-		return Result{}, err
-	}
 	var eng *engine.FlatTileEngine
 	if k.proto != nil {
+		var err error
 		if eng, err = k.acquireEngine(); err != nil {
 			return Result{}, err
 		}
@@ -1268,8 +1273,13 @@ func (k *KDV) renderProgressive(ctx context.Context, g *grid.Grid, req Request) 
 	}
 	st := RenderStats{Workers: 1}
 	warm := k.newProgWarm(g, eng, req.Eps, &st)
+	tile := 0
 	if warm != nil {
-		order.GroupByTile(warm.size)
+		tile = warm.size
+	}
+	order, err := progressive.BuildOrder(g.Res, tile)
+	if err != nil {
+		return Result{}, err
 	}
 	kern := k.cfg.kern.internal()
 	q := make([]float64, 2)

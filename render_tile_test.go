@@ -438,3 +438,48 @@ func tailTaus(vals []float64, n int) []float64 {
 	}
 	return taus
 }
+
+// TestRenderEpsBelowNormalRange pins the εKDV rule below the normal range:
+// a subnormal has too few bits to carry relative error ε, so a pixel whose
+// exact density F is below 2⁻¹⁰²² is held to ε relative to 2⁻¹⁰²², that is
+// |R − F| ≤ ε·max(F, 2⁻¹⁰²²). The window lies past crime's data, where some
+// pixels' densities are subnormal; at ε·F alone, quad's render misses five
+// of them and karl's one, by at most 3.5e-323.
+func TestRenderEpsBelowNormalRange(t *testing.T) {
+	const eps = 0.01
+	pts := dataset.Crime(60, 7)
+	res := Resolution{W: 24, H: 101}
+	win := Window{MinX: 25, MinY: 100, MaxX: 60, MaxY: 800}
+	for _, m := range []Method{MethodQuadratic, MethodLinear, MethodMinMax} {
+		k, err := New(pts.Coords, 2, WithMethod(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := k.Render(context.Background(), Request{Res: res, Window: win, Eps: eps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := grid.New(res.internal(), geomRect(win))
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := make([]float64, 2)
+		subnormal := 0
+		for i, v := range r.Density.Values {
+			g.Query(i%res.W, i/res.W, q)
+			f, err := k.Density(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f < 0x1p-1022 {
+				subnormal++
+			}
+			if d := math.Abs(v - f); d > eps*math.Max(f, 0x1p-1022) {
+				t.Errorf("%s: pixel %d renders %g, exact %g: |R − F| = %g", m, i, v, f, d)
+			}
+		}
+		if subnormal == 0 {
+			t.Fatalf("%s: no pixel's density is subnormal; the window no longer tests the rule", m)
+		}
+	}
+}

@@ -31,8 +31,8 @@ func (r PixelRect) validate(full Resolution) error {
 
 // DefaultWindow returns the data-space window a zero-Window render covers:
 // the dataset's bounding box (the full dataset's under WithShard) expanded
-// by the configured margin. This is the fixed reference frame the XYZ tile
-// pyramid is addressed against.
+// on each side by 0.02 of its extent on that axis. This is the fixed
+// reference frame the XYZ tile pyramid is addressed against.
 func (k *KDV) DefaultWindow() (Window, error) {
 	g, err := k.newGridIn(Resolution{W: 1, H: 1}, Window{})
 	if err != nil {
