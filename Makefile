@@ -19,16 +19,18 @@ fmt:
 test:
 	$(GO) test ./...
 
-# race runs every test under the race detector, then repeats two identity
-# tests ten times each, since a data race may show in only some runs: the
-# level-order kd-tree build's, whose goroutines reorder disjoint ranges of
-# one buffer and fill disjoint nodes of its arrays, and the render
-# scheduler's, whose workers share a tile's frontier and write disjoint
-# pixels of one raster.
+# race runs every test under the race detector, then repeats three tests
+# ten times each, since a data race may show in only some runs: the
+# level-order kd-tree build's identity test, whose goroutines reorder
+# disjoint ranges of one buffer and fill disjoint nodes of its arrays; the
+# render scheduler's, whose workers share a tile's frontier and write
+# disjoint pixels of one raster; and the server cache's concurrent Do/Get
+# on one key, whose loads run on their own goroutines.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run BuildWorkers ./internal/kdtree
 	$(GO) test -race -count=10 -run WorkersDeterminism .
+	$(GO) test -race -count=10 -run ConcurrentDoGet ./internal/lru
 
 # verify is the pre-merge gate: compile everything, lint, run the full test
 # suite — which includes the behaviour ledger (TestLedger: raster digests
@@ -52,7 +54,7 @@ FUZZ_TARGETS = .:FuzzRenderRequest kernel:FuzzExpEnvelopes kernel:FuzzDistKernel
 	dataset:FuzzReadCSV geom:FuzzRectDistBounds geom:FuzzRectRectDistBounds \
 	kernel:FuzzExpFastLanes kdtree:FuzzBuildInvariants kdtree:FuzzFlatTreeInvariants \
 	bounds:FuzzEvaluatorBounds bounds:FuzzRectBounds trace:FuzzParseTraceparent \
-	tiles:FuzzTileRecord serve:FuzzRenderParams
+	tiles:FuzzTileRecord serve:FuzzRenderParams serve:FuzzHandlers
 
 fuzz:
 	@failed=""; \

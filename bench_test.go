@@ -571,7 +571,6 @@ func BenchmarkRender(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				r.Density.Release()
 				st = r.Stats
 			}
 			b.ReportMetric(st.NodesPerPixel(), "nodes/px")

@@ -10,7 +10,7 @@ func cleanReport() *jsonReport {
 	return &jsonReport{
 		TracingOverhead: &overhead{Res: "512x512", Pairs: 10, DeltaPct: 0.3, SpreadPct: 0.8},
 		TileServing:     &tileServing{ColdBuildMS: 9000, WarmDiskMS: 0.5},
-		AuditOverhead:   &overhead{Res: "512x512", Pairs: 10, DeltaPct: -0.2, SpreadPct: 1.1},
+		AuditOverhead:   &overhead{Res: "512x512", Pairs: 10, DeltaPct: -0.2, SpreadPct: 1.1, Audited: 10},
 	}
 }
 
@@ -31,7 +31,7 @@ func TestCheckReport(t *testing.T) {
 		{"traced_delta_over_budget", func(r *jsonReport) { r.TracingOverhead.DeltaPct, r.TracingOverhead.SpreadPct = 3, 1 },
 			"tracing overhead", "FAIL"},
 		{"audit_delta_over_budget", func(r *jsonReport) { r.AuditOverhead.DeltaPct, r.AuditOverhead.SpreadPct = 3, 1 },
-			"audit overhead at 1%", "FAIL"},
+			"audit overhead, every render audited", "FAIL"},
 		{"delta_inside_spread", func(r *jsonReport) { r.TracingOverhead.DeltaPct, r.TracingOverhead.SpreadPct = 3, 5 },
 			"tracing overhead", "unresolved"},
 		{"clean_report", func(*jsonReport) {}, "tile serving", "pass"},

@@ -67,6 +67,7 @@ import (
 	"github.com/quadkdv/quad/internal/logging"
 	"github.com/quadkdv/quad/internal/serve"
 	"github.com/quadkdv/quad/internal/telemetry"
+	"github.com/quadkdv/quad/internal/tiles"
 )
 
 func main() {
@@ -74,6 +75,8 @@ func main() {
 }
 
 func run() int {
+	// A fresh flag set per call, so tests can run the server more than once.
+	flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	var (
 		addr            = flag.String("addr", ":8080", "listen address")
 		n               = flag.Int("n", 100000, "default dataset cardinality")
@@ -125,6 +128,10 @@ func run() int {
 		AuditPixels:    *auditPixels,
 		AuditBudget:    *auditBudget,
 		Logger:         logger,
+	}
+	if err := tiles.ValidTileSize(*tileSize); err != nil {
+		logger.Error("bad -tile-size", "error", err)
+		return 2
 	}
 	if *warmZooms != "" {
 		for _, part := range strings.Split(*warmZooms, ",") {

@@ -28,3 +28,22 @@ func TestRunSIGTERMExitsCleanly(t *testing.T) {
 		t.Fatal("kdvserve did not exit after SIGTERM")
 	}
 }
+
+// TestRunRejectsBadTileSize: a -tile-size that no pyramid accepts is the
+// operator's error, so kdvserve exits 2 at startup instead of answering
+// every /tiles request 400.
+func TestRunRejectsBadTileSize(t *testing.T) {
+	for _, size := range []string{"100", "32", "2048"} {
+		os.Args = []string{"kdvserve", "-addr", "127.0.0.1:0", "-n", "1000", "-tile-size", size}
+		done := make(chan int, 1)
+		go func() { done <- run() }()
+		select {
+		case code := <-done:
+			if code != 2 {
+				t.Fatalf("-tile-size %s: run() exited %d, want 2", size, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("-tile-size %s: kdvserve started instead of exiting", size)
+		}
+	}
+}

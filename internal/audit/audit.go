@@ -5,13 +5,15 @@
 // relative error ≤ ε for εKDV, exact τ classification for τKDV.
 //
 // The design keeps the serving path unharmed: sampling copies K pixel
-// values at enqueue time (rasters may be pooled and reused), the queue is
-// budget-capped (over-budget jobs are dropped and counted, never blocking),
-// and all oracle work happens off-request on the pool. Tolerances mirror
-// the offline conformance suite exactly — an absolute slack of 1e-12·scale
-// on ε checks and a 1e-9 relative margin around τ — so honest renders never
-// register violations while a broken bound is caught by the planted-bug
-// self-test.
+// values at enqueue time, the queue is budget-capped (over-budget jobs are
+// dropped and counted, never blocking), and all oracle work happens
+// off-request on the pool. The tolerances are the offline conformance
+// suite's, from one place (internal/oracle): ε, or oracle.ExactTol for
+// exact renders, plus a rounding slack of a few ulps of each pixel's exact
+// value (oracle.RoundingSlack), and oracle.FPMargin around τ. The slack is
+// relative, so a tail pixel far below the raster's maximum is held to ε
+// like any other; honest renders register no violations, while a broken
+// bound is caught by the planted-bug self-test.
 package audit
 
 import (
@@ -21,6 +23,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/quadkdv/quad/internal/oracle"
 	"github.com/quadkdv/quad/internal/telemetry"
 )
 
@@ -32,17 +35,6 @@ const (
 	KindEps Kind = "eps"
 	// KindTau audits τKDV classification: hot iff F_P(q) ≥ τ.
 	KindTau Kind = "tau"
-)
-
-// Tolerances, shared with internal/conformance: relTolExact stands in for ε
-// on exact renders (ε = 0 would demand bit equality the accumulation order
-// cannot promise), slackFrac·scale absorbs absolute rounding noise on
-// near-zero pixels, and fpMargin excuses τ classifications within floating-
-// point distance of the threshold.
-const (
-	relTolExact = 1e-9
-	slackFrac   = 1e-12
-	fpMargin    = 1e-9
 )
 
 // Endpoints are the serving surfaces that submit audit jobs; families are
@@ -79,7 +71,6 @@ type Job struct {
 	Kind     Kind
 	Eps      float64 // KindEps: the advertised relative error bound
 	Tau      float64 // KindTau: the classification threshold
-	Scale    float64 // max raster value, anchors the absolute slack
 	TraceID  string
 	Samples  []Sample
 	Exact    func(q []float64) float64
@@ -328,15 +319,14 @@ func (a *Auditor) check(job Job) {
 			}
 			// Mirror the conformance suite: a classification is excused when
 			// the exact density sits within floating-point distance of τ.
-			if math.Abs(exact-job.Tau) <= fpMargin*math.Max(math.Abs(exact), math.Abs(job.Tau)) {
+			if math.Abs(exact-job.Tau) <= oracle.FPMargin*math.Max(math.Abs(exact), math.Abs(job.Tau)) {
 				continue
 			}
 			a.violate(job, s, exact, 0)
 		default: // KindEps
-			eff := math.Max(job.Eps, relTolExact)
-			slack := slackFrac * job.Scale
+			allowed := math.Max(job.Eps, oracle.ExactTol)*exact + oracle.RoundingSlack(exact)
 			diff := math.Abs(s.Value - exact)
-			ratio := diff / (eff*exact + slack)
+			ratio := diff / allowed
 			if math.IsNaN(ratio) || math.IsInf(ratio, 0) {
 				ratio = 0
 				if diff > 0 {
@@ -345,7 +335,7 @@ func (a *Auditor) check(job Job) {
 			}
 			a.ratioHist.Observe(ratio)
 			worst = math.Max(worst, ratio)
-			if diff > eff*exact+slack {
+			if diff > allowed {
 				a.violate(job, s, exact, ratio)
 			}
 		}

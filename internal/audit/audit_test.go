@@ -48,19 +48,12 @@ func sampleEps(t *testing.T, k *quad.KDV, dm *quad.DensityMap, idx []int, eps fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	scale := 0.0
-	for _, v := range dm.Values {
-		if v > scale {
-			scale = v
-		}
-	}
 	job := audit.Job{
 		Endpoint: "render",
 		Dataset:  "crime",
 		Method:   "quad",
 		Kind:     audit.KindEps,
 		Eps:      eps,
-		Scale:    scale,
 		TraceID:  "0123456789abcdef0123456789abcdef",
 		Exact: func(q []float64) float64 {
 			v, err := k.Density(q)
@@ -192,6 +185,33 @@ func TestPlantedEpsViolationCaught(t *testing.T) {
 	}
 	if st.MaxRelErrRatio <= 1 {
 		t.Errorf("max ratio %g should exceed 1 after a violation", st.MaxRelErrRatio)
+	}
+}
+
+// TestTailPixelHeldToEps plants a tail pixel that the former absolute
+// slack, 1e-12 × the raster's maximum, excused: exact F below 1e-10 of the
+// maximum, served at (1 + 2ε)·F. The slack is now a few ulps of F itself,
+// so the pixel is a violation like any other pixel twice past ε, while a
+// tail pixel inside ε still passes.
+func TestTailPixelHeldToEps(t *testing.T) {
+	const eps, rasterMax = 0.01, 1.0
+	const exact = 5e-11 * rasterMax
+	over, within := (1+2*eps)*exact, (1+eps/2)*exact
+	if over-exact > eps*exact+1e-12*rasterMax {
+		t.Fatal("the planted pixel is not one the absolute slack passed")
+	}
+	var got []audit.Violation
+	a := audit.New(audit.Config{Fraction: 1, Registry: telemetry.NewRegistry(),
+		OnViolation: func(v audit.Violation) { got = append(got, v) }})
+	defer a.Close()
+	a.Submit(audit.Job{
+		Endpoint: "tile", Dataset: "crime", Method: "quad", Kind: audit.KindEps, Eps: eps,
+		Samples: []audit.Sample{{X: 1, Y: 2, Value: within}, {X: 3, Y: 4, Value: over}},
+		Exact:   func([]float64) float64 { return exact },
+	})
+	drain(t, a)
+	if len(got) != 1 || got[0].X != 3 || got[0].Y != 4 {
+		t.Fatalf("violations %+v, want only the pixel served at (1+2ε)·F", got)
 	}
 }
 

@@ -133,9 +133,7 @@ func localShardValues(t *testing.T, req RenderRequest, shard, count int) []float
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := append([]float64(nil), r.Density.Values...)
-	r.Density.Release()
-	return vals
+	return r.Density.Values
 }
 
 // mergeAscending sums shard rasters in ascending shard order, the

@@ -27,6 +27,7 @@ import (
 	"github.com/quadkdv/quad/internal/geom"
 	"github.com/quadkdv/quad/internal/grid"
 	"github.com/quadkdv/quad/internal/kernel"
+	"github.com/quadkdv/quad/internal/oracle"
 )
 
 // Config selects the dataset and the conformance matrix to run over it.
@@ -195,18 +196,9 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// roundingSlack is the rounding allowance at a pixel whose reference value
-// is ref: a few ulps of it, floored at the smallest normal float. It is
-// relative, so a tail pixel many orders of magnitude below the raster's
-// maximum is held to ε like any other, and an exact zero (outside a compact
-// kernel's support) admits only values below the normal range.
-func roundingSlack(ref float64) float64 {
-	return math.Max(4*0x1p-52*math.Abs(ref), 0x1p-1022)
-}
-
 // CheckEpsRaster asserts the εKDV guarantee |vals[i] − exact[i]| ≤
 // ε·exact[i] on every pixel, up to a rounding allowance of a few ulps of
-// exact[i] (roundingSlack). NaN or infinite values fail.
+// exact[i] (oracle.RoundingSlack). NaN or infinite values fail.
 func CheckEpsRaster(name string, vals, exact []float64, eps float64) Check {
 	if len(vals) != len(exact) {
 		return Check{Name: name, Detail: fmt.Sprintf("raster size %d != oracle %d", len(vals), len(exact))}
@@ -223,7 +215,7 @@ func CheckEpsRaster(name string, vals, exact []float64, eps float64) Check {
 				worst = rel
 			}
 		}
-		if diff > eps*exact[i]+roundingSlack(exact[i]) {
+		if diff > eps*exact[i]+oracle.RoundingSlack(exact[i]) {
 			bad++
 			if badAt < 0 {
 				badAt = i
@@ -314,7 +306,7 @@ func CheckRastersIdentical(name string, a, b []float64) Check {
 
 // CheckRastersWithin asserts |a[i] − b[i]| ≤ tol·max(|a[i]|, |b[i]|) on
 // every pixel, up to a rounding allowance of a few ulps of that maximum
-// (roundingSlack) — the pairwise form used when two rasters each carry an ε
+// (oracle.RoundingSlack) — the pairwise form used when two rasters each carry an ε
 // guarantee against the same ground truth (so they may differ from each
 // other by up to 2ε).
 func CheckRastersWithin(name string, a, b []float64, tol float64) Check {
@@ -328,7 +320,7 @@ func CheckRastersWithin(name string, a, b []float64, tol float64) Check {
 		if ref > 0 {
 			worst = math.Max(worst, diff/ref)
 		}
-		if diff > tol*ref+roundingSlack(ref) {
+		if diff > tol*ref+oracle.RoundingSlack(ref) {
 			return Check{Name: name, MaxRelErr: worst,
 				Detail: fmt.Sprintf("pixel %d: %.17g vs %.17g exceeds rel tol %g", i, a[i], b[i], tol)}
 		}

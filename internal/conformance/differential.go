@@ -11,17 +11,6 @@ import (
 
 func qKernel(k kernel.Kernel) quad.Kernel { return quad.Kernel(int(k)) }
 
-// exactScanTol is the assertion applied to MethodExact rasters: the scan is
-// "exact" up to naive-accumulation rounding, which for n points is O(n·ulp)
-// relative — orders of magnitude under this.
-const exactScanTol = 1e-9
-
-// fpMargin excuses τ misclassification only when the exact density is within
-// this relative distance of τ — the regime where the production path's
-// ordinary floating-point aggregates can legitimately land on the other side
-// of the threshold than the compensated oracle.
-const fpMargin = 1e-9
-
 // buildKDV constructs a KDV over the config's dataset with the given
 // settings, pinning gamma/weight so every method is judged against the same
 // oracle.
@@ -91,7 +80,7 @@ func runDifferential(cfg *Config, rep *Report) error {
 				}
 				switch {
 				case m == quad.MethodExact:
-					rep.add(CheckEpsRaster("eps/"+tag, dm.Values, exact, exactScanTol))
+					rep.add(CheckEpsRaster("eps/"+tag, dm.Values, exact, oracle.ExactTol))
 				case deterministic:
 					rep.add(CheckEpsRaster("eps/"+tag, dm.Values, exact, cfg.Eps))
 				default:
@@ -103,7 +92,7 @@ func runDifferential(cfg *Config, rep *Report) error {
 					return fmt.Errorf("conformance: RenderTau %s: %w", tag, err)
 				}
 				if deterministic {
-					rep.add(CheckMaskAgainstRaster("tau/"+tag, hm.Hot, exact, tau, fpMargin))
+					rep.add(CheckMaskAgainstRaster("tau/"+tag, hm.Hot, exact, tau, oracle.FPMargin))
 				}
 
 				if baseMask == nil {

@@ -102,7 +102,7 @@ func runSharding(cfg *Config, rep *Report) error {
 			}
 			merged := mergeAscending(shards)
 			if m == quad.MethodExact {
-				rep.add(CheckEpsRaster("shard-merge/"+tag, merged, exact, exactScanTol))
+				rep.add(CheckEpsRaster("shard-merge/"+tag, merged, exact, oracle.ExactTol))
 			} else {
 				rep.add(CheckEpsRaster("shard-merge/"+tag, merged, exact, cfg.Eps))
 			}

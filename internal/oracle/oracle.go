@@ -11,6 +11,10 @@
 // bound-dominance checks sandwich per-node partial sums between each
 // method's LB/UB.
 //
+// Both arbiters that judge renders against it — the conformance suite
+// offline and the shadow auditor on served renders — apply the one
+// tolerance rule below: ExactTol, FPMargin and RoundingSlack.
+//
 // Nothing here is on a hot path by design; keep it simple and obviously
 // correct.
 package oracle
@@ -24,6 +28,29 @@ import (
 	"github.com/quadkdv/quad/internal/kdtree"
 	"github.com/quadkdv/quad/internal/kernel"
 )
+
+// The tolerances of a render checked against the oracle.
+const (
+	// ExactTol stands in for ε on exact renders: a naive scan over n points
+	// is exact up to O(n·ulp) relative rounding, orders of magnitude under
+	// it, while ε = 0 would demand a bit equality no accumulation order can
+	// promise.
+	ExactTol = 1e-9
+	// FPMargin excuses a τ misclassification only when the exact density is
+	// within this relative distance of τ — the regime where the production
+	// path's ordinary floating-point aggregates can legitimately land on
+	// the other side of the threshold than the compensated oracle.
+	FPMargin = 1e-9
+)
+
+// RoundingSlack is the rounding allowance at a pixel whose reference value
+// is ref: a few ulps of it, floored at the smallest normal float. It is
+// relative, so a tail pixel many orders of magnitude below the raster's
+// maximum is held to ε like any other, and an exact zero (outside a compact
+// kernel's support) admits only values below the normal range.
+func RoundingSlack(ref float64) float64 {
+	return math.Max(4*0x1p-52*math.Abs(ref), 0x1p-1022)
+}
 
 // Sum is a Kahan–Neumaier compensated accumulator: the running error of each
 // addition is captured in a compensation term and folded back in at the end,

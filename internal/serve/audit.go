@@ -45,16 +45,6 @@ func gridFor(res quad.Resolution, mn, mx [2]float64) (*grid.Grid, error) {
 		geom.Rect{Min: mn[:], Max: mx[:]})
 }
 
-func maxVal(vs []float64) float64 {
-	m := 0.0
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // epsSamples draws the audit pixels from an εKDV raster through the given
 // (possibly sub-view) grid.
 func epsSamples(a *audit.Auditor, g *grid.Grid, values []float64, w int) []audit.Sample {
@@ -94,7 +84,6 @@ func (s *Server) auditEpsMap(w http.ResponseWriter, endpoint string, p *renderPa
 		Method:   p.method.String(),
 		Kind:     audit.KindEps,
 		Eps:      p.eps,
-		Scale:    maxVal(dm.Values),
 		TraceID:  responseTraceID(w),
 		Samples:  epsSamples(a, g, dm.Values, dm.Res.W),
 		Exact:    exact,
@@ -188,9 +177,7 @@ func (s *Server) auditTauMap(w http.ResponseWriter, p *renderParams, hm *quad.Ho
 
 // auditTile samples a freshly built pyramid tile (the OnBuilt hook). The
 // tile's query coordinates come from the full-pyramid grid's sub-view —
-// the same mapping the sub-rect render evaluated — and the absolute slack
-// anchors on the pyramid's fixed color scale rather than the tile's local
-// maximum, so near-empty tiles don't degenerate the tolerance.
+// the same mapping the sub-rect render evaluated.
 func (s *Server) auditTile(ctx context.Context, p *renderParams, pyr *tiles.Pyramid, k *quad.KDV, c tiles.Coord, dm *quad.DensityMap) {
 	a := s.auditor
 	if !a.ShouldAudit() {
@@ -211,7 +198,6 @@ func (s *Server) auditTile(ctx context.Context, p *renderParams, pyr *tiles.Pyra
 	if err != nil {
 		return
 	}
-	_, hi := pyr.ScaleBounds()
 	traceID := ""
 	if tr := trace.FromContext(ctx); tr != nil {
 		traceID = tr.ID().String()
@@ -222,7 +208,6 @@ func (s *Server) auditTile(ctx context.Context, p *renderParams, pyr *tiles.Pyra
 		Method:   p.method.String(),
 		Kind:     audit.KindEps,
 		Eps:      p.eps,
-		Scale:    math.Max(hi, maxVal(dm.Values)),
 		TraceID:  traceID,
 		Samples:  epsSamples(a, sg, dm.Values, dm.Res.W),
 		Exact:    exactDensity(k),

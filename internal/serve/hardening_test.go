@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 
 	quad "github.com/quadkdv/quad"
 	"github.com/quadkdv/quad/internal/cluster"
+	"github.com/quadkdv/quad/internal/lru"
 )
 
 // slowPath is a render that takes hundreds of milliseconds (an exact scan
@@ -278,7 +280,7 @@ func TestProgressiveDeadlineClamped(t *testing.T) {
 // TestSingleflightDedup: concurrent cold-cache requests for one key share
 // a single build.
 func TestSingleflightDedup(t *testing.T) {
-	c := newKDVCache(8)
+	c := lru.New[string, *quad.KDV](8, nil)
 	var builds atomic.Int32
 	build := func() (*quad.KDV, error) {
 		builds.Add(1)
@@ -291,7 +293,7 @@ func TestSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k, err := c.get(context.Background(), "key", build)
+			k, _, err := c.Do(context.Background(), "key", build)
 			if err != nil {
 				t.Error(err)
 			}
@@ -312,8 +314,8 @@ func TestSingleflightDedup(t *testing.T) {
 // TestCacheHitDoesNotWaitOnColdBuild: while a cold build for key B blocks,
 // a hit on resident key A must return immediately.
 func TestCacheHitDoesNotWaitOnColdBuild(t *testing.T) {
-	c := newKDVCache(8)
-	warm, err := c.get(context.Background(), "A", func() (*quad.KDV, error) {
+	c := lru.New[string, *quad.KDV](8, nil)
+	warm, _, err := c.Do(context.Background(), "A", func() (*quad.KDV, error) {
 		return quad.New([]float64{0, 0, 1, 1}, 2)
 	})
 	if err != nil {
@@ -323,7 +325,7 @@ func TestCacheHitDoesNotWaitOnColdBuild(t *testing.T) {
 	release := make(chan struct{})
 	building := make(chan struct{})
 	go func() {
-		_, _ = c.get(context.Background(), "B", func() (*quad.KDV, error) {
+		_, _, _ = c.Do(context.Background(), "B", func() (*quad.KDV, error) {
 			close(building)
 			<-release
 			return quad.New([]float64{0, 0, 1, 1}, 2)
@@ -333,7 +335,7 @@ func TestCacheHitDoesNotWaitOnColdBuild(t *testing.T) {
 
 	done := make(chan *quad.KDV, 1)
 	go func() {
-		k, _ := c.get(context.Background(), "A", func() (*quad.KDV, error) {
+		k, _, _ := c.Do(context.Background(), "A", func() (*quad.KDV, error) {
 			t.Error("hit on resident key triggered a build")
 			return nil, errors.New("unexpected build")
 		})
@@ -353,11 +355,11 @@ func TestCacheHitDoesNotWaitOnColdBuild(t *testing.T) {
 // TestCacheWaiterHonorsContext: a request waiting on someone else's build
 // gives up when its context is cancelled.
 func TestCacheWaiterHonorsContext(t *testing.T) {
-	c := newKDVCache(8)
+	c := lru.New[string, *quad.KDV](8, nil)
 	release := make(chan struct{})
 	building := make(chan struct{})
 	go func() {
-		_, _ = c.get(context.Background(), "K", func() (*quad.KDV, error) {
+		_, _, _ = c.Do(context.Background(), "K", func() (*quad.KDV, error) {
 			close(building)
 			<-release
 			return quad.New([]float64{0, 0, 1, 1}, 2)
@@ -368,7 +370,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := c.get(ctx, "K", nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := c.Do(ctx, "K", nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want DeadlineExceeded", err)
 	}
 }
@@ -379,7 +381,7 @@ func TestCacheWaiterHonorsContext(t *testing.T) {
 // it. The build runs detached; the initiator gets its context error, the
 // waiters get the finished KDV, and the result lands in the cache.
 func TestCacheInitiatorDisconnectDoesNotPoisonWaiters(t *testing.T) {
-	c := newKDVCache(8)
+	c := lru.New[string, *quad.KDV](8, nil)
 	var builds atomic.Int32
 	release := make(chan struct{})
 	building := make(chan struct{})
@@ -394,7 +396,7 @@ func TestCacheInitiatorDisconnectDoesNotPoisonWaiters(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	initErr := make(chan error, 1)
 	go func() {
-		_, _, err := c.getOutcome(ctx1, "K", build)
+		_, _, err := c.Do(ctx1, "K", build)
 		initErr <- err
 	}()
 	<-building
@@ -411,7 +413,7 @@ func TestCacheInitiatorDisconnectDoesNotPoisonWaiters(t *testing.T) {
 	}
 	waiter := make(chan got, 1)
 	go func() {
-		k, _, err := c.getOutcome(context.Background(), "K", func() (*quad.KDV, error) {
+		k, _, err := c.Do(context.Background(), "K", func() (*quad.KDV, error) {
 			return nil, errors.New("waiter re-ran the build")
 		})
 		waiter <- got{k, err}
@@ -434,7 +436,7 @@ func TestCacheInitiatorDisconnectDoesNotPoisonWaiters(t *testing.T) {
 	if n := builds.Load(); n != 1 {
 		t.Fatalf("%d builds, want 1", n)
 	}
-	if !c.contains("K") {
+	if !slices.Contains(c.Keys(), "K") {
 		t.Fatal("finished build did not land in the cache")
 	}
 }
@@ -442,42 +444,42 @@ func TestCacheInitiatorDisconnectDoesNotPoisonWaiters(t *testing.T) {
 // TestCacheLRUBound: the cache never exceeds its bound and evicts oldest
 // first.
 func TestCacheLRUBound(t *testing.T) {
-	c := newKDVCache(2)
+	c := lru.New[string, *quad.KDV](2, nil)
 	mk := func() (*quad.KDV, error) { return quad.New([]float64{0, 0, 1, 1}, 2) }
 	for _, key := range []string{"a", "b", "c"} {
-		if _, err := c.get(context.Background(), key, mk); err != nil {
+		if _, _, err := c.Do(context.Background(), key, mk); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if c.Len() != 2 {
+		t.Fatalf("cache holds %d entries, want 2", c.Len())
 	}
-	if c.contains("a") {
+	if slices.Contains(c.Keys(), "a") {
 		t.Error("oldest entry not evicted")
 	}
-	if !c.contains("b") || !c.contains("c") {
+	if !slices.Contains(c.Keys(), "b") || !slices.Contains(c.Keys(), "c") {
 		t.Error("recent entries evicted")
 	}
 	// Touch b, insert d: c (now oldest) must go.
-	if _, err := c.get(context.Background(), "b", mk); err != nil {
+	if _, _, err := c.Do(context.Background(), "b", mk); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.get(context.Background(), "d", mk); err != nil {
+	if _, _, err := c.Do(context.Background(), "d", mk); err != nil {
 		t.Fatal(err)
 	}
-	if c.contains("c") || !c.contains("b") || !c.contains("d") {
+	if slices.Contains(c.Keys(), "c") || !slices.Contains(c.Keys(), "b") || !slices.Contains(c.Keys(), "d") {
 		t.Error("LRU order not respected on touch")
 	}
 }
 
 // TestCacheBuildErrorNotCached: a failed build must not poison the key.
 func TestCacheBuildErrorNotCached(t *testing.T) {
-	c := newKDVCache(4)
+	c := lru.New[string, *quad.KDV](4, nil)
 	boom := errors.New("boom")
-	if _, err := c.get(context.Background(), "k", func() (*quad.KDV, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.Do(context.Background(), "k", func() (*quad.KDV, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	k, err := c.get(context.Background(), "k", func() (*quad.KDV, error) { return quad.New([]float64{0, 0, 1, 1}, 2) })
+	k, _, err := c.Do(context.Background(), "k", func() (*quad.KDV, error) { return quad.New([]float64{0, 0, 1, 1}, 2) })
 	if err != nil || k == nil {
 		t.Fatalf("retry after failed build: %v, %v", k, err)
 	}
@@ -516,7 +518,7 @@ func TestZOrderEpsInCacheKey(t *testing.T) {
 			t.Fatalf("eps=%s: status %d", eps, resp.StatusCode)
 		}
 	}
-	if got := s.cache.len(); got != 2 {
+	if got := s.cache.Len(); got != 2 {
 		t.Errorf("zorder builds for two eps share %d cache entries, want 2", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	quad "github.com/quadkdv/quad"
 	"github.com/quadkdv/quad/internal/cluster"
+	"github.com/quadkdv/quad/internal/lru"
 	"github.com/quadkdv/quad/internal/telemetry"
 )
 
@@ -147,6 +148,18 @@ func (m *metrics) recordRenderStats(endpoint string, st quad.RenderStats) {
 	m.promotions.AddInt(st.FrontierPromotions)
 	m.pixels.AddInt(st.Pixels)
 	m.renderSeconds[endpoint].ObserveDuration(st.Elapsed)
+}
+
+// countCache counts one KDV build cache lookup by how it was answered.
+func (m *metrics) countCache(o lru.Outcome) {
+	switch o {
+	case lru.Hit:
+		m.cacheHits.Inc()
+	case lru.Miss:
+		m.cacheMisses.Inc()
+	default:
+		m.cacheCoalesced.Inc()
+	}
 }
 
 // recordOutcome counts one render request's outcome on a render endpoint.

@@ -19,10 +19,6 @@ import (
 // human-shaped.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	s.slo.Refresh()
-	s.pyrMu.Lock()
-	tilesets := append([]string{}, s.pyrOrder...)
-	s.pyrMu.Unlock()
-
 	snap := map[string]any{
 		"build":           buildInfo(),
 		"uptime_seconds":  time.Since(s.start).Seconds(),
@@ -37,7 +33,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 			"request_timeout": s.cfg.RequestTimeout.String(),
 		},
 		"cache": map[string]any{
-			"entries":   s.cache.len(),
+			"entries":   s.cache.Len(),
 			"hits":      s.m.cacheHits.Value(),
 			"misses":    s.m.cacheMisses.Value(),
 			"evictions": s.m.cacheEvictions.Value(),
@@ -48,7 +44,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 			"admitted":  s.m.admAdmitted.Value(),
 			"rejected":  s.m.admRejected.Value(),
 		},
-		"tilesets": tilesets,
+		"tilesets": s.pyramids.Keys(),
 		"audit":    s.auditor.State(),
 		"slo":      s.slo.Snapshot(),
 	}

@@ -23,12 +23,13 @@
 // both the render slots and the wait queue are full), run under a
 // per-request deadline, and observe client disconnects — a cancelled
 // request stops its render within one row of pixel work. Built KDV
-// instances live in a bounded LRU cache with singleflight deduplication,
-// so a stampede on a cold key performs one build and hits never wait
-// behind cold builds. When /render misses its deadline it degrades
-// gracefully: the response is the progressive partial raster, flagged
-// X-KDV-Complete: false, instead of an error. Errors are structured JSON,
-// and a panic inside a handler becomes a 500 rather than a dead process.
+// instances, tile pyramids and tiles live in bounded LRU caches
+// (internal/lru) whose concurrent misses share one load, so a stampede on
+// a cold key performs one build and hits never wait behind cold builds.
+// When /render misses its deadline it degrades gracefully: the response
+// is the progressive partial raster, flagged X-KDV-Complete: false,
+// instead of an error. Errors are structured JSON, and a panic inside a
+// handler becomes a 500 rather than a dead process.
 package serve
 
 import (
@@ -55,6 +56,7 @@ import (
 	"github.com/quadkdv/quad/internal/cluster"
 	"github.com/quadkdv/quad/internal/dataset"
 	"github.com/quadkdv/quad/internal/grid"
+	"github.com/quadkdv/quad/internal/lru"
 	"github.com/quadkdv/quad/internal/render"
 	"github.com/quadkdv/quad/internal/telemetry"
 	"github.com/quadkdv/quad/internal/tiles"
@@ -84,7 +86,8 @@ type Config struct {
 	// 0 selects the default (2×MaxConcurrent); negative disables
 	// queueing entirely.
 	MaxQueue int
-	// CacheSize bounds the KDV build cache, in entries (default 32).
+	// CacheSize bounds the KDV build cache and the tile pyramid registry,
+	// in entries each (default 32).
 	CacheSize int
 	// DegradeBudget is the progressive-render budget granted to /render's
 	// graceful-degradation fallback after its deadline fires
@@ -205,25 +208,24 @@ func (c Config) withDefaults() Config {
 }
 
 // Server renders KDV maps over HTTP. Built KDV instances are cached per
-// (dataset, n, seed, kernel, method[, eps]) in a bounded LRU with
-// singleflight build deduplication.
+// (dataset, n, seed, kernel, method[, eps]) in a bounded LRU whose
+// concurrent misses share one build.
 type Server struct {
 	// DefaultN is the dataset size used when ?n= is absent. It may be set
 	// before the server starts handling requests.
 	DefaultN int
 
 	cfg   Config
-	cache *kdvCache
+	cache *lru.Cache[string, *quad.KDV]
 	adm   *admission
 
-	// Tile subsystem: shared store/memory cache plus the per-tileset
-	// pyramid registry (singleflight construction, FIFO bounded).
+	// Tile subsystem: the disk store, the memory level and the tileset →
+	// pyramid registry, an LRU of CacheSize pyramids, since each pins its
+	// KDV beyond the build cache's bound.
 	tileStore *tiles.Store // nil when TilesDir is unset
 	tileLRU   *tiles.LRU
 	tileM     *tiles.Metrics
-	pyrMu     sync.Mutex
-	pyramids  map[string]*pyramidCall
-	pyrOrder  []string
+	pyramids  *lru.Cache[string, *tiles.Pyramid]
 
 	reg       *telemetry.Registry
 	m         *metrics
@@ -262,14 +264,14 @@ func NewServerWith(cfg Config) *Server {
 	s := &Server{
 		DefaultN: cfg.DefaultN,
 		cfg:      cfg,
-		cache:    newKDVCache(cfg.CacheSize),
+		cache:    lru.New[string, *quad.KDV](int64(cfg.CacheSize), nil),
 		adm:      newAdmission(cfg.MaxConcurrent, cfg.MaxQueue),
 		reg:      reg,
 		m:        newMetrics(reg),
 		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
-		pyramids: make(map[string]*pyramidCall),
+		pyramids: lru.New[string, *tiles.Pyramid](int64(cfg.CacheSize), nil),
 	}
-	s.cache.instrument(s.m)
+	s.cache.Entries, s.cache.Evictions = s.m.cacheEntries, s.m.cacheEvictions
 	s.adm.instrument(s.m)
 	s.tileM = tiles.NewMetrics(reg)
 	s.tileLRU = tiles.NewLRU(cfg.TileMemoryBytes, s.tileM)
@@ -386,7 +388,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{
 		"status":    "ok",
 		"in_flight": s.adm.inFlight(),
-		"cached":    s.cache.len(),
+		"cached":    s.cache.Len(),
 	})
 }
 
@@ -563,7 +565,7 @@ func parseError(w http.ResponseWriter, r *http.Request, err error) {
 func (s *Server) kdvFor(ctx context.Context, p *renderParams) (*quad.KDV, error) {
 	key := cacheKey(p)
 	sp, ctx := trace.StartSpan(ctx, "cache")
-	k, outcome, err := s.cache.getOutcome(ctx, key, func() (*quad.KDV, error) {
+	k, outcome, err := s.cache.Do(ctx, key, func() (*quad.KDV, error) {
 		pts, err := dataset.Generate2D(p.name, p.n, p.seed)
 		if err != nil {
 			return nil, err
@@ -576,9 +578,10 @@ func (s *Server) kdvFor(ctx context.Context, p *renderParams) (*quad.KDV, error)
 		}
 		return quad.New(pts.Coords, pts.Dim, opts...)
 	})
-	sp.SetAttrs(trace.Str("key", key), trace.Str("outcome", outcome))
+	s.m.countCache(outcome)
+	sp.SetAttrs(trace.Str("key", key), trace.Str("outcome", string(outcome)))
 	sp.End()
-	setCacheOutcome(ctx, outcome)
+	setCacheOutcome(ctx, string(outcome))
 	return k, err
 }
 

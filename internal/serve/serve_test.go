@@ -159,7 +159,7 @@ func TestCacheReuse(t *testing.T) {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
 	}
-	if got := s.cache.len(); got != 1 {
+	if got := s.cache.Len(); got != 1 {
 		t.Errorf("cache has %d entries, want 1", got)
 	}
 }

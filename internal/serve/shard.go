@@ -50,7 +50,6 @@ func (s *Server) handleShardRender(w http.ResponseWriter, r *http.Request) {
 		requestError(w, r, err)
 		return
 	}
-	defer dm.Release()
 	s.m.recordOutcome("shard", "ok")
 	cluster.WriteShardRaster(w, p.shard, dm, st)
 }

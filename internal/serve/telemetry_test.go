@@ -200,7 +200,7 @@ func TestReadyz(t *testing.T) {
 		t.Errorf("kdv_ready = %g, want 1", v)
 	}
 	// The warmup build must be resident so the first default render hits.
-	if s.cache.len() == 0 {
+	if s.cache.Len() == 0 {
 		t.Error("warmup left the cache empty")
 	}
 }

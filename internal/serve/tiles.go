@@ -32,67 +32,22 @@ func tileset(p *renderParams, tileSize int) string {
 		p.name, p.n, p.seed, p.kern, p.method, p.eps, tileSize, scale)
 }
 
-// pyramidCall is one in-flight (or finished) pyramid construction; done is
-// closed once p and err are final. Finished pyramids stay in the map (FIFO
-// bounded) and serve as the registry entry.
-type pyramidCall struct {
-	done chan struct{}
-	p    *tiles.Pyramid
-	err  error
-}
-
-// pyramidFor returns the pyramid for the given parameters, constructing it
-// at most once per tileset (singleflight, detached from the initiating
-// request like the KDV build cache). Construction is expensive — a KDV
-// build plus the zoom-0 base render that fixes the color scale — so a
-// stampede on a cold tileset performs it once.
+// pyramidFor returns the pyramid for the given parameters from the
+// registry, constructing it at most once per tileset however many requests
+// ask (detached from the initiating request, like every lru.Cache load).
+// Construction is expensive — a KDV build plus the zoom-0 base render that
+// fixes the color scale — so a stampede on a cold tileset performs it once.
 func (s *Server) pyramidFor(ctx context.Context, p *renderParams) (*tiles.Pyramid, error) {
 	key := tileset(p, s.cfg.TileSize)
 	sp, ctx := trace.StartSpan(ctx, "tiles.pyramid")
 	sp.SetAttrs(trace.Str("tileset", key))
 	defer sp.End()
 
-	s.pyrMu.Lock()
-	if call, ok := s.pyramids[key]; ok {
-		s.pyrMu.Unlock()
-		select {
-		case <-call.done:
-			return call.p, call.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	call := &pyramidCall{done: make(chan struct{})}
-	s.pyramids[key] = call
-	s.pyrOrder = append(s.pyrOrder, key)
-	// FIFO bound: pyramids pin their KDV (and its kd-tree) beyond the KDV
-	// cache's LRU, so an unbounded registry would defeat that bound.
-	for len(s.pyrOrder) > s.cfg.CacheSize {
-		evict := s.pyrOrder[0]
-		s.pyrOrder = s.pyrOrder[1:]
-		delete(s.pyramids, evict)
-	}
-	s.pyrMu.Unlock()
-
 	buildCtx := trace.NewContext(context.Background(), trace.FromContext(ctx))
-	go func() {
-		call.p, call.err = s.buildPyramid(buildCtx, p, key)
-		if call.err != nil {
-			// Failed constructions are not cached; the next request retries.
-			s.pyrMu.Lock()
-			if s.pyramids[key] == call {
-				delete(s.pyramids, key)
-			}
-			s.pyrMu.Unlock()
-		}
-		close(call.done)
-	}()
-	select {
-	case <-call.done:
-		return call.p, call.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
+	pyr, _, err := s.pyramids.Do(ctx, key, func() (*tiles.Pyramid, error) {
+		return s.buildPyramid(buildCtx, p, key)
+	})
+	return pyr, err
 }
 
 func (s *Server) buildPyramid(ctx context.Context, p *renderParams, key string) (*tiles.Pyramid, error) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"image/png"
 	"io"
 	"net/http"
@@ -221,4 +222,32 @@ func TestTileWarmup(t *testing.T) {
 		t.Fatalf("warmed tile source %q, want memory", src)
 	}
 	io.Copy(io.Discard, resp.Body)
+}
+
+// TestPyramidRegistryKeepsLiveTileset: a tileset whose pyramid cannot be
+// built answers 400 and takes no place in the registry, so failed requests
+// neither evict a live pyramid nor show in /debug/ops.
+func TestPyramidRegistryKeepsLiveTileset(t *testing.T) {
+	s := NewServerWith(Config{CacheSize: 2, TileSize: 64, DefaultN: 2000})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() { ts.Close(); s.Close() })
+
+	if resp := get(t, ts.URL+"/tiles/crime/0/0/0.png?eps=0.05"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("crime tile: status %d", resp.StatusCode)
+	}
+	for i := 0; i < 2; i++ {
+		if resp := get(t, ts.URL+"/tiles/nosuch/0/0/0.png?eps=0.05"); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("nosuch tile %d: status %d, want 400", i, resp.StatusCode)
+		}
+	}
+	var ops struct {
+		Tilesets []string `json:"tilesets"`
+	}
+	if err := json.NewDecoder(get(t, ts.URL+"/debug/ops").Body).Decode(&ops); err != nil {
+		t.Fatal(err)
+	}
+	want := "crime/2000/1/gaussian/quad/eps=0.05/t=64/log"
+	if len(ops.Tilesets) != 1 || ops.Tilesets[0] != want {
+		t.Fatalf("/debug/ops tilesets = %q, want [%s]", ops.Tilesets, want)
+	}
 }

@@ -1,13 +1,10 @@
 package tiles
 
-import (
-	"container/list"
-	"sync"
-)
+import "github.com/quadkdv/quad/internal/lru"
 
 // Tile is a finished, servable tile: the encoded PNG and its strong ETag
 // (derived from the content hash, so it is stable across processes and
-// restarts). Both caches levels traffic in Tiles — disk stores the PNG and
+// restarts). Both cache levels traffic in Tiles — disk stores the PNG and
 // recomputes the ETag on load, memory keeps both.
 type Tile struct {
 	PNG  []byte
@@ -18,79 +15,16 @@ type Tile struct {
 // map entry, key, ETag) charged on top of the PNG bytes.
 const lruOverhead = 160
 
-// LRU is a byte-bounded least-recently-used cache of finished tiles. It is
-// deliberately tiny: the disk store is the durable level, so eviction here
-// costs one re-read, not one re-render.
-type LRU struct {
-	mu    sync.Mutex
-	max   int64
-	size  int64
-	ll    *list.List
-	items map[string]*list.Element
-	m     *Metrics
-}
+// LRU is the memory level of the tile cache, keyed by tileset and
+// coordinate and bounded by bytes. It is deliberately small: the disk store
+// is the durable level, so eviction here costs one re-read, not one
+// re-render. Its in-flight loads are the tile builds.
+type LRU = lru.Cache[string, *Tile]
 
-type lruEntry struct {
-	key  string
-	tile *Tile
-	cost int64
-}
-
-// NewLRU returns a cache bounded at maxBytes (minimum one entry is always
-// admitted). m may be nil.
+// NewLRU returns a tile cache bounded at maxBytes of PNG plus lruOverhead
+// per tile. m may be nil.
 func NewLRU(maxBytes int64, m *Metrics) *LRU {
-	return &LRU{max: maxBytes, ll: list.New(), items: make(map[string]*list.Element), m: m}
-}
-
-// Get returns the cached tile and marks it most recently used.
-func (c *LRU) Get(key string) (*Tile, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).tile, true
-}
-
-// Add inserts (or refreshes) a tile and evicts from the cold end until the
-// byte bound holds again. A tile larger than the whole bound is still
-// admitted alone — the bound is a target, not a correctness line.
-func (c *LRU) Add(key string, t *Tile) {
-	cost := int64(len(t.PNG)) + lruOverhead
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		old := el.Value.(*lruEntry)
-		c.size += cost - old.cost
-		old.tile, old.cost = t, cost
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&lruEntry{key: key, tile: t, cost: cost})
-		c.size += cost
-	}
-	for c.size > c.max && c.ll.Len() > 1 {
-		el := c.ll.Back()
-		e := el.Value.(*lruEntry)
-		c.ll.Remove(el)
-		delete(c.items, e.key)
-		c.size -= e.cost
-	}
-	c.m.memEntries().Set(int64(c.ll.Len()))
-	c.m.memBytes().Set(c.size)
-}
-
-// Len returns the resident entry count.
-func (c *LRU) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-// Bytes returns the resident byte estimate.
-func (c *LRU) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.size
+	c := lru.New[string](maxBytes, func(t *Tile) int64 { return int64(len(t.PNG)) + lruOverhead })
+	c.Entries, c.Cost = m.memEntries(), m.memBytes()
+	return c
 }

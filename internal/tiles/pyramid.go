@@ -6,11 +6,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 	"time"
 
 	quad "github.com/quadkdv/quad"
 	"github.com/quadkdv/quad/internal/grid"
+	"github.com/quadkdv/quad/internal/lru"
 	"github.com/quadkdv/quad/internal/render"
 	"github.com/quadkdv/quad/internal/trace"
 )
@@ -53,15 +53,6 @@ type Pyramid struct {
 	// pixel geometry is recoverable from the Coord and the tile size. The
 	// context is the build's (carrying the initiating request's trace).
 	OnBuilt func(ctx context.Context, c Coord, dm *quad.DensityMap)
-
-	mu       sync.Mutex
-	building map[Coord]*tileCall
-}
-
-type tileCall struct {
-	done chan struct{}
-	tile *Tile
-	err  error
 }
 
 // PyramidConfig configures NewPyramid.
@@ -112,7 +103,6 @@ func NewPyramid(ctx context.Context, cfg PyramidConfig) (*Pyramid, error) {
 		store:    cfg.Store,
 		lru:      cfg.LRU,
 		m:        cfg.Metrics,
-		building: make(map[Coord]*tileCall),
 	}
 	// The zoom-0 render fixes the scale. Its values are also tile 0/0/0,
 	// which buildTile would otherwise re-render first thing.
@@ -128,9 +118,11 @@ func NewPyramid(ctx context.Context, cfg PyramidConfig) (*Pyramid, error) {
 	dm := r.Density
 	v := &grid.Values{Res: grid.Resolution{W: dm.Res.W, H: dm.Res.H}, Data: dm.Values}
 	p.lo, p.hi = v.MinMax()
-	if _, err := p.encodeAndStore(ctx, base, v); err != nil {
+	tile, err := p.encodeAndStore(ctx, base, v)
+	if err != nil {
 		return nil, fmt.Errorf("tiles: base tile encode: %w", err)
 	}
+	p.lru.Add(p.lruKey(base), tile)
 	return p, nil
 }
 
@@ -184,42 +176,23 @@ func (p *Pyramid) Tile(ctx context.Context, c Coord) (t *Tile, source string, er
 		}
 	}
 
-	p.mu.Lock()
-	if call, ok := p.building[c]; ok {
-		p.mu.Unlock()
-		p.m.coalesced().Inc()
-		select {
-		case <-call.done:
-			return call.tile, "coalesced", call.err
-		case <-ctx.Done():
-			return nil, "coalesced", ctx.Err()
-		}
-	}
-	call := &tileCall{done: make(chan struct{})}
-	p.building[c] = call
-	p.mu.Unlock()
-	p.m.miss().Inc()
-
-	// Detached build (same rationale as the KDV build cache): the render
-	// outlives the initiating request, so coalesced waiters and the caches
-	// get the tile even if the first requester gives up. The initiator's
-	// trace rides along so the build span lands on the right request.
+	// Detached build (the lru.Cache contract): the render outlives the
+	// initiating request, so coalesced waiters and the caches get the tile
+	// even if the first requester gives up. The initiator's trace rides
+	// along so the build span lands on the right request.
 	buildCtx := trace.NewContext(context.Background(), trace.FromContext(ctx))
 	buildCtx = trace.ContextWithSpan(buildCtx, sp)
-	go func() {
-		tile, err := p.buildTile(buildCtx, c)
-		p.mu.Lock()
-		delete(p.building, c)
-		p.mu.Unlock()
-		call.tile, call.err = tile, err
-		close(call.done)
-	}()
-	select {
-	case <-call.done:
-		return call.tile, "build", call.err
-	case <-ctx.Done():
-		return nil, "build", ctx.Err()
+	t, outcome, err := p.lru.Do(ctx, key, func() (*Tile, error) { return p.buildTile(buildCtx, c) })
+	switch outcome {
+	case lru.Hit: // another request's build landed after the lookups above
+		p.m.memHit().Inc()
+		return t, "memory", nil
+	case lru.Miss:
+		p.m.miss().Inc()
+		return t, "build", err
 	}
+	p.m.coalesced().Inc()
+	return t, "coalesced", err
 }
 
 // buildTile renders, encodes, and stores one tile.
@@ -257,10 +230,10 @@ func (p *Pyramid) buildTile(ctx context.Context, c Coord) (*Tile, error) {
 }
 
 // encodeAndStore colors the values with the pyramid's fixed scale, encodes
-// the PNG, and inserts the tile into both cache levels. A disk write
-// failure is logged into the error but the tile still serves from memory —
-// persistence is an optimization, not a correctness dependency — so the
-// error is returned only when encoding itself fails.
+// the PNG, and writes it to the disk store; the caller puts the tile in
+// memory. A disk write failure is ignored — the tile still serves from
+// memory, and persistence is an optimization, not a correctness
+// dependency — so the error is returned only when encoding itself fails.
 func (p *Pyramid) encodeAndStore(ctx context.Context, c Coord, v *grid.Values) (*Tile, error) {
 	scale := render.Linear
 	if p.logScale {
@@ -278,7 +251,6 @@ func (p *Pyramid) encodeAndStore(ctx context.Context, c Coord, v *grid.Values) (
 		_ = p.store.Put(p.tileset, c, png)
 		sp.End()
 	}
-	p.lru.Add(p.lruKey(c), tile)
 	return tile, nil
 }
 

@@ -37,17 +37,6 @@ func (m *DensityMap) At(x, y int) float64 { return m.Values[y*m.Res.W+x] }
 // values — the statistics the paper's τ thresholds are expressed in.
 func (m *DensityMap) MuSigma() (mu, sigma float64) { return stats.MuSigma(m.Values) }
 
-// Release returns the map's value buffer to the shared render pool and
-// clears Values. Call it once the map is no longer needed (e.g. after
-// encoding a PNG) so subsequent renders at the same resolution reuse the
-// raster instead of re-allocating it; the map must not be used afterwards.
-func (m *DensityMap) Release() {
-	if m.Values != nil {
-		putVals(m.Values)
-		m.Values = nil
-	}
-}
-
 // SavePNG renders the map through the heat-color ramp and writes a PNG.
 // logScale applies a logarithmic color scale, which suits the heavy density
 // skew of typical KDV data.
@@ -85,15 +74,6 @@ func (m *HotspotMap) HotFraction() float64 {
 		}
 	}
 	return float64(n) / float64(len(m.Hot))
-}
-
-// Release returns the map's mask buffer to the shared render pool and
-// clears Hot; the map must not be used afterwards.
-func (m *HotspotMap) Release() {
-	if m.Hot != nil {
-		putHot(m.Hot)
-		m.Hot = nil
-	}
 }
 
 // SavePNG writes the two-color hotspot map as a PNG.
@@ -357,44 +337,6 @@ func (sc *tileSched) wake() {
 	sc.mu.Unlock()
 }
 
-// valsPool recycles full-raster float64 buffers across renders, so repeated
-// server renders at steady resolutions stop re-allocating W×H slices. Maps
-// built on pooled buffers return them through Release.
-var valsPool sync.Pool
-
-func getVals(n int) []float64 {
-	if p, ok := valsPool.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-func putVals(v []float64) {
-	if cap(v) == 0 {
-		return
-	}
-	v = v[:0]
-	valsPool.Put(&v)
-}
-
-// hotPool is valsPool's analogue for τKDV masks.
-var hotPool sync.Pool
-
-func getHot(n int) []bool {
-	if p, ok := hotPool.Get().(*[]bool); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]bool, n)
-}
-
-func putHot(h []bool) {
-	if cap(h) == 0 {
-		return
-	}
-	h = h[:0]
-	hotPool.Put(&h)
-}
-
 // renderDepthBuckets is the number of refinement-depth buckets in
 // RenderStats.DepthPixels: bucket 0 holds pixels settled with zero queue
 // pops, bucket d (1 ≤ d < 8) pixels settled in [2^(d-1), 2^d) pops, and the
@@ -562,7 +504,7 @@ type renderPass struct {
 // first context error is returned after all workers have exited, with the
 // stats of the work done until then.
 func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) ([]float64, RenderStats, error) {
-	vals := getVals(g.Res.Pixels())
+	vals := make([]float64, g.Res.Pixels())
 	size := k.tileSize()
 	sched := size
 	if sched < 2 {
@@ -624,11 +566,9 @@ func (k *KDV) renderValues(ctx context.Context, g *grid.Grid, pass renderPass) (
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		putVals(vals)
 		return nil, st, err
 	}
 	if firstErr != nil {
-		putVals(vals)
 		return nil, st, firstErr
 	}
 	st.Pixels = g.Res.Pixels()
@@ -1157,11 +1097,10 @@ func (k *KDV) Render(ctx context.Context, req Request) (Result, error) {
 		out.Density = &DensityMap{Res: res, Values: vals, WindowMin: winMin, WindowMax: winMax}
 		return out, nil
 	}
-	hot := getHot(len(vals))
+	hot := make([]bool, len(vals))
 	for i, v := range vals {
 		hot[i] = v != 0
 	}
-	putVals(vals)
 	out.Hot = &HotspotMap{Res: res, Tau: req.Tau, Hot: hot, WindowMin: winMin, WindowMax: winMax}
 	return out, nil
 }

@@ -335,44 +335,6 @@ func TestHotFractionEmpty(t *testing.T) {
 	}
 }
 
-// TestMapRelease exercises the pooled-buffer round trip: Release and a
-// subsequent render must not corrupt earlier results.
-func TestMapRelease(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	cloud := testCloud(rng, 300)
-	res := Resolution{W: 32, H: 24}
-	k, err := NewFromPoints(cloud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := k.RenderEps(res, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keep := append([]float64(nil), a.Values...)
-	a.Release()
-	if a.Values != nil {
-		t.Fatal("Release did not clear Values")
-	}
-	b, err := k.RenderEps(res, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range b.Values {
-		if v != keep[i] {
-			t.Fatalf("render after Release differs at %d: %g vs %g", i, v, keep[i])
-		}
-	}
-	hm, err := k.RenderTau(res, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hm.Release()
-	if hm.Hot != nil {
-		t.Fatal("Release did not clear Hot")
-	}
-}
-
 // TestRenderTauTailMatchesOracle renders τKDV over windows 0.5, 1 and 2
 // widths east of the data, where every density is a kernel tail, at τ
 // values between the oracle's tail densities. The hot mask must be the
